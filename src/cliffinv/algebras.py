@@ -1,15 +1,20 @@
 """Finite-dimensional algebras given by exact structure constants.
 
-The table convention is e_i e_j = sum_k table[i][j][k] e_k.  Dimension
-is capped at 64, which is all the even Clifford algebras up to rank 7
-need.  Isomorphism testing is deliberately not general: quaternions go
-through ramification data, etale quadratic algebras through their
-discriminant, split matrix algebras through explicit certificates.
+The structure table is sparse: table[i][j] is a tuple of (k, c) pairs,
+sorted by k with every c nonzero, and e_i e_j = sum c e_k over them.
+Clifford, matrix and quaternion algebras have one pair per entry, so
+a table holds dim^2 pairs rather than dim^3 coefficients.  Elements
+are dense coordinate vectors.  Dimension is capped at 64, which is all
+the even Clifford algebras up to rank 7 need.  Isomorphism testing is
+deliberately not general: quaternions go through ramification data,
+etale quadratic algebras through their discriminant, split matrix
+algebras through explicit certificates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from operator import itemgetter
 
 from . import linalg
 from .errors import CliffinvError, SearchExhausted, UnsupportedBase
@@ -19,6 +24,11 @@ from .scalars import PrimeField, RationalField
 MAX_DIM = 64
 
 
+def sparse_row(vec):
+    """The (k, c) pairs of a dense coordinate vector, zeros dropped."""
+    return tuple((k, c) for k, c in enumerate(vec) if c)
+
+
 class StructureAlgebra:
     def __init__(self, field, labels, table, unit, involution=None):
         self.field = field
@@ -26,7 +36,11 @@ class StructureAlgebra:
         self.dim = len(self.labels)
         if self.dim > MAX_DIM:
             raise ValueError(f"dimension {self.dim} exceeds cap {MAX_DIM}")
-        self.table = tuple(tuple(tuple(row) for row in plane) for plane in table)
+        # zero coefficients are dropped so that equal algebras have equal tables
+        self.table = tuple(
+            tuple(tuple(sorted(((k, c) for k, c in row if c), key=itemgetter(0))) for row in plane)
+            for plane in table
+        )
         self.unit = tuple(unit)
         self.involution = None if involution is None else tuple(tuple(r) for r in involution)
 
@@ -40,17 +54,15 @@ class StructureAlgebra:
 
     def mul(self, x, y):
         out = self.zero_vec()
+        ys = sparse_row(y)
         for i, xi in enumerate(x):
             if not xi:
                 continue
             ti = self.table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
+            for j, yj in ys:
                 c = xi * yj
-                for k, t in enumerate(ti[j]):
-                    if t:
-                        out[k] = out[k] + c * t
+                for k, t in ti[j]:
+                    out[k] = out[k] + c * t
         return out
 
     def scalar_mul(self, c, x):
@@ -108,13 +120,17 @@ class AlgebraMorphism:
         return self.apply(list(self.source.unit)) == list(self.target.unit)
 
     def is_multiplicative(self) -> bool:
-        src = self.source
+        """phi(e_i) phi(e_j) = phi(e_i e_j) on every pair of basis elements."""
+        src, tgt = self.source, self.target
+        cols = [list(col) for col in zip(*self.matrix)]
+        sparse_cols = [sparse_row(col) for col in cols]
         for i in range(src.dim):
-            fi = self.apply(src.basis_vec(i))
             for j in range(src.dim):
-                lhs = self.apply(src.mul(src.basis_vec(i), src.basis_vec(j)))
-                rhs = self.target.mul(fi, self.apply(src.basis_vec(j)))
-                if lhs != rhs:
+                lhs = tgt.zero_vec()
+                for k, c in src.table[i][j]:
+                    for s, v in sparse_cols[k]:
+                        lhs[s] = lhs[s] + c * v
+                if lhs != tgt.mul(cols[i], cols[j]):
                     return False
         return True
 
@@ -133,23 +149,12 @@ def check_associative(a: StructureAlgebra) -> bool:
 
 def associativity_witness(a: StructureAlgebra):
     """First basis triple (i, j, k) violating associativity, or None."""
+    basis = [a.basis_vec(i) for i in range(a.dim)]
+    prods = [[a.mul(x, y) for y in basis] for x in basis]
     for i in range(a.dim):
         for j in range(a.dim):
-            ij = a.table[i][j]
             for k in range(a.dim):
-                left = a.zero_vec()
-                for m, c in enumerate(ij):
-                    if c:
-                        for s, t in enumerate(a.table[m][k]):
-                            if t:
-                                left[s] = left[s] + c * t
-                right = a.zero_vec()
-                for m, c in enumerate(a.table[j][k]):
-                    if c:
-                        for s, t in enumerate(a.table[i][m]):
-                            if t:
-                                right[s] = right[s] + c * t
-                if left != right:
+                if a.mul(prods[i][j], basis[k]) != a.mul(basis[i], prods[j][k]):
                     return (i, j, k)
     return None
 
@@ -161,17 +166,22 @@ def center(a: StructureAlgebra, generators=None):
     against those elements, which keeps Clifford-sized systems cheap.
     """
     gens = generators if generators is not None else [a.basis_vec(i) for i in range(a.dim)]
+    zero = a.field.zero()
     rows = []
     for g in gens:
+        gs = sparse_row(g)
         # coefficient of x_t in coordinate s of [x, g]
         lm = {}
         for t in range(a.dim):
-            prod_tg = a.mul(a.basis_vec(t), g)
-            prod_gt = a.mul(g, a.basis_vec(t))
-            for s in range(a.dim):
-                c = prod_tg[s] - prod_gt[s]
-                if c:
-                    lm.setdefault(s, {})[t] = c
+            comm = {}
+            for u, gu in gs:
+                for s, c in a.table[t][u]:
+                    comm[s] = comm.get(s, zero) + gu * c
+                for s, c in a.table[u][t]:
+                    comm[s] = comm.get(s, zero) - gu * c
+            for s in sorted(comm):
+                if comm[s]:
+                    lm.setdefault(s, {})[t] = comm[s]
         rows.extend(lm.values())
     return linalg.nullspace_sparse(rows, a.dim, a.field)
 
@@ -216,24 +226,19 @@ def central_idempotents(a: StructureAlgebra, generators=None):
 
 def matrix_algebra(n: int, field) -> StructureAlgebra:
     labels = [f"E{i+1}{j+1}" for i in range(n) for j in range(n)]
-    dim = n * n
     zero, one = field.zero(), field.one()
-    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        table[i * n + j][k * n + l][i * n + l] = one
+    # E_ij E_kl = [j == k] E_il
+    table = [
+        [((i * n + l, one),) if j == k else () for k in range(n) for l in range(n)]
+        for i in range(n)
+        for j in range(n)
+    ]
     unit = [one if i == j else zero for i in range(n) for j in range(n)]
     return StructureAlgebra(field, labels, table, unit)
 
 
 def opposite(a: StructureAlgebra) -> StructureAlgebra:
-    table = [
-        [[a.table[j][i][k] for k in range(a.dim)] for j in range(a.dim)]
-        for i in range(a.dim)
-    ]
+    table = [[a.table[j][i] for j in range(a.dim)] for i in range(a.dim)]
     return StructureAlgebra(a.field, a.labels, table, a.unit, a.involution)
 
 
@@ -244,23 +249,16 @@ def tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
     dim = a.dim * b.dim
     labels = [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
     zero = field.zero()
-    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i1 in range(a.dim):
-        for j1 in range(b.dim):
-            r = i1 * b.dim + j1
-            for i2 in range(a.dim):
-                for j2 in range(b.dim):
-                    s = i2 * b.dim + j2
-                    row = table[r][s]
-                    ta = a.table[i1][i2]
-                    tb = b.table[j1][j2]
-                    for m, ca in enumerate(ta):
-                        if not ca:
-                            continue
-                        base = m * b.dim
-                        for n2, cb in enumerate(tb):
-                            if cb:
-                                row[base + n2] = row[base + n2] + ca * cb
+    # (e_i1 (x) f_j1)(e_i2 (x) f_j2) = e_i1 e_i2 (x) f_j1 f_j2
+    table = [
+        [
+            [(m * b.dim + n2, ca * cb) for m, ca in a.table[i1][i2] for n2, cb in b.table[j1][j2]]
+            for i2 in range(a.dim)
+            for j2 in range(b.dim)
+        ]
+        for i1 in range(a.dim)
+        for j1 in range(b.dim)
+    ]
     unit = [zero] * dim
     for i, ua in enumerate(a.unit):
         if not ua:
@@ -286,11 +284,10 @@ def quaternion(a, b, field) -> StructureAlgebra:
     if not a or not b:
         raise ValueError("quaternion parameters must be nonzero")
     zero, one = field.zero(), field.one()
-    dim = 4
-    t = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    t = [[() for _ in range(4)] for _ in range(4)]
 
     def put(i, j, k, c):
-        t[i][j][k] = c
+        t[i][j] = ((k, c),)
 
     # basis 1, i, j, k
     for m in range(4):

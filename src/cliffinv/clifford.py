@@ -3,8 +3,12 @@
 For a diagonal form <a_1, ..., a_n> the generators rewrite by
 e_i e_j = -e_j e_i (i != j) and e_i e_i = a_i, so basis monomials are
 indexed by subsets of {1..n} held as bitmasks: even subsets span the
-even algebra, odd subsets the bimodule.  Non-diagonal Gram matrices are
-routed through diagonalisation first.
+even algebra, odd subsets the bimodule.  Every product of monomials is
+a single signed monomial, e_S e_T = c e_(S xor T), so the algebra is a
+twisted group algebra of (Z/2)^n: its structure table has one pair per
+entry, and all products of coordinate vectors (even algebra, bimodule
+actions, pairing) go through one routine.  Non-diagonal Gram matrices
+are routed through diagonalisation first.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
-from .algebras import AlgebraMorphism, StructureAlgebra, center
+from .algebras import AlgebraMorphism, StructureAlgebra, center, sparse_row
 from .errors import CliffinvError, DegenerateFormError
 from .forms import DiagonalForm, QuadraticForm, diagonalize, hyperbolic, signed_det
 
@@ -81,19 +85,26 @@ class EvenClifford:
     def mul_masks(self, s, t):
         return _mul_masks(s, t, self.form.entries, self.field)
 
-    def mul_coords(self, x, y):
-        out = [self.field.zero()] * self.dim
-        for i, xi in enumerate(x):
+    def mul_monomial_coords(self, x, x_masks, y, y_masks, index):
+        """Product of coordinate vectors on monomial bases; index places the result.
+
+        The even product, both bimodule actions and the pairing are this
+        one product with different bases.
+        """
+        out = [self.field.zero()] * len(index)
+        for xi, s in zip(x, x_masks):
             if not xi:
                 continue
-            si = self.masks[i]
-            for j, yj in enumerate(y):
+            for yj, t in zip(y, y_masks):
                 if not yj:
                     continue
-                c, m = self.mul_masks(si, self.masks[j])
-                k = self.index[m]
+                c, m = self.mul_masks(s, t)
+                k = index[m]
                 out[k] = out[k] + xi * yj * c
         return out
+
+    def mul_coords(self, x, y):
+        return self.mul_monomial_coords(x, self.masks, y, self.masks, self.index)
 
     def unit_coords(self):
         v = [self.field.zero()] * self.dim
@@ -120,16 +131,11 @@ class EvenClifford:
 
     @cached_property
     def algebra(self) -> StructureAlgebra:
-        zero = self.field.zero()
-        table = []
-        for s in self.masks:
-            plane = []
-            for t in self.masks:
-                row = [zero] * self.dim
-                c, m = self.mul_masks(s, t)
-                row[self.index[m]] = c
-                plane.append(row)
-            table.append(plane)
+        def row(s, t):
+            c, m = self.mul_masks(s, t)
+            return ((self.index[m], c),)
+
+        table = [[row(s, t) for t in self.masks] for s in self.masks]
         labels = tuple(_mask_label(m) for m in self.masks)
         return StructureAlgebra(self.field, labels, table, self.unit_coords())
 
@@ -155,31 +161,13 @@ class CliffordBimodule:
 
     def left_act(self, even_coords, odd_coords):
         """x * m with x in the even algebra."""
-        out = [self.field.zero()] * self.dim
-        for i, xi in enumerate(even_coords):
-            if not xi:
-                continue
-            si = self.even.masks[i]
-            for j, yj in enumerate(odd_coords):
-                if not yj:
-                    continue
-                c, m = self.even.mul_masks(si, self.masks[j])
-                out[self.index[m]] = out[self.index[m]] + xi * yj * c
-        return out
+        ev = self.even
+        return ev.mul_monomial_coords(even_coords, ev.masks, odd_coords, self.masks, self.index)
 
     def right_act(self, odd_coords, even_coords):
         """m . x with x in the even algebra."""
-        out = [self.field.zero()] * self.dim
-        for j, yj in enumerate(odd_coords):
-            if not yj:
-                continue
-            sj = self.masks[j]
-            for i, xi in enumerate(even_coords):
-                if not xi:
-                    continue
-                c, m = self.even.mul_masks(sj, self.even.masks[i])
-                out[self.index[m]] = out[self.index[m]] + xi * yj * c
-        return out
+        ev = self.even
+        return ev.mul_monomial_coords(odd_coords, self.masks, even_coords, ev.masks, self.index)
 
     def left_action_matrix(self, even_coords):
         cols = [self.left_act(even_coords, bv) for bv in _basis_vecs(self.dim, self.field)]
@@ -188,17 +176,7 @@ class CliffordBimodule:
     def mult(self, x, y):
         """The pairing m: C1 x C1 -> C0 (value line trivialised)."""
         ev = self.even
-        out = [self.field.zero()] * ev.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            si = self.masks[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c, m = ev.mul_masks(si, self.masks[j])
-                out[ev.index[m]] = out[ev.index[m]] + xi * yj * c
-        return out
+        return ev.mul_monomial_coords(x, self.masks, y, self.masks, ev.index)
 
 
 def _basis_vecs(dim, field):
@@ -308,7 +286,6 @@ def split_components(form_or_ec) -> SplitComponents:
             raise CliffinvError("component has unexpected dimension")
         express = linalg.coordinate_solver(basis, field)
         m = len(basis)
-        zero = field.zero()
         table = []
         for i in range(m):
             plane = []
@@ -317,7 +294,7 @@ def split_components(form_or_ec) -> SplitComponents:
                 coords = express(prod)
                 if coords is None:
                     raise CliffinvError("component product escaped the component")
-                plane.append(coords)
+                plane.append(sparse_row(coords))
             table.append(plane)
         unit_coords = express(e)
         if unit_coords is None:
@@ -428,19 +405,10 @@ def product_algebra(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebr
     if a.field != b.field:
         raise ValueError("product needs a common base field")
     field = a.field
-    dim = a.dim + b.dim
-    zero = field.zero()
-    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            for k, c in enumerate(a.table[i][j]):
-                if c:
-                    table[i][j][k] = c
-    for i in range(b.dim):
-        for j in range(b.dim):
-            for k, c in enumerate(b.table[i][j]):
-                if c:
-                    table[a.dim + i][a.dim + j][a.dim + k] = c
+    table = [list(plane) + [()] * b.dim for plane in a.table]
+    table += [
+        [()] * a.dim + [[(a.dim + k, c) for k, c in row] for row in plane] for plane in b.table
+    ]
     labels = tuple(f"L.{x}" for x in a.labels) + tuple(f"R.{x}" for x in b.labels)
     unit = list(a.unit) + list(b.unit)
     return StructureAlgebra(field, labels, table, unit)
@@ -480,10 +448,8 @@ def hyperbolic_model(r: int, field=None) -> HyperbolicModel:
     ec = EvenClifford(diag)
     bim = CliffordBimodule(ec)
 
-    all_masks = sorted(range(1 << r), key=lambda m: (m.bit_count(), m))
+    all_masks, contract, wedge = exterior_operators(r, field)
     full_index = {m: i for i, m in enumerate(all_masks)}
-    contract = [_contraction_matrix(i, all_masks, full_index, field) for i in range(r)]
-    wedge = [_wedge_matrix(i, all_masks, full_index, field) for i in range(r)]
 
     n = 2 * r
     ops = []
@@ -678,7 +644,6 @@ def sum_isomorphism(q1: DiagonalForm, q2: DiagonalForm) -> SumIsomorphism:
     zero = field.zero()
 
     def mul_basis(i, j):
-        out = [zero] * dim
         li = block0[i] if i < dim0 else block1[i - dim0]
         lj = block0[j] if j < dim0 else block1[j - dim0]
         ei, oi = i < dim0, j < dim0
@@ -687,11 +652,8 @@ def sum_isomorphism(q1: DiagonalForm, q2: DiagonalForm) -> SumIsomorphism:
         c = c1 * c2
         if not ei and not oi:
             c = -c  # pairing of two odd (x) odd elements
-        if ei == oi:
-            out[pos0[(m1, m2)]] = c
-        else:
-            out[pos1[(m1, m2)]] = c
-        return out
+        pos = pos0 if ei == oi else pos1
+        return ((pos[(m1, m2)], c),)
 
     table = [[mul_basis(i, j) for j in range(dim)] for i in range(dim)]
     unit = [zero] * dim

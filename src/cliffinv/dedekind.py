@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .algebras import StructureAlgebra, find_quaternion_basis
+from .algebras import StructureAlgebra, find_quaternion_basis, sparse_row
 from .clifford import EvenClifford, RingMap, tables_commute
 from .errors import CliffinvError, ClosureViolation, SearchExhausted
 from .forms import DiagonalForm, QuadraticForm, diagonalize
@@ -682,7 +682,7 @@ def even_clifford_order(q: IdealValuedForm) -> EvenCliffordOrder:
             coords = express(prod)
             if coords is None:
                 raise CliffinvError("pseudo-basis does not span the algebra")
-            plane.append(coords)
+            plane.append(sparse_row(coords))
         table.append(plane)
     unit = express(ec.unit_coords())
     labels = tuple("e" + "".join(str(b + 1) for b in range(n) if m >> b & 1) if m else "1" for m in ec.masks)
@@ -690,10 +690,7 @@ def even_clifford_order(q: IdealValuedForm) -> EvenCliffordOrder:
     # closure: coefficient of e_U in e_S e_T times a_S a_T inside a_U
     for i in range(dim):
         for j in range(dim):
-            for u in range(dim):
-                cuv = table[i][j][u]
-                if not cuv:
-                    continue
+            for u, cuv in alg.table[i][j]:
                 lhs = (ideals[i] * ideals[j]).scale(cuv)
                 if not ideals[u].contains_ideal(lhs):
                     raise ClosureViolation(
@@ -751,24 +748,22 @@ def order_reduction_semisimple(co: EvenCliffordOrder, p: int) -> bool:
     alg = co.algebra
     dim = alg.dim
     target = GF(p)
-    table = [
-        [[rm.apply(alg.table[i][j][kk]) for kk in range(dim)] for j in range(dim)]
-        for i in range(dim)
-    ]
+    # reduction can kill a coefficient; the constructor drops the zeros
+    table = [[[(k, rm.apply(c)) for k, c in row] for row in plane] for plane in alg.table]
     red = StructureAlgebra(target, alg.labels, table, [rm.apply(u) for u in alg.unit])
     if not red.validate_unit():
         return False
-    # trace form of the regular representation
+    # trace form of the regular representation: tr(L_i L_j)
+    lmats = [red.left_mult_matrix(red.basis_vec(i)) for i in range(dim)]
     gram = []
-    for i in range(dim):
+    for li in lmats:
         row = []
-        li = red.left_mult_matrix(red.basis_vec(i))
-        for j in range(dim):
-            lj = red.left_mult_matrix(red.basis_vec(j))
-            prod = linalg.matmul(li, lj, target)
+        for lj in lmats:
             tr = target.zero()
             for s in range(dim):
-                tr = tr + prod[s][s]
+                for t in range(dim):
+                    if li[s][t] and lj[t][s]:
+                        tr = tr + li[s][t] * lj[t][s]
             row.append(tr)
         gram.append(row)
     return bool(linalg.det(gram, target))

@@ -558,10 +558,6 @@ def _split_hyperbolic(gram, v, field):
     return new_gram
 
 
-def witt_class_of(q) -> WittClass:
-    return witt_decompose(q)
-
-
 def signature(entries) -> int:
     """Signature over Q: positives minus negatives."""
     pos = sum(1 for a in entries if Fraction(a) > 0)

@@ -106,20 +106,27 @@ def _in_i2(entries, field) -> bool:
     return signed_discriminant(DiagonalForm(entries, field)).is_trivial
 
 
-def _e2_structural_kernel(kernel, field) -> BrauerClass2:
-    """Brauer class of a component of C0 of an anisotropic I2 kernel."""
+def _e2_structural(kernel, field, entries) -> BrauerClass2:
+    """Brauer class of a component of C0 of an anisotropic I2 kernel.
+
+    The class is checked against the symbol dictionary evaluated on
+    entries, a form Witt-equivalent to the kernel, unless entries is
+    empty.
+    """
     if not kernel:
-        return BrauerClass2.trivial()
-    if len(kernel) == 4:
+        cls = BrauerClass2.trivial()
+    elif len(kernel) == 4:
         sc = split_components(DiagonalForm(kernel, field))
-        plus = class_of_algebra(sc.plus)
-        minus = class_of_algebra(sc.minus)
-        if plus != minus:
+        cls = class_of_algebra(sc.plus)
+        if class_of_algebra(sc.minus) != cls:
             raise CliffinvError("the two component classes disagree")
-        return plus
-    raise CliffinvError(
-        f"anisotropic kernel of rank {len(kernel)} is outside the structural range"
-    )
+    else:
+        raise CliffinvError(
+            f"anisotropic kernel of rank {len(kernel)} is outside the structural range"
+        )
+    if entries and clifford_invariant_class(entries) != cls:
+        raise CliffinvError("structural class disagrees with the symbol dictionary")
+    return cls
 
 
 def clifford_invariant_local(entries, v) -> int:
@@ -176,12 +183,7 @@ def e2(w) -> BrauerClass2:
             raise UnsupportedBase("e2 is computed over Q (and trivially over F_p)")
         if not _in_i2(c.kernel, field) and c.kernel:
             raise ValueError("component is not an I2 element")
-        cls = _e2_structural_kernel(c.kernel, field)
-        if c.kernel:
-            oracle = clifford_invariant_class(c.kernel)
-            if oracle != cls:
-                raise CliffinvError("structural class disagrees with the symbol dictionary")
-        total = total + cls
+        total = total + _e2_structural(c.kernel, field, c.kernel)
     return total
 
 
@@ -197,15 +199,7 @@ def e2_of_form(q) -> BrauerClass2:
     if not _in_i2(entries, field):
         raise ValueError("form is not an I2 element")
     if len(entries) == 4:
-        sc = split_components(DiagonalForm(entries, field))
-        plus = class_of_algebra(sc.plus)
-        minus = class_of_algebra(sc.minus)
-        if plus != minus:
-            raise CliffinvError("the two component classes disagree")
-        oracle = clifford_invariant_class(entries)
-        if oracle != plus:
-            raise CliffinvError("structural class disagrees with the symbol dictionary")
-        return plus
+        return _e2_structural(entries, field, entries)
     return e2(TotalWittElement.from_form(q))
 
 
@@ -227,10 +221,7 @@ def e2_additivity_check(q, q2) -> bool:
         return True  # all three classes are trivial
     w = witt_decompose(s)
     if len(w.kernel) <= 4:
-        c_sum = _e2_structural_kernel(w.kernel, field)
-        oracle = clifford_invariant_class(entries)
-        if oracle != c_sum:
-            raise CliffinvError("structural class disagrees with the symbol dictionary")
+        c_sum = _e2_structural(w.kernel, field, entries)
     else:
         # validated fallback: the dictionary agreed with the structural
         # route on both summands already (inside e2_of_form)

@@ -2,14 +2,15 @@
 
 Scalars travel as strings in each field's format; the canonical dump is
 byte-stable (sorted keys, fixed separators) so convert round trips are
-exact.
+exact.  An algebra's table travels flat and dense, dim^3 strings in
+(i, j, k) order; the sparse rows are expanded only on output.
 """
 
 from __future__ import annotations
 
 import json
 
-from .algebras import StructureAlgebra
+from .algebras import MAX_DIM, StructureAlgebra, sparse_row
 from .brauer import BrauerClass2
 from .forms import DiagonalForm, QuadraticForm
 from .scalars import field_from_json
@@ -71,12 +72,14 @@ def form_from_json(d):
 
 def algebra_to_json(a: StructureAlgebra) -> dict:
     f = a.field
-    flat = [
-        f.elt_to_str(a.table[i][j][k])
-        for i in range(a.dim)
-        for j in range(a.dim)
-        for k in range(a.dim)
-    ]
+    zero = f.elt_to_str(f.zero())
+    flat = []
+    for plane in a.table:
+        for row in plane:
+            dense = [zero] * a.dim
+            for k, c in row:
+                dense[k] = f.elt_to_str(c)
+            flat += dense
     return {
         "kind": "algebra",
         "base": f.to_json(),
@@ -93,6 +96,11 @@ def algebra_from_json(d) -> StructureAlgebra:
     except (KeyError, ValueError) as e:
         raise ParseError("base", str(e))
     dim = d["dim"]
+    if not isinstance(dim, int) or not 0 <= dim <= MAX_DIM:
+        raise ParseError("dim", f"expected an integer from 0 to {MAX_DIM}, got {dim!r}")
+    for key in ("labels", "unit"):
+        if not isinstance(d[key], list) or len(d[key]) != dim:
+            raise ParseError(key, f"expected a list of {dim} entries, got {d[key]!r}")
     flat = d["table"]
     if len(flat) != dim**3:
         raise ParseError("table", f"expected {dim**3} entries, got {len(flat)}")
@@ -101,7 +109,7 @@ def algebra_from_json(d) -> StructureAlgebra:
     except ValueError as e:
         raise ParseError("table", str(e))
     table = [
-        [[vals[(i * dim + j) * dim + k] for k in range(dim)] for j in range(dim)]
+        [sparse_row(vals[(i * dim + j) * dim : (i * dim + j + 1) * dim]) for j in range(dim)]
         for i in range(dim)
     ]
     unit = [field.elt_from_str(s) for s in d["unit"]]
@@ -156,11 +164,7 @@ def render_table(obj) -> str:
         f = obj.field
         for i in range(obj.dim):
             for j in range(obj.dim):
-                terms = [
-                    f"{f.elt_to_str(c)}*{obj.labels[k]}"
-                    for k, c in enumerate(obj.table[i][j])
-                    if c
-                ]
+                terms = [f"{f.elt_to_str(c)}*{obj.labels[k]}" for k, c in obj.table[i][j]]
                 rhs = " + ".join(terms) if terms else "0"
                 lines.append(f"  {obj.labels[i]} * {obj.labels[j]} = {rhs}")
         return "\n".join(lines)

@@ -16,6 +16,7 @@ from cliffinv.algebras import (
     opposite,
     quaternion,
     reduced_trace,
+    sparse_row,
     tensor,
 )
 from cliffinv.errors import CliffinvError, UnsupportedBase
@@ -29,8 +30,8 @@ def ramification(a, b):
 
 
 def _product_field_algebra(n):
-    zero, one = F.zero(), F.one()
-    table = [[[one if i == j == k else zero for k in range(n)] for j in range(n)] for i in range(n)]
+    one = F.one()
+    table = [[[(i, one)] if i == j else [] for j in range(n)] for i in range(n)]
     return StructureAlgebra(F, tuple(f"u{i}" for i in range(n)), table, [one] * n)
 
 
@@ -55,8 +56,8 @@ def test_quaternion_relations():
 
 def test_associativity_witness_on_perturbed_table():
     q = quaternion(Fraction(-1), Fraction(-1), F)
-    tbl = [[[q.table[i][j][k] for k in range(4)] for j in range(4)] for i in range(4)]
-    tbl[1][2][0] = Fraction(5)
+    tbl = [list(plane) for plane in q.table]
+    tbl[1][2] = [(0, Fraction(5)), *q.table[1][2]]
     bad = StructureAlgebra(F, q.labels, tbl, q.unit)
     assert associativity_witness(bad) is not None
 
@@ -70,11 +71,11 @@ def test_central_idempotents():
     assert len(central_idempotents(_product_field_algebra(2))) == 4
     zero, one = F.zero(), F.one()
     # F[x]/(x^2 - 2): no nontrivial idempotents since 2 is not a square
-    t2 = [[[one, zero], [zero, one]], [[zero, one], [Fraction(2), zero]]]
+    t2 = [[[(0, one)], [(1, one)]], [[(1, one)], [(0, Fraction(2))]]]
     k2 = StructureAlgebra(F, ("1", "x"), t2, [one, zero])
     assert len(central_idempotents(k2)) == 2
     # F[x]/(x^2 - 1): splits as (1 +- x)/2
-    t3 = [[[one, zero], [zero, one]], [[zero, one], [one, zero]]]
+    t3 = [[[(0, one)], [(1, one)]], [[(1, one)], [(0, one)]]]
     k3 = StructureAlgebra(F, ("1", "x"), t3, [one, zero])
     ids = central_idempotents(k3)
     assert len(ids) == 4
@@ -149,7 +150,7 @@ def test_find_quaternion_basis_on_conjugated_table():
         plane = []
         for j in range(4):
             prod = q.mul(basis_vecs[i], basis_vecs[j])
-            plane.append(to_new(prod))
+            plane.append(sparse_row(to_new(prod)))
         table.append(plane)
     unit = to_new(list(q.unit))
     conj = StructureAlgebra(F, ("a", "b", "c", "d"), table, unit)

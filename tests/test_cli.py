@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -105,6 +106,28 @@ def test_convert_malformed(tmp_path):
     assert main(["convert", str(bad), "-"]) == 2
 
 
+def test_convert_inconsistent_algebra(tmp_path, capsys):
+    # dim, labels and unit disagree; nothing may be built from the table
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "kind": "algebra",
+                "base": {"field": "Q"},
+                "dim": 2,
+                "labels": ["1"],
+                "table": ["1", "0", "0", "1", "0", "1", "1", "0"],
+                "unit": ["1", "0", "5"],
+            }
+        )
+    )
+    assert main(["convert", str(bad), "-"]) == 2
+    assert capsys.readouterr().out == ""
+    too_big = {"base": {"field": "Q"}, "dim": 65, "labels": [], "table": [], "unit": []}
+    with pytest.raises(jsonio.ParseError):
+        jsonio.algebra_from_json(too_big)
+
+
 def test_json_round_trips_forms_and_algebras():
     f7 = GF(7)
     q = DiagonalForm((f7.from_int(3), f7.from_int(5)), f7)
@@ -113,7 +136,21 @@ def test_json_round_trips_forms_and_algebras():
     assert q2.entries == q.entries and q2.field == q.field
     from cliffinv.algebras import quaternion
 
+    from cliffinv.clifford import EvenClifford, split_components
+
+    f5 = GF(5)
+    c0 = EvenClifford(DiagonalForm(tuple(f5.from_int(x) for x in (1, 2, 3, 4)), f5)).algebra
+    plus = split_components(DiagonalForm(tuple(Fraction(x) for x in (1, 2, 3, 6)), QQ)).plus
+    # sha256 of the canonical dumps: the serialised format is frozen
+    digests = {
+        "c0": "6e42f38980a374bb01e9bf62e1f9f3d76a25e012802c28fde12a077f8a977bac",
+        "plus": "ba7f66bd888b2cc9ca4595b6b44984027e7c25d4f641c8162e5020a2a593ec80",
+    }
     a = quaternion(Fraction(-1), Fraction(3), QQ)
-    d2 = jsonio.algebra_to_json(a)
-    a2 = jsonio.algebra_from_json(json.loads(json.dumps(d2)))
-    assert a2.table == a.table and a2.unit == a.unit
+    for name, alg in (("quaternion", a), ("c0", c0), ("plus", plus)):
+        d2 = jsonio.algebra_to_json(alg)
+        if name in digests:
+            dumped = jsonio.canonical_dumps(d2).encode()
+            assert hashlib.sha256(dumped).hexdigest() == digests[name]
+        a2 = jsonio.algebra_from_json(json.loads(json.dumps(d2)))
+        assert a2.table == alg.table and a2.unit == alg.unit
