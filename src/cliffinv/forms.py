@@ -8,11 +8,13 @@ rank-one form <a> has Gram [a].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg
-from .errors import DegenerateFormError, SearchExhausted, UnsupportedBase
+from .errors import CliffinvError, DegenerateFormError, SearchExhausted, UnsupportedBase
 from .scalars import (
     GF,
     QQ,
@@ -21,9 +23,12 @@ from .scalars import (
     QuadraticNumberField,
     RationalField,
     SquareClass,
+    factor_integer,
     hilbert_symbol,
     rational_sqrt,
+    sqrt_mod_p,
     square_class,
+    squarefree_part,
     support_places,
 )
 
@@ -262,15 +267,15 @@ def _field_of(q):
 
 
 def _squarefree_entries(entries):
-    """Replace each rational entry by its signed squarefree part."""
+    """Write each rational entry a as s * r^2: returns the signed squarefree
+    integers s and the positive rationals r."""
     out = []
     scales = []
     for a in entries:
         a = Fraction(a)
         sf = square_class(a).rep
-        s = rational_sqrt(a / sf)
-        out.append(Fraction(sf))
-        scales.append(s)
+        out.append(sf)
+        scales.append(rational_sqrt(a / sf))
     return out, scales
 
 
@@ -325,6 +330,18 @@ def _isotropic_locally(entries, v: Place) -> bool:
     return True  # rank >= 5 at a finite place
 
 
+def _isotropic_sf(sf) -> bool:
+    """Hasse-Minkowski for <sf>, the entries signed squarefree integers."""
+    n = len(sf)
+    if n <= 1:
+        return False
+    if n == 2:
+        return sf[0] == -sf[1]
+    if n >= 5:
+        return any(a > 0 for a in sf) and any(a < 0 for a in sf)
+    return all(_isotropic_locally(sf, v) for v in support_places(*sf))
+
+
 def is_isotropic(q) -> bool:
     """Does the regular form represent zero nontrivially?
 
@@ -341,144 +358,245 @@ def is_isotropic(q) -> bool:
             return True
         return field.is_square(-entries[0] * entries[1])
     if isinstance(field, RationalField):
-        sf, _ = _squarefree_entries(entries)
-        if n == 2:
-            return rational_sqrt(-sf[0] * sf[1]) is not None
-        if n >= 5:
-            return any(a > 0 for a in sf) and any(a < 0 for a in sf)
-        prod = Fraction(1)
-        for a in sf:
-            prod *= a
-        for v in support_places(*sf):
-            if not _isotropic_locally(sf, v):
-                return False
-        return True
+        return _isotropic_sf(_squarefree_entries(entries)[0])
     raise UnsupportedBase(
         f"isotropy over {field!r} is not decided here; bounded searches live in dedekind"
     )
 
 
-def isotropic_vector(q, height: int = 1000):
+def isotropic_vector(q):
     """A nonzero vector with q(v) = 0, in the coordinates of q.
 
-    Decision comes first via is_isotropic; the certificate is then found
-    by exact square tests on pairs and bounded enumeration on triples.
-    Raises SearchExhausted if isotropy holds but no witness appears
-    within the height bound.
+    is_isotropic decides first and a ValueError reports an anisotropic
+    form.  Over F_p the zero comes from a direct search over the residues.
+    Over Q it is constructed on the signed squarefree integer diagonal: a
+    pair <a, -a>, else the first isotropic ternary subform, solved by
+    Legendre descent, else the least auxiliary value t for which
+    <a1, a2, -t> and <t, a3, ..., an> are both isotropic, one solved by
+    descent and the other in turn.  The vector is checked exactly before
+    it is returned.
     """
     field = _field_of(q)
     if not is_isotropic(q):
         raise ValueError("form is anisotropic")
     diag, pmat = diagonalize(q) if not isinstance(q, DiagonalForm) else (q, None)
-    entries = diag.entries
-    n = len(entries)
-    vec = _isotropic_vector_diag(entries, field, height)
+    vec = _isotropic_vector_diag(diag.entries, field)
     if pmat is not None:
         vec = linalg.matvec(pmat, vec, field)
     return vec
 
 
-def _isotropic_vector_diag(entries, field, height):
+def _isotropic_vector_diag(entries, field):
+    if isinstance(field, PrimeField):
+        vec = _fp_zero(entries, field)
+    elif isinstance(field, RationalField):
+        sf, scales = _squarefree_entries(entries)
+        x, _ = _split_plane(sf)
+        vec = [Fraction(c) / s for c, s in zip(x, scales)]
+    else:
+        raise UnsupportedBase(f"isotropic vectors over {field!r} unsupported")
+    _check_zero(entries, vec, field)
+    return vec
+
+
+def _check_zero(entries, vec, field):
+    val = field.zero()
+    for a, x in zip(entries, vec):
+        val = val + a * x * x
+    if val or not any(vec):
+        raise CliffinvError(f"{vec} is not a nonzero zero of <{entries}>")
+
+
+def _fp_zero(entries, field):
     n = len(entries)
     zero, one = field.zero(), field.one()
-    if isinstance(field, PrimeField):
-        p = field.p
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = field.sqrt(-entries[i] / entries[j])
-                if r is not None:
-                    v = [zero] * n
-                    v[i], v[j] = one, r
-                    return v
-        # rank >= 3: solve a x^2 + b y^2 + c = 0 with the third slot at 1
-        a, b, c = entries[0], entries[1], entries[2]
-        lhs = {}
-        for x in range(p):
-            fx = a * field.from_int(x) * field.from_int(x)
-            lhs.setdefault(fx.v, x)
-        for y in range(p):
-            w = -(b * field.from_int(y) * field.from_int(y) + c)
-            if w.v in lhs:
-                v = [zero] * n
-                v[0] = field.from_int(lhs[w.v])
-                v[1] = field.from_int(y)
-                v[2] = one
-                return v
-        raise SearchExhausted("isotropic vector mod p", p)
-    if isinstance(field, RationalField):
-        sf, scales = _squarefree_entries(entries)
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = rational_sqrt(-sf[i] / sf[j])
-                if r is not None:
-                    v = [zero] * n
-                    v[i] = one / scales[i]
-                    v[j] = r / scales[j]
-                    return v
-        for bound in (8, 32, 128):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    for k in range(j + 1, n):
-                        hit = _ternary_search(sf[i], sf[j], sf[k], bound)
-                        if hit is not None:
-                            x, y, z = hit
-                            v = [zero] * n
-                            v[i] = x / scales[i]
-                            v[j] = y / scales[j]
-                            v[k] = z / scales[k]
-                            return v
-        hit = _split_search(sf, min(height, 24 if n >= 6 else height))
-        if hit is not None:
-            return [x / s for x, s in zip(hit, scales)]
-        raise SearchExhausted("rational isotropic vector", height)
-    raise UnsupportedBase(f"isotropic vectors over {field!r} unsupported")
-
-
-def _split_search(entries, height):
-    """Meet-in-the-middle zero search: split the diagonal in half, hash
-    the values of one half over a box, scan the other half for the
-    negative.  Finds witnesses that need every coordinate nonzero."""
-    from itertools import product as iproduct
-
-    n = len(entries)
-    k = n // 2
-    left, right = entries[:k], entries[k:]
-    for bound in (4, 8, 16, height):
-        if bound > height:
-            break
-        rng = range(-bound, bound + 1)
-        seen = {}
-        for vec in iproduct(rng, repeat=k):
-            val = sum(a * x * x for a, x in zip(left, vec))
-            seen.setdefault(val, vec)
-        for vec in iproduct(rng, repeat=n - k):
-            val = sum(a * x * x for a, x in zip(right, vec))
-            other = seen.get(-val)
-            if other is not None and (any(vec) or any(other)):
-                return [Fraction(x) for x in other + vec]
-        if bound >= height:
-            break
-    return None
-
-
-def _ternary_search(a, b, c, bound):
-    """Small solution of a x^2 + b y^2 + c z^2 = 0 with z = 1, then y = 1."""
-    for y in range(bound + 1):
-        for z in range(1 if y == 0 else 0, bound + 1):
-            if y == 0 and z == 0:
-                continue
-            rhs = -(b * y * y + c * z * z)
-            if rhs == 0:
-                return (Fraction(0), Fraction(y), Fraction(z))
-            val = rhs / a
-            r = rational_sqrt(val)
+    for i in range(n):
+        for j in range(i + 1, n):
+            r = field.sqrt(-entries[i] / entries[j])
             if r is not None:
-                return (r, Fraction(y), Fraction(z))
-    return None
+                v = [zero] * n
+                v[i], v[j] = one, r
+                return v
+    # rank >= 3: solve a x^2 + b y^2 + c = 0 with the third slot at 1
+    p = field.p
+    a, b, c = entries[0], entries[1], entries[2]
+    lhs = {}
+    for x in range(p):
+        fx = a * field.from_int(x) * field.from_int(x)
+        lhs.setdefault(fx.v, x)
+    for y in range(p):
+        w = -(b * field.from_int(y) * field.from_int(y) + c)
+        if w.v in lhs:
+            v = [zero] * n
+            v[0] = field.from_int(lhs[w.v])
+            v[1] = field.from_int(y)
+            v[2] = one
+            return v
+    raise SearchExhausted("isotropic vector mod p", p)
+
+
+# Bound on |t| in the search for the auxiliary value of _split_plane.
+AUX_BOUND = 10**6
+
+
+def _split_plane(sf):
+    """(v, rest) for an isotropic form <sf> on signed squarefree integers.
+
+    v is a nonzero integer zero of <sf>, and <sf> is isometric to
+    <1, -1> + <rest>, rest again signed squarefree integers.
+    """
+    n = len(sf)
+    for i, j in combinations(range(n), 2):
+        if sf[i] == -sf[j]:  # the hyperbolic plane itself
+            return _embed(n, (i, j), (1, 1)), _drop(sf, (i, j))
+    for idx in combinations(range(n), 3):
+        sub = [sf[k] for k in idx]
+        if _isotropic_sf(sub):  # then <a, b, c> = <1, -1, -abc>
+            return _embed(n, idx, _ternary_zero(*sub)), _drop(sf, idx) + [-_sf_mul(*sub)]
+    # n >= 4: a1 (x/z)^2 + a2 (y/z)^2 = t, so <a1, a2> = <t, a1 a2 t>, and a
+    # zero (w, u) of <t, a3, ..., an> gives the zero (w x, w y, z u) of <sf>.
+    a1, a2, rest = sf[0], sf[1], sf[2:]
+    t = _auxiliary_value(a1, a2, rest)
+    x, y, z = _ternary_zero(a1, a2, -t)
+    (w, *u), rest_t = _split_plane([t] + rest)
+    return _primitive([w * x, w * y] + [z * c for c in u]), [_sf_mul(a1, a2, t)] + rest_t
+
+
+def _auxiliary_value(a1, a2, rest):
+    """Least squarefree |t| with <a1, a2, -t> and <t, rest> both isotropic.
+
+    At a place v both tests depend only on the class of t in Q_v*/Q_v*^2,
+    so each class is tested once per place of 2 a1 a2 rest; a candidate
+    that passes every such place is confirmed by the exact test.
+    """
+    places = support_places(a1, a2, *rest)
+    verdicts = [{} for _ in places]
+
+    def passes(t):
+        for v, seen in zip(places, verdicts):
+            key = _local_class(t, v)
+            if key not in seen:
+                seen[key] = _isotropic_locally([a1, a2, -t], v) and _isotropic_locally([t] + rest, v)
+            if not seen[key]:
+                return False
+        return True
+
+    for m in range(1, AUX_BOUND + 1):
+        for t in (m, -m):
+            if passes(t) and squarefree_part(t) == t:
+                if _isotropic_sf([a1, a2, -t]) and _isotropic_sf([t] + rest):
+                    return t
+    raise SearchExhausted("auxiliary value of a rational isotropic vector", AUX_BOUND)
+
+
+def _local_class(t, v):
+    """A key for the class of the nonzero integer t in Q_v*/Q_v*^2."""
+    if v.is_infinite:
+        return t > 0
+    p, e = v.p, 0
+    while t % p == 0:
+        t //= p
+        e += 1
+    return e % 2, t % 8 if p == 2 else pow(t, (p - 1) // 2, p)
+
+
+def _ternary_zero(a, b, c):
+    """Nonzero integer zero of the isotropic <a, b, c>, signed squarefree entries.
+
+    While two coefficients share g = gcd > 1, say a and b, pass to
+    <a/g, b/g, c g/h^2> with h = gcd(g, c): its zero (X, Y, Z) gives the
+    zero (h X, h Y, g Z).  Once they are pairwise coprime, with |c| least,
+    a zero (w, x, y) of w^2 = -ac x^2 - bc y^2 gives (c x, c y, w).
+    """
+    coef, mult = [a, b, c], [1, 1, 1]
+    reduced = False
+    while not reduced:
+        reduced = True
+        for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            g = math.gcd(coef[i], coef[j])
+            if g > 1:
+                h = math.gcd(g, coef[k])
+                coef[i], coef[j], coef[k] = coef[i] // g, coef[j] // g, coef[k] * g // (h * h)
+                mult[i], mult[j], mult[k] = mult[i] * h, mult[j] * h, mult[k] * g
+                reduced = False
+    i, j, k = sorted(range(3), key=lambda m: -abs(coef[m]))
+    w, x, y = _legendre_descent(-coef[i] * coef[k], -coef[j] * coef[k])
+    sol = [0, 0, 0]
+    sol[i], sol[j], sol[k] = coef[k] * x, coef[k] * y, w
+    return tuple(_primitive([m * s for m, s in zip(mult, sol)]))
+
+
+def _legendre_descent(a, b):
+    """Nonzero integer (w, x, y) with w^2 = a x^2 + b y^2 (Legendre descent).
+
+    a and b are squarefree and the equation has a nonzero solution.  With
+    r^2 = a mod b, |r| <= |b|/2 and r^2 - a = b q0 d^2, q0 squarefree, a
+    solution (w, x, y) for (a, q0) gives (r w + a x, w + r x, q0 d y) for
+    (a, b), as the norm from Q(sqrt a) is multiplicative.  |q0| < |b|
+    whenever |a| <= |b| > 1, so the descent ends.
+    """
+    if abs(a) > abs(b):
+        w, y, x = _legendre_descent(b, a)
+        return w, x, y
+    if a == 1:
+        return 1, 1, 0
+    if b == 1:
+        return 1, 0, 1
+    r = None if b == -1 else _sqrt_mod(a, abs(b))
+    if r is None:
+        raise CliffinvError(f"w^2 = {a} x^2 + {b} y^2 has no nonzero solution")
+    q = (r * r - a) // b
+    q0 = squarefree_part(q)
+    d = math.isqrt(q // q0)
+    w, x, y = _legendre_descent(a, q0)
+    return tuple(_primitive([r * w + a * x, w + r * x, q0 * d * y]))
+
+
+def _sqrt_mod(a, m):
+    """r with r^2 = a mod the squarefree m > 0 and |r| <= m/2, or None."""
+    r, done = 0, 1
+    for p in factor_integer(m):
+        s = a % 2 if p == 2 else sqrt_mod_p(a, p)
+        if s is None:
+            return None
+        r += done * ((s - r) * pow(done, -1, p) % p)
+        done *= p
+    return r - m if 2 * r > m else r
+
+
+def _sf_mul(*xs):
+    """Signed squarefree part of a product of signed squarefree integers."""
+    out = 1
+    for x in xs:
+        g = math.gcd(out, x)
+        out = (out // g) * (x // g)
+    return out
+
+
+def _embed(n, idx, vals):
+    v = [0] * n
+    for k, c in zip(idx, vals):
+        v[k] = c
+    return v
+
+
+def _drop(sf, idx):
+    return [a for k, a in enumerate(sf) if k not in idx]
+
+
+def _primitive(v):
+    g = math.gcd(*v)
+    return [c // g for c in v]
 
 
 def witt_decompose(q) -> WittClass:
-    """Split off hyperbolic planes until the rest is anisotropic."""
+    """Split off hyperbolic planes until the rest is anisotropic.
+
+    Over Q the form stays diagonal on signed squarefree integers: each
+    split checks its isotropic vector exactly and replaces the form by the
+    complement of the plane in that shape, so the kernel entries are
+    signed squarefree integers.
+    """
     field = _field_of(q)
     if not isinstance(field, (RationalField, PrimeField)):
         raise UnsupportedBase("Witt decomposition over Q and F_p only")
@@ -486,18 +604,18 @@ def witt_decompose(q) -> WittClass:
     if not linalg.det(gram, field):
         raise DegenerateFormError("form is not regular")
     index = 0
-    while True:
-        n = len(gram)
-        if n == 0:
-            break
-        current = QuadraticForm(tuple(tuple(r) for r in gram), field)
-        diag, pmat = diagonalize(current)
+    if isinstance(field, RationalField):
+        sf, _ = _squarefree_entries(_as_entries(q))
+        while is_isotropic(DiagonalForm(tuple(Fraction(a) for a in sf), field)):
+            v, rest = _split_plane(sf)
+            _check_zero(sf, v, field)
+            sf, index = rest, index + 1
+        return WittClass(tuple(Fraction(a) for a in sf), index, field)
+    while gram:
+        diag, pmat = diagonalize(QuadraticForm(tuple(tuple(r) for r in gram), field))
         if not is_isotropic(diag):
-            gram = None
-            kernel = diag.entries
-            return WittClass(kernel, index, field)
-        w = _isotropic_vector_diag(diag.entries, field, 1000)
-        v = linalg.matvec(pmat, w, field)
+            return WittClass(diag.entries, index, field)
+        v = linalg.matvec(pmat, _isotropic_vector_diag(diag.entries, field), field)
         gram = _split_hyperbolic(gram, v, field)
         index += 1
     return WittClass((), index, field)

@@ -438,8 +438,9 @@ class PrimeField:
         return f"{x.v} mod {self.p}"
 
     def elt_from_str(self, s: str):
-        v, _, p = s.partition(" mod ")
-        if int(p) != self.p:
+        """Parse "v mod p" or a bare integer v, the residue of v."""
+        v, sep, p = s.partition(" mod ")
+        if sep and int(p) != self.p:
             raise ValueError(f"modulus mismatch: {s} in F_{self.p}")
         return FpElement(int(v), self.p)
 

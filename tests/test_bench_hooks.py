@@ -10,7 +10,7 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
-from cliffinv import algebras, clifford
+from cliffinv import algebras, clifford, invariants
 from cliffinv.algebras import StructureAlgebra
 from cliffinv.clifford import EvenClifford
 from cliffinv.forms import DiagonalForm
@@ -50,3 +50,17 @@ def test_tracer_hooks_resolve_and_record():
     ):
         assert tracer.calls[name] > 0, name
     assert set(tracer.metrics(0.0)) == set(spans.metric_units())
+
+
+def test_tracer_sees_witt_reduction():
+    # a rank-8 sum goes through Witt reduction, which the traced witt-q
+    # workload measures through these names
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    left = DiagonalForm(tuple(Fraction(x) for x in (6, -2, 5, -60)), QQ)
+    right = DiagonalForm(tuple(Fraction(x) for x in (-3, 7, -3, 63)), QQ)
+    with tracer.installed():
+        assert invariants.e2_additivity_check(left, right)
+    for name in ("forms.witt_decompose", "forms.is_isotropic", "scalars.rational_sqrt"):
+        assert tracer.calls[name] > 0, name
+    assert tracer.planes == 2

@@ -79,6 +79,18 @@ def test_cli_factor_bound_exit(capsys, monkeypatch):
     assert main(["br", "class", "-a", "1000003", "-b", "7"]) == 3
 
 
+def test_cli_bare_fp_entries(capsys):
+    # a bare integer is its residue mod p, spelled either way
+    outputs = []
+    for entries in ("1,2,3,5", "1 mod 7,2 mod 7,3 mod 7,5 mod 7", "8,-5,10,12"):
+        assert main(["cliff", "even", "--entries", entries, "--base", "F7", "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert GF(7).elt_from_str("-1") == GF(7).from_int(6)
+    with pytest.raises(ValueError):
+        GF(7).elt_from_str("1 mod 5")
+
+
 def test_cli_usage_error():
     assert main(["qf"]) == 2
 

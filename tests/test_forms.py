@@ -195,3 +195,83 @@ def test_hasse_invariant_and_isometry():
     assert isometric_diagonal(frac(1, 1), frac(2, 2), F)
     assert not isometric_diagonal(frac(1, 1), frac(1, 2), F)
     assert isometric_diagonal(frac(1, -1), frac(2, -2), F)
+
+
+def _is_squarefree_int(a):
+    return a.denominator == 1 and square_class(a).rep == a
+
+
+def _assert_witt_class(q, w):
+    assert w.rank == q.rank
+    assert all(_is_squarefree_int(a) for a in w.kernel)
+    if w.kernel:
+        assert not is_isotropic(DiagonalForm(w.kernel, F))
+    planes = frac(1, -1) * w.index
+    assert isometric_diagonal(tuple(w.kernel) + planes, q.entries, F)
+
+
+def test_witt_decompose_large_prime_entries():
+    # the coefficient-box search took over 100 s here and blew the kernel
+    # entries up to 3541033496/215253
+    q = DiagonalForm(frac(1, 1, 1, -1001, 17, -19), F)
+    w = witt_decompose(q)
+    assert w.index == 2 and len(w.kernel) == 2
+    _assert_witt_class(q, w)
+
+
+def test_witt_decompose_rank8_sums():
+    # the two rank-8 I^2 sums whose reduction needed the box search
+    from cliffinv.invariants import e2_additivity_check
+
+    for left, right in (((6, -2, 5, -60), (-3, 7, -3, 63)), ((-3, -8, 4, 96), (-5, -1, -8, -40))):
+        q = DiagonalForm(frac(*(left + right)), F)
+        w = witt_decompose(q)
+        assert w.index == 2 and len(w.kernel) == 4
+        _assert_witt_class(q, w)
+        assert e2_additivity_check(DiagonalForm(frac(*left), F), DiagonalForm(frac(*right), F))
+
+
+def test_isotropic_ternary_with_common_factors():
+    # -2x^2 + 5y^2 - 2z^2 has the zero (1, 2, 3); the first and last
+    # coefficients share 2, which the coprime reduction must remove
+    q = DiagonalForm(frac(-2, 5, -2), F)
+    assert sum(a * x * x for a, x in zip(q.entries, frac(1, 2, 3))) == 0
+    v = isotropic_vector(q)
+    assert sum(a * x * x for a, x in zip(q.entries, v)) == 0 and any(v)
+
+
+def _box_has_zero(entries, bound):
+    """Meet in the middle over the box |x_i| <= bound, the zero vector excluded."""
+    from itertools import product
+
+    k = len(entries) // 2
+    rng = range(-bound, bound + 1)
+    left = {}
+    for vec in product(rng, repeat=k):
+        val = sum(a * x * x for a, x in zip(entries[:k], vec))
+        left[val] = left.get(val, False) or any(vec)
+    for vec in product(rng, repeat=len(entries) - k):
+        val = sum(a * x * x for a, x in zip(entries[k:], vec))
+        if -val in left and (any(vec) or left[-val]):
+            return True
+    return False
+
+
+def test_isotropy_decision_and_construction_agree():
+    rng = random.Random(2026)
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        n = rng.randint(3, 6)
+        ints = [rng.choice([-1, 1]) * rng.randint(1, 1000) for _ in range(n)]
+        q = DiagonalForm(frac(*ints), F)
+        iso = is_isotropic(q)
+        seen[iso] += 1
+        if iso:
+            v = isotropic_vector(q)
+            assert sum(a * x * x for a, x in zip(q.entries, v)) == 0 and any(v)
+        else:
+            with pytest.raises(ValueError):
+                isotropic_vector(q)
+            assert not _box_has_zero(ints, 6)
+        _assert_witt_class(q, witt_decompose(q))
+    assert seen[True] and seen[False]
