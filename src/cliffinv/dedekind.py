@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from . import linalg
 from .algebras import StructureAlgebra, find_quaternion_basis, sparse_row
-from .clifford import EvenClifford, RingMap, tables_commute
+from .clifford import CliffordBimodule, EvenClifford, RingMap, tables_commute
 from .errors import CliffinvError, ClosureViolation, SearchExhausted
 from .forms import DiagonalForm, QuadraticForm, diagonalize
 from .polys import Poly
@@ -260,7 +260,7 @@ def _unit_bound(order: QuadOrder) -> int:
     """Coefficient bound absorbing one fundamental-unit adjustment."""
     if order.d < 0:
         return 1
-    x, y = _pell_fundamental(order.d if order.d % 4 != 1 else order.d)
+    x, y = _pell_fundamental(order.d)
     return abs(x) + abs(y) + 1
 
 
@@ -282,7 +282,7 @@ def _pell_fundamental(d: int):
     raise SearchExhausted("fundamental unit", 10**6)
 
 
-def principal_generator(ideal: FracIdeal, extra_bound: int = 0):
+def principal_generator(ideal: FracIdeal):
     """A generator if the ideal is principal, else None.
 
     Imaginary orders enumerate the definite norm form exactly; real
@@ -308,7 +308,7 @@ def principal_generator(ideal: FracIdeal, extra_bound: int = 0):
                 if abs(x.norm()) == target and ideal.contains(x):
                     return x
         return None
-    bound = (_unit_bound(order) + extra_bound) * (math.isqrt(int(target * den * den)) + 1) + 2
+    bound = _unit_bound(order) * (math.isqrt(int(target * den * den)) + 1) + 2
     for k in range(-bound // c - 1, bound // c + 2):
         v = k * c
         for m in range(-bound, bound + 1):
@@ -329,7 +329,6 @@ def _u_range(order: QuadOrder, target, v):
         r = math.isqrt(int(val))
         return [r, -r] if r * r == val else []
     # N = u^2 + u v + v^2 (1-d)/4
-    disc = 4 * target - abs(order.d) * v * v if order.d < 0 else None
     val = 4 * target - (-(order.d)) * v * v if order.d < 0 else None
     if val is None or val < 0:
         return []
@@ -639,33 +638,22 @@ def even_clifford_order(q: IdealValuedForm) -> EvenCliffordOrder:
     ec = EvenClifford(diag)
     n = q.rank
     pinv = linalg.inverse([list(r) for r in pmat], k)
-    # degree-1 vectors of the original basis, in diagonal coordinates
-    evecs = [[pinv[kk][i] for kk in range(n)] for i in range(n)]
-
-    def vec_product_pair(u, v):
-        """Product of two degree-1 vectors, in even-algebra coordinates."""
-        out = [k.zero()] * ec.dim
-        for i1, c1 in enumerate(u):
-            if not c1:
-                continue
-            for i2, c2 in enumerate(v):
-                if not c2:
-                    continue
-                coef = c1 * c2
-                if i1 == i2:
-                    out[ec.index[0]] = out[ec.index[0]] + coef * diag.entries[i1]
-                else:
-                    cc, mask = ec.mul_masks(1 << i1, 1 << i2)
-                    out[ec.index[mask]] = out[ec.index[mask]] + coef * cc
-        return out
-
+    # degree-1 vectors of the original basis, as odd elements of C(diag);
+    # the product of two of them is the bimodule pairing
+    bim = CliffordBimodule(ec)
+    odd = []
+    for i in range(n):
+        vec = [k.zero()] * bim.dim
+        for kk in range(n):
+            vec[bim.index[1 << kk]] = pinv[kk][i]
+        odd.append(vec)
     basis_vecs = []
     ideals = []
     for m in ec.masks:
         idxs = [b for b in range(n) if m >> b & 1]
         vec = ec.unit_coords()
         for a, b in zip(idxs[0::2], idxs[1::2]):
-            vec = ec.mul_coords(vec, vec_product_pair(evecs[a], evecs[b]))
+            vec = ec.mul_coords(vec, bim.mult(odd[a], odd[b]))
         basis_vecs.append(vec)
         ideal = order.one_ideal()
         for i in idxs:
@@ -769,7 +757,7 @@ def order_reduction_semisimple(co: EvenCliffordOrder, p: int) -> bool:
     return bool(linalg.det(gram, target))
 
 
-def bounded_isotropy_search(entries, field, height: int = 20):
+def bounded_isotropy_search(entries, field):
     """Best-effort isotropic vector over Q(sqrt d): box enumeration only.
 
     Returns a witness vector or None; None means "not found", not a
@@ -778,9 +766,6 @@ def bounded_isotropy_search(entries, field, height: int = 20):
     from itertools import product as iproduct
 
     n = len(entries)
-    coords = []
-    for h in range(0, height + 1):
-        coords.extend([h, -h] if h else [0])
     small = [QuadElement(x, y, field.d) for x in range(-2, 3) for y in range(-2, 3)]
     small = [s for s in small if s]
     box = [field.zero()] + small
@@ -797,7 +782,7 @@ def bounded_isotropy_search(entries, field, height: int = 20):
     return None
 
 
-def generic_component_status(alg: StructureAlgebra, height: int = 2):
+def generic_component_status(alg: StructureAlgebra):
     """Best-effort split detection for a dim-4 generic-fibre component.
 
     Returns ("split", witness) when the norm form of an extracted
@@ -806,7 +791,7 @@ def generic_component_status(alg: StructureAlgebra, height: int = 2):
     field = alg.field
     alpha, beta, _ = find_quaternion_basis(alg)
     entries = (field.one(), -alpha, -beta, alpha * beta)
-    vec = bounded_isotropy_search(entries, field, height)
+    vec = bounded_isotropy_search(entries, field)
     if vec is not None:
         return "split", vec
     return "unknown", None

@@ -4,6 +4,10 @@ Convention: the stored Gram matrix G is the matrix of the half-polarised
 symmetric bilinear form, so q(x) = x^T G x, the polar form is
 b_q(x, y) = 2 x^T G y, diagonal entries are the values q(e_i), and the
 rank-one form <a> has Gram [a].
+
+Isotropy and Witt reduction work on the diagonal entries over both
+bases, Q and F_p: a Gram matrix is diagonalised once on entry and not
+rebuilt afterwards.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from .scalars import (
     QQ,
     Place,
     PrimeField,
-    QuadraticNumberField,
     RationalField,
     SquareClass,
     factor_integer,
@@ -85,9 +88,6 @@ class QuadraticForm:
     def det(self):
         return linalg.det([list(r) for r in self.gram], self.field)
 
-    def is_regular(self) -> bool:
-        return bool(self.det())
-
 
 @dataclass(frozen=True)
 class Alignment:
@@ -128,12 +128,6 @@ class WittClass:
 
     def __hash__(self):
         return hash((self.field, len(self.kernel)))
-
-
-def _gram_of(q) -> tuple:
-    if isinstance(q, DiagonalForm):
-        return q.to_quadratic().gram
-    return q.gram
 
 
 def _as_entries(q):
@@ -263,7 +257,8 @@ def _field_of(q):
 
 
 # ---------------------------------------------------------------------------
-# Local-global isotropy over Q, direct methods over F_p
+# Isotropy on diagonal entries: local-global over Q, rank and
+# discriminant over F_p
 
 
 def _squarefree_entries(entries):
@@ -280,25 +275,7 @@ def _squarefree_entries(entries):
 
 
 def is_local_square(d: Fraction, v: Place) -> bool:
-    if v.is_infinite:
-        return d > 0
-    p = v.p
-    e = 0
-    num, den = d.numerator, d.denominator
-    while num % p == 0:
-        num //= p
-        e += 1
-    while den % p == 0:
-        den //= p
-        e -= 1
-    if e % 2:
-        return False
-    u = Fraction(num, den)
-    if p == 2:
-        return (u.numerator * pow(u.denominator, -1, 8)) % 8 == 1
-    from .scalars import legendre
-
-    return legendre(u.numerator, p) * legendre(u.denominator, p) == 1
+    return _local_class(d.numerator * d.denominator, v) == _local_class(1, v)
 
 
 def hasse_invariant(entries, v: Place) -> int:
@@ -435,7 +412,7 @@ def _fp_zero(entries, field):
     raise SearchExhausted("isotropic vector mod p", p)
 
 
-# Bound on |t| in the search for the auxiliary value of _split_plane.
+# Bound on |t| / d in the search for the auxiliary value of _split_plane.
 AUX_BOUND = 10**6
 
 
@@ -467,23 +444,29 @@ def _auxiliary_value(a1, a2, rest):
 
     At a place v both tests depend only on the class of t in Q_v*/Q_v*^2,
     so each class is tested once per place of 2 a1 a2 rest; a candidate
-    that passes every such place is confirmed by the exact test.
+    that passes every such place is confirmed by the exact test.  A prime
+    p of those places at which no unit class passes divides every such t,
+    so only multiples of d, the product of these primes, are tried.
     """
     places = support_places(a1, a2, *rest)
     verdicts = [{} for _ in places]
 
-    def passes(t):
-        for v, seen in zip(places, verdicts):
-            key = _local_class(t, v)
-            if key not in seen:
-                seen[key] = _isotropic_locally([a1, a2, -t], v) and _isotropic_locally([t] + rest, v)
-            if not seen[key]:
-                return False
-        return True
+    def local(t, v, seen):
+        key = _local_class(t, v)
+        if key not in seen:
+            seen[key] = _isotropic_locally([a1, a2, -t], v) and _isotropic_locally([t] + rest, v)
+        return seen[key]
 
+    d = 1
+    for v, seen in zip(places, verdicts):
+        if v.is_infinite:
+            continue
+        units = (1, 3, 5, 7) if v.p == 2 else (1, GF(v.p).nonresidue().v)
+        if not any(local(u, v, seen) for u in units):
+            d *= v.p
     for m in range(1, AUX_BOUND + 1):
-        for t in (m, -m):
-            if passes(t) and squarefree_part(t) == t:
+        for t in (d * m, -d * m):
+            if all(local(t, v, seen) for v, seen in zip(places, verdicts)) and squarefree_part(t) == t:
                 if _isotropic_sf([a1, a2, -t]) and _isotropic_sf([t] + rest):
                     return t
     raise SearchExhausted("auxiliary value of a rational isotropic vector", AUX_BOUND)
@@ -592,88 +575,32 @@ def _primitive(v):
 def witt_decompose(q) -> WittClass:
     """Split off hyperbolic planes until the rest is anisotropic.
 
-    Over Q the form stays diagonal on signed squarefree integers: each
-    split checks its isotropic vector exactly and replaces the form by the
-    complement of the plane in that shape, so the kernel entries are
-    signed squarefree integers.
+    The form is diagonalised once.  Over Q it stays diagonal on signed
+    squarefree integers: each split checks its isotropic vector exactly
+    and replaces the form by the complement of the plane in that shape,
+    so the kernel entries are signed squarefree integers.  Over F_p every
+    ternary form is isotropic, and an isotropic <a, b, c> is isometric to
+    <1, -1, -abc>, so planes come off three entries at a time; a last
+    binary <a, b> is a plane exactly when -ab is a square.
     """
     field = _field_of(q)
     if not isinstance(field, (RationalField, PrimeField)):
         raise UnsupportedBase("Witt decomposition over Q and F_p only")
-    gram = [list(r) for r in _gram_of(q)]
-    if not linalg.det(gram, field):
-        raise DegenerateFormError("form is not regular")
+    entries = _as_entries(q)
     index = 0
     if isinstance(field, RationalField):
-        sf, _ = _squarefree_entries(_as_entries(q))
+        sf, _ = _squarefree_entries(entries)
         while is_isotropic(DiagonalForm(tuple(Fraction(a) for a in sf), field)):
             v, rest = _split_plane(sf)
             _check_zero(sf, v, field)
             sf, index = rest, index + 1
         return WittClass(tuple(Fraction(a) for a in sf), index, field)
-    while gram:
-        diag, pmat = diagonalize(QuadraticForm(tuple(tuple(r) for r in gram), field))
-        if not is_isotropic(diag):
-            return WittClass(diag.entries, index, field)
-        v = linalg.matvec(pmat, _isotropic_vector_diag(diag.entries, field), field)
-        gram = _split_hyperbolic(gram, v, field)
-        index += 1
-    return WittClass((), index, field)
-
-
-def _split_hyperbolic(gram, v, field):
-    """Remove the hyperbolic plane spanned by isotropic v and a partner."""
-    n = len(gram)
-
-    def bq(x, y):  # polar form
-        acc = field.zero()
-        for i in range(n):
-            if x[i]:
-                row = gram[i]
-                for j in range(n):
-                    if y[j] and row[j]:
-                        acc = acc + x[i] * row[j] * y[j]
-        return acc + acc
-
-    def qval(x):
-        acc = field.zero()
-        for i in range(n):
-            if x[i]:
-                row = gram[i]
-                for j in range(n):
-                    if x[j] and row[j]:
-                        acc = acc + x[i] * row[j] * x[j]
-        return acc
-
-    partner = None
-    for j in range(n):
-        e = [field.zero()] * n
-        e[j] = field.one()
-        s = bq(v, e)
-        if s:
-            partner = [x / s for x in e]
-            break
-    if partner is None:
-        raise DegenerateFormError("isotropic vector pairs with nothing; form degenerate")
-    u = [x - qval(partner) * y for x, y in zip(partner, v)]
-    # complement of span(v, u): project the standard basis
-    proj = []
-    for j in range(n):
-        e = [field.zero()] * n
-        e[j] = field.one()
-        c1, c2 = bq(e, u), bq(e, v)
-        w = [x - c1 * a - c2 * b for x, a, b in zip(e, v, u)]
-        proj.append(w)
-    basis = linalg.column_space_basis(proj, field)
-    m = len(basis)
-    new_gram = [[field.zero()] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            val = bq(basis[i], basis[j])
-            half = val / field.from_int(2)
-            new_gram[i][j] = half
-            new_gram[j][i] = half
-    return new_gram
+    while len(entries) >= 3:
+        a, b, c, *rest = entries
+        entries, index = (-a * b * c, *rest), index + 1
+    if len(entries) == 2 and field.is_square(-entries[0] * entries[1]):
+        entries, index = (), index + 1
+    return WittClass(tuple(entries), index, field)
 
 
 def signature(entries) -> int:

@@ -226,9 +226,6 @@ class QuotientField:
     def mul(self, a, b):
         return (a * b) % self.modulus
 
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         g, s, _ = xgcd(a, self.modulus)
         if g.degree != 0:

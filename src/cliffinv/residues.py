@@ -13,16 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CliffinvError, UnsupportedBase
-from .forms import DiagonalForm, QuadraticForm, diagonalize, hasse_invariant, signature, signed_discriminant, witt_decompose
+from .forms import DiagonalForm, QuadraticForm, diagonalize, isometric_diagonal
 from .polys import Poly, QuotientField, valuation_unit
 from .scalars import (
     PrimeField,
-    RationalField,
     RationalFunctionField,
-    RatFunc,
     factor_poly,
     poly_is_irreducible,
-    support_places,
 )
 
 INFINITE_PLACE = "inf"
@@ -134,36 +131,12 @@ def reciprocity_total(q: DiagonalForm):
 def is_witt_trivial_entries(entries, field) -> bool:
     """Is the diagonal form hyperbolic (trivial in the Witt group)?
 
-    Over Q this is the invariant characterisation (rank, signature,
-    discriminant, local symbols); over F_p rank and discriminant.
+    Exactly when it has even rank 2r and is isometric to <1, -1>^r.
     """
-    n = len(entries)
-    if n % 2:
+    if len(entries) % 2:
         return False
-    if n == 0:
-        return True
-    if isinstance(field, PrimeField):
-        d = field.one()
-        for a in entries:
-            d = d * a
-        if (n * (n - 1) // 2) % 2:
-            d = -d
-        return field.is_square(d)
-    if isinstance(field, RationalField):
-        if signature(entries) != 0:
-            return False
-        if not signed_discriminant(DiagonalForm(tuple(entries), field)).is_trivial:
-            return False
-        r = n // 2
-        exp = (r * (r - 1) // 2) % 2
-        from .scalars import hilbert_symbol
-
-        for v in support_places(*entries):
-            reference = hilbert_symbol(-1, -1, v) if exp else 1
-            if hasse_invariant(entries, v) != reference:
-                return False
-        return True
-    raise UnsupportedBase("Witt triviality over Q and F_p only")
+    plane = (field.one(), -field.one())
+    return isometric_diagonal(entries, plane * (len(entries) // 2), field)
 
 
 def milnor_reciprocity_check(q: DiagonalForm) -> bool:

@@ -777,9 +777,6 @@ class RationalFunctionField:
     def from_poly(self, p: Poly):
         return RatFunc(p, Poly.const(self.base.one(), self.base))
 
-    def poly_from_ints(self, ints):
-        return Poly.from_int_coeffs(ints, self.base)
-
     def is_square(self, x: RatFunc) -> bool:
         if not x:
             return True

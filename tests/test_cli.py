@@ -91,6 +91,14 @@ def test_cli_bare_fp_entries(capsys):
         GF(7).elt_from_str("1 mod 5")
 
 
+def test_cli_fp_witt(capsys):
+    # <1, 2, 3> over F_7 is <1, -1, -6>: one plane, kernel of square class 1
+    assert main(["qf", "witt", "--base", "F7", "--entries", "1,2,3", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["index"] == 1 and len(out["kernel"]) == 1
+    assert GF(7).is_square(GF(7).elt_from_str(out["kernel"][0]))
+
+
 def test_cli_usage_error():
     assert main(["qf"]) == 2
 

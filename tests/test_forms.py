@@ -156,6 +156,38 @@ def test_witt_rank_identity_and_kernel_anisotropy():
             assert not is_isotropic(DiagonalForm(w.kernel, field))
 
 
+def _singular_gram(rng, field, n):
+    """P^T D P with two equal columns in P, so the Gram matrix is singular."""
+    d = [field.random_nonzero(rng) for _ in range(n)]
+    p = [[field.from_int(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+    for row in p:
+        row[-1] = row[0]
+    gram = [[field.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                gram[i][j] = gram[i][j] + p[k][i] * d[k] * p[k][j]
+    return QuadraticForm(tuple(tuple(r) for r in gram), field)
+
+
+def test_witt_decompose_random_gram():
+    rng = random.Random(41)
+    for field in (F, GF(3), GF(5), GF(7), GF(11)):
+        one = field.one()
+        for rank in range(1, 8):
+            for _ in range(2):
+                q = random_regular_gram(rng, field, rank)
+                w = witt_decompose(q)
+                diag, _ = diagonalize(q)
+                planes = (one, -one) * w.index
+                assert isometric_diagonal(tuple(w.kernel) + planes, diag.entries, field)
+                if w.kernel:
+                    assert not is_isotropic(DiagonalForm(w.kernel, field))
+            if field is not F and rank > 1:
+                with pytest.raises(DegenerateFormError):
+                    witt_decompose(_singular_gram(rng, field, rank))
+
+
 def test_witt_cancellation():
     rng = random.Random(9)
     for _ in range(30):
@@ -216,6 +248,12 @@ def test_witt_decompose_large_prime_entries():
     q = DiagonalForm(frac(1, 1, 1, -1001, 17, -19), F)
     w = witt_decompose(q)
     assert w.index == 2 and len(w.kernel) == 2
+    _assert_witt_class(q, w)
+    # every auxiliary value for <4583103, -837446298, -786630, -287> is a
+    # multiple of 2017; the search over all |t| <= 10^6 gave up on it
+    q = DiagonalForm(frac(-2, 51, -29274, 4583103, -837446298, -786630), F)
+    w = witt_decompose(q)
+    assert w.index == 2
     _assert_witt_class(q, w)
 
 

@@ -1,0 +1,41 @@
+"""sympy is imported lazily, only where polynomials are factored.
+
+A module-level `import sympy` adds about 32 MB of peak RSS to every run,
+so the Witt, Clifford, Brauer and Dedekind paths must not load it.  The
+check runs in a fresh interpreter, where no other test has imported it.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import cliffinv
+
+SCRIPT = """
+import sys
+from fractions import Fraction
+
+from cliffinv.brauer import BrauerClass2
+from cliffinv.clifford import discriminant_algebra
+from cliffinv.dedekind import QuadOrder, class_group_mod_squares
+from cliffinv.forms import DiagonalForm
+from cliffinv.invariants import construct_preimage, e2_of_form
+from cliffinv.scalars import GF, QQ
+
+e2_of_form(DiagonalForm(tuple(Fraction(a) for a in (1, -2, -3, 6)), QQ))
+f7 = GF(7)
+discriminant_algebra(DiagonalForm(tuple(f7.from_int(a) for a in (1, 2, 3, 5)), f7))
+construct_preimage(BrauerClass2.from_strs(["2", "inf"]))
+class_group_mod_squares(QuadOrder(-5))
+print("sympy" in sys.modules)
+"""
+
+
+def test_core_paths_do_not_import_sympy():
+    src = str(Path(cliffinv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
