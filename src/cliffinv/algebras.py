@@ -13,6 +13,7 @@ algebras through explicit certificates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -315,16 +316,17 @@ def quaternion(a, b, field) -> StructureAlgebra:
 
 
 def reduced_trace(a: StructureAlgebra, x):
-    """tr of left multiplication divided by the co-dimension factor 2.
+    """tr of left multiplication divided by the degree isqrt(dim).
 
-    Valid for four-dimensional central simple algebras, where the left
-    regular representation doubles the reduced trace.
+    Valid for central simple algebras: over a splitting field the left
+    regular representation of a degree-d algebra is d copies of the
+    reduced one.
     """
-    m = a.left_mult_matrix(x)
+    m = a.left_mult_matrix(list(x))
     tr = a.field.zero()
     for i in range(a.dim):
         tr = tr + m[i][i]
-    return tr / a.field.from_int(2)
+    return tr / a.field.from_int(math.isqrt(a.dim))
 
 
 def _ladder(dim, field, radius):

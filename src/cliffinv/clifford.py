@@ -1,14 +1,17 @@
-"""Even Clifford algebra and Clifford bimodule of a regular diagonal form.
+"""Even Clifford algebra and Clifford bimodule of a regular form.
 
-For a diagonal form <a_1, ..., a_n> the generators rewrite by
-e_i e_j = -e_j e_i (i != j) and e_i e_i = a_i, so basis monomials are
-indexed by subsets of {1..n} held as bitmasks: even subsets span the
-even algebra, odd subsets the bimodule.  Every product of monomials is
-a single signed monomial, e_S e_T = c e_(S xor T), so the algebra is a
-twisted group algebra of (Z/2)^n: its structure table has one pair per
-entry, and all products of coordinate vectors (even algebra, bimodule
-actions, pairing) go through one routine.  Non-diagonal Gram matrices
-are routed through diagonalisation first.
+Basis monomials e_S, the product of the e_i (i in S) in increasing
+order, are indexed by bitmasks: even subsets span the even algebra, odd
+subsets the bimodule.  Monomial products take one of two paths.
+
+Diagonal forms <a_1, ..., a_n> use `_mul_masks`: e_i e_j = -e_j e_i
+(i != j) and e_i e_i = a_i make every product one signed monomial,
+e_S e_T = c e_(S xor T), so the algebra is a twisted group algebra of
+(Z/2)^n with one pair per table entry.  EvenClifford, CliffordBimodule,
+split_components and sum_isomorphism take this path, diagonalising a
+QuadraticForm first.  Gram matrices use `_mul_masks_gram`, where
+e_i e_j + e_j e_i = 2 g_ij makes a product a short sum of monomials;
+dedekind.even_clifford_order takes this path to keep its pseudo-basis.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
-from .algebras import AlgebraMorphism, StructureAlgebra, center, sparse_row
+from .algebras import AlgebraMorphism, StructureAlgebra, center
 from .errors import CliffinvError, DegenerateFormError
 from .forms import DiagonalForm, QuadraticForm, diagonalize, hyperbolic, signed_det
 
@@ -39,6 +42,40 @@ def _mul_masks(s: int, t: int, entries, field):
         coef = coef * entries[i]
         common &= common - 1
     return coef, s ^ t
+
+
+def _mul_masks_gram(s: int, t: int, gram, field) -> dict:
+    """Product of basis monomials for a Gram matrix, as {mask: coef}.
+
+    With e_i e_i = g_ii and e_i e_j + e_j e_i = 2 g_ij, right
+    multiplication of e_S by e_j walks the i in S with i > j from the
+    largest down: each adds sign 2 g_ij e_(S-i), then flips the sign.
+    It ends with sign g_jj e_(S-j) when j is in S, else sign e_(S+j).
+    On a diagonal Gram matrix this is `_mul_masks`.
+    """
+    terms = {s: field.one()}
+    while t:
+        j = (t & -t).bit_length() - 1
+        t &= t - 1
+        pairs = []
+        for m, c in terms.items():
+            above = m >> (j + 1) << (j + 1)
+            while above:
+                i = above.bit_length() - 1
+                above ^= 1 << i
+                g = gram[i][j]
+                if g:
+                    pairs.append((m ^ (1 << i), c * (g + g)))
+                c = -c
+            if m >> j & 1:
+                pairs.append((m ^ (1 << j), c * gram[j][j]))
+            else:
+                pairs.append((m | (1 << j), c))
+        terms = {}
+        for m, v in pairs:
+            terms[m] = terms[m] + v if m in terms else v
+        terms = {m: c for m, c in terms.items() if c}
+    return terms
 
 
 def _mask_label(mask: int) -> str:
@@ -170,20 +207,13 @@ class CliffordBimodule:
         return ev.mul_monomial_coords(odd_coords, self.masks, even_coords, ev.masks, self.index)
 
     def left_action_matrix(self, even_coords):
-        cols = [self.left_act(even_coords, bv) for bv in _basis_vecs(self.dim, self.field)]
+        cols = [self.left_act(even_coords, bv) for bv in linalg.identity(self.dim, self.field)]
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
     def mult(self, x, y):
         """The pairing m: C1 x C1 -> C0 (value line trivialised)."""
         ev = self.even
         return ev.mul_monomial_coords(x, self.masks, y, self.masks, ev.index)
-
-
-def _basis_vecs(dim, field):
-    for i in range(dim):
-        v = [field.zero()] * dim
-        v[i] = field.one()
-        yield v
 
 
 def even_clifford(form) -> EvenClifford:
@@ -194,9 +224,7 @@ def even_clifford(form) -> EvenClifford:
 
 
 def clifford_bimodule(form) -> CliffordBimodule:
-    if isinstance(form, QuadraticForm):
-        form, _ = diagonalize(form)
-    return CliffordBimodule(EvenClifford(form))
+    return CliffordBimodule(even_clifford(form))
 
 
 def bimodule_mult(bimod: CliffordBimodule, x, y):
@@ -261,6 +289,10 @@ def split_components(form_or_ec) -> SplitComponents:
     idempotent (1 + z)/2 where z is the top monomial scaled so z^2 = 1
     by the canonical square root (positive over Q, least residue over
     F_p).
+
+    For r = +-root, e = (1 + e_top/r)/2 has e e_top = r e, so e e_S and
+    e e_(top xor S) are proportional; the factor's basis is e e_S for the
+    first mask S of each such pair, its table read off monomial products.
     """
     ec = form_or_ec if isinstance(form_or_ec, EvenClifford) else even_clifford(form_or_ec)
     if ec.n % 2:
@@ -271,38 +303,38 @@ def split_components(form_or_ec) -> SplitComponents:
         raise CliffinvError("centre is nonsplit; discriminant is not a square")
     field = ec.field
     half = field.one() / field.from_int(2)
-    zt_coeff = half / root
-    e_plus = [field.zero()] * ec.dim
-    e_plus[ec.index[0]] = half
-    e_plus[ec.index[ec.top_mask()]] = zt_coeff
-    e_minus = [u - v for u, v in zip(ec.unit_coords(), e_plus)]
-    alg = ec.algebra
+    top = ec.top_mask()
+    firsts = [s for s in ec.masks if ec.index[s] < ec.index[top ^ s]]
+    pos = {s: i for i, s in enumerate(firsts)}
+    labels = tuple(f"c{i}" for i in range(len(firsts)))
+    unit = [field.one()] + [field.zero()] * (len(firsts) - 1)
     comps = []
     bases = []
-    for e in (e_plus, e_minus):
-        vecs = [alg.mul(e, bv) for bv in _basis_vecs(ec.dim, field)]
-        basis = linalg.column_space_basis(vecs, field)
-        if len(basis) != ec.dim // 2:
-            raise CliffinvError("component has unexpected dimension")
-        express = linalg.coordinate_solver(basis, field)
-        m = len(basis)
+    for r in (root, -root):
+        top_coeff = half / r
+        basis = []
+        for s in firsts:
+            vec = [field.zero()] * ec.dim
+            vec[ec.index[s]] = half
+            c, m = ec.mul_masks(top, s)
+            vec[ec.index[m]] = top_coeff * c
+            basis.append(vec)
         table = []
-        for i in range(m):
+        for s in firsts:
             plane = []
-            for j in range(m):
-                prod = alg.mul(basis[i], basis[j])
-                coords = express(prod)
-                if coords is None:
-                    raise CliffinvError("component product escaped the component")
-                plane.append(sparse_row(coords))
+            for t in firsts:
+                c, u = ec.mul_masks(s, t)
+                if u not in pos:
+                    # e e_U = (r / c_top) e e_(top xor U), e_top e_(top xor U) = c_top e_U
+                    c_top, _ = ec.mul_masks(top, top ^ u)
+                    c, u = c * r / c_top, top ^ u
+                plane.append(((pos[u], c),))
             table.append(plane)
-        unit_coords = express(e)
-        if unit_coords is None:
-            raise CliffinvError("idempotent outside its own component")
-        labels = tuple(f"c{i}" for i in range(m))
-        comps.append(StructureAlgebra(field, labels, table, unit_coords))
+        comps.append(StructureAlgebra(field, labels, table, unit))
         bases.append(basis)
-    return SplitComponents(comps[0], comps[1], bases[0], bases[1], e_plus, e_minus)
+    # e e_(empty set) is the idempotent itself
+    plus_idem, minus_idem = list(bases[0][0]), list(bases[1][0])
+    return SplitComponents(comps[0], comps[1], bases[0], bases[1], plus_idem, minus_idem)
 
 
 def base_change(form: DiagonalForm, ring_map) -> DiagonalForm:
@@ -360,29 +392,15 @@ def tables_commute(form: DiagonalForm, ring_map) -> bool:
 # Hyperbolic exterior model
 
 
-def _contraction_matrix(i, masks, index, field):
-    """Interior product by the i-th dual basis vector on the exterior algebra."""
-    zero = field.zero()
-    dim = len(masks)
-    mat = [[zero] * dim for _ in range(dim)]
+def _exterior_matrix(i, masks, index, field, wedge: bool):
+    """Left exterior multiplication by the i-th basis vector (wedge), or
+    the interior product by the i-th dual basis vector, on the exterior
+    algebra: both toggle bit i with the sign of the bits below it."""
+    mat = [[field.zero()] * len(masks) for _ in masks]
     for col, m in enumerate(masks):
-        if m >> i & 1:
-            pos = sum(1 for b in range(i) if m >> b & 1)
-            sign = field.one() if pos % 2 == 0 else -field.one()
-            mat[index[m ^ (1 << i)]][col] = sign
-    return mat
-
-
-def _wedge_matrix(i, masks, index, field):
-    """Left exterior multiplication by the i-th basis vector."""
-    zero = field.zero()
-    dim = len(masks)
-    mat = [[zero] * dim for _ in range(dim)]
-    for col, m in enumerate(masks):
-        if not (m >> i & 1):
-            pos = sum(1 for b in range(i) if m >> b & 1)
-            sign = field.one() if pos % 2 == 0 else -field.one()
-            mat[index[m | (1 << i)]][col] = sign
+        if bool(m >> i & 1) != wedge:
+            below = (m & ((1 << i) - 1)).bit_count()
+            mat[index[m ^ (1 << i)]][col] = field.one() if below % 2 == 0 else -field.one()
     return mat
 
 
@@ -395,8 +413,8 @@ def exterior_operators(r: int, field):
     """
     masks = sorted(range(1 << r), key=lambda m: (m.bit_count(), m))
     index = {m: i for i, m in enumerate(masks)}
-    contract = [_contraction_matrix(i, masks, index, field) for i in range(r)]
-    wedge = [_wedge_matrix(i, masks, index, field) for i in range(r)]
+    contract = [_exterior_matrix(i, masks, index, field, False) for i in range(r)]
+    wedge = [_exterior_matrix(i, masks, index, field, True) for i in range(r)]
     return masks, contract, wedge
 
 
@@ -574,32 +592,24 @@ def _certify_phi1_equivariance(model: HyperbolicModel):
     mdim = 1 << (model.rank - 1)
     ec, bim = model.even, model.bimodule
 
-    def unflatten(vec):
-        to_minus = [vec[i * mdim : (i + 1) * mdim] for i in range(mdim)]
+    def blocks(vec):
+        """The two mdim x mdim blocks of a flattened image."""
         off = mdim * mdim
-        to_plus = [vec[off + i * mdim : off + (i + 1) * mdim] for i in range(mdim)]
-        return to_minus, to_plus
+        first = [vec[i * mdim : (i + 1) * mdim] for i in range(mdim)]
+        return first, [vec[off + i * mdim : off + (i + 1) * mdim] for i in range(mdim)]
 
-    def phi0_blocks(even_coords):
-        img = model.phi0.apply(even_coords)
-        plus = [img[i * mdim : (i + 1) * mdim] for i in range(mdim)]
-        off = mdim * mdim
-        minus = [img[off + i * mdim : off + (i + 1) * mdim] for i in range(mdim)]
-        return plus, minus
+    def phi1(odd_coords):
+        return blocks(_phi1_apply(model, odd_coords))
 
-    for ei in range(ec.dim):
-        e = [field.zero()] * ec.dim
-        e[ei] = field.one()
-        pb, mb = phi0_blocks(e)
-        for oi in range(bim.dim):
-            o = [field.zero()] * bim.dim
-            o[oi] = field.one()
-            tm, tp = unflatten(_phi1_apply(model, o))
+    for e in linalg.identity(ec.dim, field):
+        pb, mb = blocks(model.phi0.apply(e))
+        for o in linalg.identity(bim.dim, field):
+            tm, tp = phi1(o)
             # left action: operators compose on the left
-            lm, lp = unflatten(_phi1_apply(model, bim.left_act(e, o)))
+            lm, lp = phi1(bim.left_act(e, o))
             if lm != linalg.matmul(mb, tm, field) or lp != linalg.matmul(pb, tp, field):
                 raise CliffinvError("odd map fails left equivariance")
-            rm, rp = unflatten(_phi1_apply(model, bim.right_act(o, e)))
+            rm, rp = phi1(bim.right_act(o, e))
             if rm != linalg.matmul(tm, pb, field) or rp != linalg.matmul(tp, mb, field):
                 raise CliffinvError("odd map fails right equivariance")
 

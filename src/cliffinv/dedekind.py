@@ -6,8 +6,8 @@ coefficient ideals, and the class group modulo squares indexes the
 total Witt container.  Everything is exact integer/HNF arithmetic.
 
 Integrality of a form means q lands in the value ideal on the pseudo
-lattice: g_ii a_i^2ated inside L on the diagonal and 2 g_ij a_i a_j in L
-off the diagonal (the polar values), and regularity is the pseudo
+lattice: the values g_ii a_i^2 on the diagonal and the polar values
+2 g_ij a_i a_j off it lie in L, and regularity is the pseudo
 determinant identity det(2G) (prod a_i)^2 = L^n.
 """
 
@@ -19,8 +19,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .algebras import StructureAlgebra, find_quaternion_basis, sparse_row
-from .clifford import CliffordBimodule, EvenClifford, RingMap, tables_commute
+from .algebras import StructureAlgebra, find_quaternion_basis
+from .clifford import RingMap, _mask_label, _masks_by_parity, _mul_masks_gram, tables_commute
 from .errors import CliffinvError, ClosureViolation, SearchExhausted
 from .forms import DiagonalForm, QuadraticForm, diagonalize
 from .polys import Poly
@@ -626,55 +626,33 @@ class EvenCliffordOrder:
 def even_clifford_order(q: IdealValuedForm) -> EvenCliffordOrder:
     """Generic-fibre even Clifford algebra with its coefficient ideals.
 
-    The pseudo-basis monomials keep the original indices; coefficient
-    ideals are prod(a_i, i in S) L^(-|S|/2).  Products of pseudo
-    generators are checked to land inside the asserted coefficients.
+    The pseudo-basis monomials keep the original indices, and the table
+    comes from the Gram matrix by the monomial rules of
+    `clifford._mul_masks_gram`.  Coefficient ideals are
+    prod(a_i, i in S) L^(-|S|/2).  Products of pseudo generators are
+    checked to land inside the asserted coefficients.
     """
     if q.rank > 6:
         raise ValueError("rank capped at 6 for Clifford orders")
     order = q.order
     k = order.field
-    diag, pmat = diagonalize(q.generic_form())
-    ec = EvenClifford(diag)
     n = q.rank
-    pinv = linalg.inverse([list(r) for r in pmat], k)
-    # degree-1 vectors of the original basis, as odd elements of C(diag);
-    # the product of two of them is the bimodule pairing
-    bim = CliffordBimodule(ec)
-    odd = []
-    for i in range(n):
-        vec = [k.zero()] * bim.dim
-        for kk in range(n):
-            vec[bim.index[1 << kk]] = pinv[kk][i]
-        odd.append(vec)
-    basis_vecs = []
+    masks = _masks_by_parity(n, 0)
+    index = {m: i for i, m in enumerate(masks)}
+    table = [
+        [[(index[u], c) for u, c in _mul_masks_gram(s, t, q.gram, k).items()] for t in masks]
+        for s in masks
+    ]
     ideals = []
-    for m in ec.masks:
-        idxs = [b for b in range(n) if m >> b & 1]
-        vec = ec.unit_coords()
-        for a, b in zip(idxs[0::2], idxs[1::2]):
-            vec = ec.mul_coords(vec, bim.mult(odd[a], odd[b]))
-        basis_vecs.append(vec)
+    for m in masks:
         ideal = order.one_ideal()
-        for i in idxs:
-            ideal = ideal * q.coeff_ideals[i]
-        ideal = ideal * (q.value.inverse() ** (len(idxs) // 2))
-        ideals.append(ideal)
-    express = linalg.coordinate_solver(basis_vecs, k)
-    dim = ec.dim
-    table = []
-    for i in range(dim):
-        plane = []
-        for j in range(dim):
-            prod = ec.mul_coords(basis_vecs[i], basis_vecs[j])
-            coords = express(prod)
-            if coords is None:
-                raise CliffinvError("pseudo-basis does not span the algebra")
-            plane.append(sparse_row(coords))
-        table.append(plane)
-    unit = express(ec.unit_coords())
-    labels = tuple("e" + "".join(str(b + 1) for b in range(n) if m >> b & 1) if m else "1" for m in ec.masks)
-    alg = StructureAlgebra(k, labels, table, unit)
+        for i in range(n):
+            if m >> i & 1:
+                ideal = ideal * q.coeff_ideals[i]
+        ideals.append(ideal * (q.value.inverse() ** (m.bit_count() // 2)))
+    dim = len(masks)
+    labels = tuple(_mask_label(m) for m in masks)
+    alg = StructureAlgebra(k, labels, table, [k.one()] + [k.zero()] * (dim - 1))
     # closure: coefficient of e_U in e_S e_T times a_S a_T inside a_U
     for i in range(dim):
         for j in range(dim):
@@ -684,7 +662,7 @@ def even_clifford_order(q: IdealValuedForm) -> EvenCliffordOrder:
                     raise ClosureViolation(
                         f"product {labels[i]} * {labels[j]} escapes at {labels[u]}"
                     )
-    return EvenCliffordOrder(alg, ideals, ec.masks)
+    return EvenCliffordOrder(alg, ideals, masks)
 
 
 # ---------------------------------------------------------------------------

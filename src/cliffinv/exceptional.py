@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebras import StructureAlgebra, quaternion, tensor, is_split_quaternion
+from .algebras import StructureAlgebra, is_split_quaternion, quaternion, reduced_trace, tensor
 from .brauer import BrauerClass2, class_of_algebra, class_of_quaternion
 from .clifford import split_components
 from .errors import CliffinvError, UnsupportedBase
@@ -117,14 +117,6 @@ def _goldman_terms(q: StructureAlgebra):
     return coefs
 
 
-def _reduced_trace_general(a: StructureAlgebra, x, degree: int):
-    m = a.left_mult_matrix(list(x))
-    tr = a.field.zero()
-    for i in range(a.dim):
-        tr = tr + m[i][i]
-    return tr / a.field.from_int(a.dim // degree)
-
-
 def pfaffian_space(a, b, c, d, field=None) -> PfaffianSpaceData:
     """The 6-dimensional alternating space of the biquaternion algebra.
 
@@ -151,7 +143,7 @@ def pfaffian_space(a, b, c, d, field=None) -> PfaffianSpaceData:
         for coef, idx in terms:
             u = amb.basis_vec(idx)
             acc = amb.add(acc, amb.scalar_mul(coef, amb.mul(amb.mul(u, x), u)))
-        expected = amb.scalar_mul(_reduced_trace_general(amb, x, 4), list(amb.unit))
+        expected = amb.scalar_mul(reduced_trace(amb, x), list(amb.unit))
         if acc != expected:
             raise CliffinvError("trace element certification failed")
     # psi(x) = sum coef * u x sigma(u)

@@ -231,12 +231,12 @@ def twist(q, alignment) -> QuadraticForm | DiagonalForm:
 
 def signed_discriminant(q) -> SquareClass:
     """(-1)^(n(n-1)/2) det(G) as a square class."""
-    return square_class(signed_det(q), _field_of(q))
+    return square_class(signed_det(q), q.field)
 
 
 def signed_det(q):
     """The signed determinant as a scalar (any base field)."""
-    field = _field_of(q)
+    field = q.field
     if isinstance(q, DiagonalForm):
         d = field.one()
         for a in q.entries:
@@ -250,10 +250,6 @@ def signed_det(q):
     if (n * (n - 1) // 2) % 2:
         d = -d
     return d
-
-
-def _field_of(q):
-    return q.field
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +321,7 @@ def is_isotropic(q) -> bool:
     Over F_p this is the rank/discriminant criterion; over Q it is the
     local-global principle with rank-by-rank local tests.
     """
-    field = _field_of(q)
+    field = q.field
     entries = _as_entries(q)
     n = len(entries)
     if n <= 1:
@@ -353,7 +349,7 @@ def isotropic_vector(q):
     descent and the other in turn.  The vector is checked exactly before
     it is returned.
     """
-    field = _field_of(q)
+    field = q.field
     if not is_isotropic(q):
         raise ValueError("form is anisotropic")
     diag, pmat = diagonalize(q) if not isinstance(q, DiagonalForm) else (q, None)
@@ -583,7 +579,7 @@ def witt_decompose(q) -> WittClass:
     <1, -1, -abc>, so planes come off three entries at a time; a last
     binary <a, b> is a plane exactly when -ab is a square.
     """
-    field = _field_of(q)
+    field = q.field
     if not isinstance(field, (RationalField, PrimeField)):
         raise UnsupportedBase("Witt decomposition over Q and F_p only")
     entries = _as_entries(q)

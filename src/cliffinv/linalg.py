@@ -44,10 +44,6 @@ def matvec(a, v, field):
     return out
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def _eliminate(rows, ncols, field):
     """In-place Gaussian elimination over the field.
 
@@ -224,34 +220,3 @@ def column_space_basis(vectors, field):
         rows.append(row)
         chosen.append(v)
     return chosen
-
-
-def coordinate_solver(columns, field):
-    """Express vectors in the span of independent columns.
-
-    Returns f with f(v) = coords such that sum coords_j * columns_j = v,
-    or None when v lies outside the span.
-    """
-    m = len(columns)
-    rows = [list(c) for c in columns]
-    pivots, rk = _eliminate(rows, len(columns[0]), field)
-    if rk != m:
-        raise ValueError("columns are dependent")
-    pivot_pos = sorted(pivots.keys())[:m]
-    sub = [[columns[c][p] for c in range(m)] for p in pivot_pos]
-    sub_inv = inverse(sub, field)
-
-    def express(v):
-        rhs = [v[p] for p in pivot_pos]
-        coords = matvec(sub_inv, rhs, field)
-        # confirm v really is in the span
-        recon = [field.zero()] * len(v)
-        for j, cj in enumerate(coords):
-            if cj:
-                col = columns[j]
-                for i in range(len(v)):
-                    if col[i]:
-                        recon[i] = recon[i] + cj * col[i]
-        return coords if recon == list(v) else None
-
-    return express

@@ -118,6 +118,11 @@ def test_reduced_trace():
     assert reduced_trace(q, list(q.unit)) == 2
     for i in range(1, 4):
         assert reduced_trace(q, q.basis_vec(i)) == 0
+    # degree 4: the biquaternion algebra (a,b) (x) (c,d)
+    bq = tensor(quaternion(Fraction(-1), Fraction(3), F), quaternion(Fraction(2), Fraction(5), F))
+    assert bq.dim == 16
+    assert reduced_trace(bq, list(bq.unit)) == 4
+    assert reduced_trace(bq, bq.basis_vec(5)) == 0
 
 
 def test_find_quaternion_basis_recovers_class():

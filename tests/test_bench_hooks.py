@@ -10,7 +10,7 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
-from cliffinv import algebras, clifford, invariants
+from cliffinv import algebras, clifford, dedekind, invariants
 from cliffinv.algebras import StructureAlgebra
 from cliffinv.clifford import EvenClifford
 from cliffinv.forms import DiagonalForm
@@ -39,6 +39,9 @@ def test_tracer_hooks_resolve_and_record():
         left = DiagonalForm((Fraction(1), Fraction(2)), QQ)
         right = DiagonalForm((Fraction(3),), QQ)
         assert clifford.sum_isomorphism(left, right).morphism.is_isomorphism()
+        order = dedekind.QuadOrder(-5)
+        one = order.one_ideal()
+        assert dedekind.even_clifford_order(dedekind.hyperbolic_ideal_form(order, [one], one)).algebra.dim == 2
     assert StructureAlgebra.__dict__["mul"] is mul
     for name in (
         "algebras.StructureAlgebra.mul.q",
@@ -47,6 +50,7 @@ def test_tracer_hooks_resolve_and_record():
         "clifford.EvenClifford.algebra.q",
         "clifford.split_components",
         "clifford.sum_isomorphism",
+        "dedekind.even_clifford_order",
     ):
         assert tracer.calls[name] > 0, name
     assert set(tracer.metrics(0.0)) == set(spans.metric_units())

@@ -1,14 +1,17 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from cliffinv import linalg
+from cliffinv import jsonio, linalg
 from cliffinv.algebras import center, central_idempotents, check_associative, find_quaternion_basis, is_split_quaternion
 from cliffinv.brauer import class_of_algebra
 from cliffinv.clifford import (
     CliffordBimodule,
     EvenClifford,
+    _mul_masks,
+    _mul_masks_gram,
     base_change,
     bimodule_mult,
     canonical_involution,
@@ -219,6 +222,66 @@ def test_split_components_examples():
     h4 = diagonalize(hyperbolic(2))[0]
     sch = split_components(h4)
     assert is_split_quaternion(sch.plus) and is_split_quaternion(sch.minus)
+
+
+def _digest(obj):
+    return hashlib.sha256(jsonio.canonical_dumps(obj).encode()).hexdigest()
+
+
+def test_split_components_tables_frozen():
+    # sha256 of the factor tables and of the plus basis, recorded from the
+    # linear-solve construction that the monomial rules replaced
+    f7 = GF(7)
+    cases = (
+        (
+            diag(2, 3, -6, -5, -7, 35),
+            "8f07de1038729e151736b506bdaedaeedae5acf7b952a83c1b59c33112ca28db",
+            "9a8ab889482b8044e0c6b4db57e06fecee3e5ac48c9a1eef87eda4d4b3af8353",
+            "69fad900efd533c6c1c17e1ad267393c209611eb9a16836fdcb7fe308b6e1c07",
+        ),
+        (
+            DiagonalForm(tuple(f7.from_int(x) for x in (1, 2, 3, 5)), f7),
+            "e74eee4fd755360fa0f762a1f1d0829f6d7a4cb79f3b6f733b801fabc326431d",
+            "e74eee4fd755360fa0f762a1f1d0829f6d7a4cb79f3b6f733b801fabc326431d",
+            "1bc0140ddfb93dd764171a3c55f62b6685c58ed2b4b561a7556e015d69b245ba",
+        ),
+    )
+    for form, plus, minus, plus_basis in cases:
+        sc = split_components(form)
+        assert _digest(jsonio.algebra_to_json(sc.plus)) == plus
+        assert _digest(jsonio.algebra_to_json(sc.minus)) == minus
+        f = form.field
+        assert _digest([[f.elt_to_str(x) for x in v] for v in sc.plus_basis]) == plus_basis
+        assert sc.idempotent_plus == sc.plus_basis[0]
+        assert sc.idempotent_minus == sc.minus_basis[0]
+        unit = EvenClifford(form).unit_coords()
+        assert [u + v for u, v in zip(sc.idempotent_plus, sc.idempotent_minus)] == unit
+
+
+def test_gram_product_matches_diagonal_product():
+    rng = random.Random(12)
+    for field in (F, GF(7)):
+        for n in range(1, 6):
+            form = random_regular_diagonal(rng, field, n)
+            a = form.entries
+            gram = [[a[i] if i == j else field.zero() for j in range(n)] for i in range(n)]
+            for s in range(1 << n):
+                for t in range(1 << n):
+                    c, m = _mul_masks(s, t, a, field)
+                    assert _mul_masks_gram(s, t, gram, field) == {m: c}
+
+
+def test_gram_product_relations():
+    # e_i e_i = g_ii and e_i e_j + e_j e_i = 2 g_ij on a non-diagonal Gram matrix
+    g = [[Fraction(x) for x in row] for row in ((1, Fraction(1, 2), 3), (Fraction(1, 2), 0, -2), (3, -2, 5))]
+    two = Fraction(2)
+    for i in range(3):
+        assert _mul_masks_gram(1 << i, 1 << i, g, F) == ({0: g[i][i]} if g[i][i] else {})
+        for j in range(i + 1, 3):
+            ij = _mul_masks_gram(1 << i, 1 << j, g, F)
+            ji = _mul_masks_gram(1 << j, 1 << i, g, F)
+            assert ij == {(1 << i) | (1 << j): 1}
+            assert ji == {(1 << i) | (1 << j): -1, 0: two * g[i][j]}
 
 
 def test_split_components_needs_square_discriminant():

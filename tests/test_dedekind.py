@@ -1,11 +1,14 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from cliffinv import jsonio
 from cliffinv.algebras import central_idempotents, check_associative
 from cliffinv.clifford import split_components
 from cliffinv.dedekind import (
     FracIdeal,
+    IdealValuedForm,
     QuadOrder,
     class_group_mod_squares,
     even_clifford_order,
@@ -151,6 +154,36 @@ def test_even_clifford_order_rank4():
     assert status == "split"
     val = o.field.zero()
     entries = None  # witness checked inside generic_component_status
+
+
+def test_even_clifford_order_tables_frozen():
+    # sha256 of the order tables, recorded from the linear-solve
+    # construction that the monomial rules replaced
+    o = order5()
+    one = o.one_ideal()
+    k = o.field
+    half = k.one() / k.from_int(2)
+    # x^2 + xy with value O: the regular case with a nonzero diagonal
+    xy = IdealValuedForm((one, one), ((k.one(), half), (half, k.zero())), one)
+    hyperbolic = {
+        2: "516e8553c43441899a1773dbf753ad1b263b1d51e5e8229279be50a46c8e0ee2",
+        4: "a74dacd3edcd2ff6a1aed57afce715c12f080122b933cb7afb016ad5afc0115d",
+        6: "2cddad64e990abb222dd1a3647c0c60bb031567d58f84abb339548c7ce652a56",
+    }
+    xy_sums = {
+        2: "516e8553c43441899a1773dbf753ad1b263b1d51e5e8229279be50a46c8e0ee2",
+        4: "21bfbfe09c4f46d40240dba61b8f05f3abb73d0b973dc80b9e67e7989077c756",
+        6: "c91fd4db5c0b2152a332567a76b401c55036878503c6cc4a2f36d33462219268",
+    }
+    q = xy
+    for n in (2, 4, 6):
+        if n > 2:
+            q = ideal_orthogonal_sum(q, xy)
+        h = hyperbolic_ideal_form(o, [one] * (n // 2), p2_of(o))
+        for form, digest in ((h, hyperbolic[n]), (q, xy_sums[n])):
+            co = even_clifford_order(form)
+            dumped = jsonio.canonical_dumps(jsonio.algebra_to_json(co.algebra)).encode()
+            assert hashlib.sha256(dumped).hexdigest() == digest
 
 
 def test_normalization_and_total_element():

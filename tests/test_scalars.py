@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from cliffinv.scalars import (
     RationalFunctionField,
     factor_integer,
     hilbert_symbol,
+    is_prime,
     legendre,
     poly_sqrt,
     product_formula_check,
@@ -144,6 +146,21 @@ def test_factor_bound():
         factor_integer(10**13 + 37, bound=10**3)
     assert factor_integer(360) == {2: 3, 3: 2, 5: 1}
     assert squarefree_part(-360) == -10
+
+
+def test_is_prime():
+    def trial_division(m):
+        return m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+    for m in range(10**5 + 1):
+        assert is_prime(m) == trial_division(m), m
+    assert not is_prime(3825123056546413051)  # strong pseudoprime to the bases 2..23
+    assert is_prime(10**12 + 39)
+    assert not is_prime((10**12 + 39) * (10**12 + 61))
+    # strong pseudoprimes to the bases 2..37, and to 2..41 (decided by sympy)
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(3317044064679887385961981)
+    assert is_prime(2**89 - 1)
 
 
 def test_sqrt_mod_p_canonical():
