@@ -144,10 +144,6 @@ class AlgebraMorphism:
         return self.preserves_unit() and self.is_bijective() and self.is_multiplicative()
 
 
-def check_associative(a: StructureAlgebra) -> bool:
-    return associativity_witness(a) is None
-
-
 def associativity_witness(a: StructureAlgebra):
     """First basis triple (i, j, k) violating associativity, or None."""
     basis = [a.basis_vec(i) for i in range(a.dim)]

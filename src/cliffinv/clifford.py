@@ -140,9 +140,6 @@ class EvenClifford:
                 out[k] = out[k] + xi * yj * c
         return out
 
-    def mul_coords(self, x, y):
-        return self.mul_monomial_coords(x, self.masks, y, self.masks, self.index)
-
     def unit_coords(self):
         v = [self.field.zero()] * self.dim
         v[self.index[0]] = self.field.one()
@@ -206,10 +203,6 @@ class CliffordBimodule:
         ev = self.even
         return ev.mul_monomial_coords(odd_coords, self.masks, even_coords, ev.masks, self.index)
 
-    def left_action_matrix(self, even_coords):
-        cols = [self.left_act(even_coords, bv) for bv in linalg.identity(self.dim, self.field)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
-
     def mult(self, x, y):
         """The pairing m: C1 x C1 -> C0 (value line trivialised)."""
         ev = self.even
@@ -225,10 +218,6 @@ def even_clifford(form) -> EvenClifford:
 
 def clifford_bimodule(form) -> CliffordBimodule:
     return CliffordBimodule(even_clifford(form))
-
-
-def bimodule_mult(bimod: CliffordBimodule, x, y):
-    return bimod.mult(x, y)
 
 
 def canonical_involution(ec: EvenClifford):

@@ -3,7 +3,12 @@
 This is the layer where value lines are genuinely nontrivial: forms
 take values in a fractional ideal, bases are pseudo-bases with
 coefficient ideals, and the class group modulo squares indexes the
-total Witt container.  Everything is exact integer/HNF arithmetic.
+total Witt container.  Ideals are integer HNF lattices in the basis
+(1, omega), omega^2 = t omega - n, and all ideal arithmetic is on
+integer coordinates.  Principality and the class group come from the
+binary quadratic forms of disc(O) = t^2 - 4n, reduced for D < 0 and
+cycled for D > 0 (Cohen, A Course in Computational Algebraic Number
+Theory, Ch. 5; Buchmann-Vollmer, Binary Quadratic Forms).
 
 Integrality of a form means q lands in the value ideal on the pseudo
 lattice: the values g_ii a_i^2 on the diagonal and the polar values
@@ -16,17 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import linalg
 from .algebras import StructureAlgebra, find_quaternion_basis
 from .clifford import RingMap, _mask_label, _masks_by_parity, _mul_masks_gram, tables_commute
 from .errors import CliffinvError, ClosureViolation, SearchExhausted
-from .forms import DiagonalForm, QuadraticForm, diagonalize
-from .polys import Poly
+from .forms import QuadraticForm, diagonalize
 from .scalars import (
     GF,
-    QQ,
     QuadElement,
     QuadraticNumberField,
     factor_integer,
@@ -34,6 +36,10 @@ from .scalars import (
     legendre,
     squarefree_part,
 )
+
+# bounds of the typed errors SearchExhausted and FactorBoundExceeded
+MAX_CLASSES = 64
+ALIGNMENT_FACTOR_BOUND = 10**5
 
 
 class QuadOrder:
@@ -57,17 +63,29 @@ class QuadOrder:
 
     def element(self, u, v) -> QuadElement:
         """u + v*omega with rational u, v."""
-        return QuadElement(u, 0, self.d) + QuadElement(v, 0, self.d) * self.omega
+        if self.omega_trace:
+            v = Fraction(v) / 2
+            return QuadElement(u + v, v, self.d)
+        return QuadElement(u, v, self.d)
 
     def coords(self, x: QuadElement):
-        """Write x = u + v*omega; returns (u, v) as Fractions."""
-        if self.d % 4 == 1:
-            v = 2 * x.b
-            u = x.a - x.b
+        """Integers (u, v, e), e > 0, with x = (u + v*omega)/e."""
+        if self.omega_trace:
+            u, v = x.a - x.b, 2 * x.b
         else:
-            v = x.b
-            u = x.a
-        return Fraction(u), Fraction(v)
+            u, v = x.a, x.b
+        e = math.lcm(u.denominator, v.denominator)
+        return int(u * e), int(v * e), e
+
+    def _mul(self, x, y):
+        """Product of integer coordinate pairs (u, v) = u + v*omega."""
+        (u1, v1), (u2, v2) = x, y
+        w = v1 * v2
+        return u1 * u2 - self.omega_norm * w, u1 * v2 + u2 * v1 + self.omega_trace * w
+
+    def _conj(self, x):
+        u, v = x
+        return u + self.omega_trace * v, -v
 
     def one_ideal(self) -> "FracIdeal":
         return FracIdeal(self, 1, 1, 0, 1)
@@ -83,36 +101,19 @@ class QuadOrder:
 
 
 def _hnf_from_rows(rows):
-    """HNF (a, (b, c)) of the Z-span of 2-vectors; rows are (u, v) ints."""
-    rows = [(int(u), int(v)) for u, v in rows if u or v]
-    if not rows:
-        raise ValueError("zero lattice")
-    # eliminate the second coordinate onto a single generator
-    b, c = 0, 0
-    firsts = []
+    """HNF (a, b, c) of the Z-span of integer rows (u, v): the basis (a, 0), (b, c)."""
+    a, b, c = 0, 0, 0
     for u, v in rows:
-        if v == 0:
-            firsts.append(u)
-            continue
-        if c == 0:
-            b, c = u, v
-            continue
-        g, s, t = _xgcd(c, v)
-        # new generator with second coord g; leftover goes to the firsts
-        nb = s * b + t * u
-        firsts.append((v // g) * b - (c // g) * u)
-        b, c = nb, g
-    if c == 0:
+        if v:
+            # fold the row into the one generator (b, c) with nonzero v
+            g, s, t = _xgcd(c, v)
+            a = math.gcd(a, (v // g) * b - (c // g) * u)
+            b, c = s * b + t * u, g
+        else:
+            a = math.gcd(a, u)
+    if not (a and c):
         raise ValueError("lattice has rank < 2; not a fractional ideal")
-    a = 0
-    for u in firsts:
-        a = math.gcd(a, abs(u))
-    if a == 0:
-        raise ValueError("lattice has rank < 2; not a fractional ideal")
-    if c < 0:
-        b, c = -b, -c
-    b %= a
-    return a, b, c
+    return a, b % a, c
 
 
 def _xgcd(x, y):
@@ -147,60 +148,39 @@ class FracIdeal:
     @classmethod
     def from_generators(cls, order: QuadOrder, gens) -> "FracIdeal":
         """O-module generated by the elements (gens plus omega*gens)."""
+        coords = [order.coords(g) for g in gens]
+        den = math.lcm(*(e for _, _, e in coords))
         rows = []
-        dens = []
-        coords = []
-        for g in gens:
-            for h in (g, g * order.omega):
-                u, v = order.coords(h)
-                coords.append((u, v))
-                dens.append(u.denominator)
-                dens.append(v.denominator)
-        den = 1
-        for q in dens:
-            den = den * q // math.gcd(den, q)
-        for u, v in coords:
-            rows.append((int(u * den), int(v * den)))
+        for u, v, e in coords:
+            x = (u * (den // e), v * (den // e))
+            rows += [x, order._mul(x, (0, 1))]
         a, b, c = _hnf_from_rows(rows)
         if a % c or b % c:
             raise CliffinvError("lattice is not an ideal of the order")
         return cls(order, den, a, b, c)
 
-    @classmethod
-    def principal(cls, order: QuadOrder, x: QuadElement) -> "FracIdeal":
-        if not x:
-            raise ValueError("zero generator")
-        return cls.from_generators(order, [x])
-
-    def generators(self):
-        o = self.order
-        return (
-            o.element(Fraction(self.a, self.den), 0),
-            o.element(Fraction(self.b, self.den), Fraction(self.c, self.den)),
-        )
+    def _basis(self):
+        """Integer coordinates of the basis a, b + c*omega (over den)."""
+        return (self.a, 0), (self.b, self.c)
 
     def norm(self) -> Fraction:
         return Fraction(self.a * self.c, self.den * self.den)
 
     def conjugate(self) -> "FracIdeal":
-        g1, g2 = self.generators()
-        return FracIdeal.from_generators(self.order, [g1.conjugate(), g2.conjugate()])
+        rows = [self.order._conj(g) for g in self._basis()]
+        return FracIdeal(self.order, self.den, *_hnf_from_rows(rows))
 
     def __mul__(self, other: "FracIdeal") -> "FracIdeal":
         if self.order != other.order:
             raise ValueError("mixed orders")
-        g1, g2 = self.generators()
-        h1, h2 = other.generators()
-        return FracIdeal.from_generators(
-            self.order, [g1 * h1, g1 * h2, g2 * h1, g2 * h2]
-        )
+        mul = self.order._mul
+        rows = [mul(g, h) for g in self._basis() for h in other._basis()]
+        return FracIdeal(self.order, self.den * other.den, *_hnf_from_rows(rows))
 
     def inverse(self) -> "FracIdeal":
-        n = self.norm()
-        conj = self.conjugate()
-        g1, g2 = conj.generators()
-        scale = QuadElement(1 / n, 0, self.order.d)
-        inv = FracIdeal.from_generators(self.order, [g1 * scale, g2 * scale])
+        # conj(I) / N(I) = (den / ac) conj(Z a + Z (b + c omega))
+        rows = [(self.den * u, self.den * v) for u, v in map(self.order._conj, self._basis())]
+        inv = FracIdeal(self.order, self.a * self.c, *_hnf_from_rows(rows))
         if inv * self != self.order.one_ideal():
             raise CliffinvError("ideal inverse failed; order not maximal?")
         return inv
@@ -215,23 +195,25 @@ class FracIdeal:
         return out
 
     def scale(self, x: QuadElement) -> "FracIdeal":
-        return self * FracIdeal.principal(self.order, x)
+        if not x:
+            raise ValueError("zero generator")
+        u, v, e = self.order.coords(x)
+        rows = [self.order._mul(g, (u, v)) for g in self._basis()]
+        return FracIdeal(self.order, self.den * e, *_hnf_from_rows(rows))
+
+    def _contains(self, u: int, v: int, e: int) -> bool:
+        """Is (u + v*omega)/e in the ideal?"""
+        u, v = u * self.den, v * self.den
+        if u % e or v % e:
+            return False
+        y, rem = divmod(v // e, self.c)
+        return not rem and (u // e - y * self.b) % self.a == 0
 
     def contains(self, x: QuadElement) -> bool:
-        if not x:
-            return True
-        u, v = self.order.coords(x)
-        u, v = u * self.den, v * self.den
-        if u.denominator != 1 or v.denominator != 1:
-            return False
-        y, rem = divmod(int(v), self.c)
-        if rem:
-            return False
-        return (int(u) - y * self.b) % self.a == 0
+        return not x or self._contains(*self.order.coords(x))
 
     def contains_ideal(self, other: "FracIdeal") -> bool:
-        g1, g2 = other.generators()
-        return self.contains(g1) and self.contains(g2)
+        return all(self._contains(u, v, other.den) for u, v in other._basis())
 
     def is_integral(self) -> bool:
         return self.den == 1
@@ -256,91 +238,115 @@ class FracIdeal:
         return f"FracIdeal[{self.label()} over Z[w], d={self.order.d}]"
 
 
-def _unit_bound(order: QuadOrder) -> int:
-    """Coefficient bound absorbing one fundamental-unit adjustment."""
-    if order.d < 0:
-        return 1
-    x, y = _pell_fundamental(order.d)
-    return abs(x) + abs(y) + 1
+# ---------------------------------------------------------------------------
+# Binary quadratic forms of disc(O)
+#
+# A form (a, b, c) travels with a basis (alpha, beta) of the primitive
+# ideal J it came from, (alpha, beta) being integer coordinate pairs,
+# such that (a, b, c) = (N(alpha), Tr(alpha conj(beta)), N(beta)) / N(J).
+# Every step below changes the basis by an element of SL2(Z).
 
 
-@lru_cache(maxsize=None)
-def _pell_fundamental(d: int):
-    """Smallest (x, y), y > 0, with x^2 - d y^2 = +-1 (continued fractions)."""
-    a0 = math.isqrt(d)
-    m, dd, a = 0, 1, a0
-    num1, num = 1, a0
-    den1, den = 0, 1
-    for _ in range(10**6):
-        if num * num - d * den * den in (1, -1):
-            return num, den
-        m = dd * a - m
-        dd = (d - m * m) // dd
-        a = (a0 + m) // dd
-        num1, num = num, a * num + num1
-        den1, den = den, a * den + den1
-    raise SearchExhausted("fundamental unit", 10**6)
+def _primitive_form(ideal: FracIdeal):
+    """Form and basis of J, where ideal = (c/den) J and J = Z A + Z (B + omega)."""
+    t, n = ideal.order.omega_trace, ideal.order.omega_norm
+    a, b = ideal.a // ideal.c, ideal.b // ideal.c
+    return (a, 2 * b + t, (b * b + t * b + n) // a), ((a, 0), (b, 1))
+
+
+def _reduce_definite(form, basis):
+    """The reduced form |b| <= a <= c (b >= 0 if |b| = a or a = c), D < 0."""
+    (a, b, c), (alpha, beta) = form, basis
+    while True:
+        s = (a - b) // (2 * a)  # translate b into (-a, a]
+        b, c = b + 2 * a * s, (a * s + b) * s + c
+        beta = (beta[0] + s * alpha[0], beta[1] + s * alpha[1])
+        if a < c or (a == c and b >= 0):
+            return (a, b, c), (alpha, beta)
+        a, b, c = c, -b, a
+        alpha, beta = beta, (-alpha[0], -alpha[1])
+
+
+def _is_reduced(form, root: int) -> bool:
+    """|sqrt D - 2|a|| < b < sqrt D, with root = isqrt(D) and D > 0 not a square."""
+    a, b, _ = form
+    return b <= root and 2 * abs(a) - b <= root < b + 2 * abs(a)
+
+
+def _rho(form, disc: int, root: int, basis=None):
+    """One step (a, b, c) -> (c, r, (r^2 - D)/4c), r = -b mod 2c (Cohen 5.6.4), D > 0.
+
+    The basis, when given, goes to (beta, s beta - alpha), s = (r + b)/2c.
+    """
+    a, b, c = form
+    m = 2 * abs(c)
+    if abs(c) > root:
+        r = -b % m
+        r -= m if r > abs(c) else 0
+    else:
+        r = root - (root + b) % m
+    if basis is not None:
+        (alpha, beta), s = basis, (r + b) // (2 * c)
+        basis = (beta, (s * beta[0] - alpha[0], s * beta[1] - alpha[1]))
+    return (c, r, (r * r - disc) // (4 * c)), basis
+
+
+def _reduce(order: QuadOrder, form, basis=None):
+    """A reduced form equivalent to form; for D > 0, some form of its cycle."""
+    if order.disc < 0:
+        return _reduce_definite(form, basis or ((1, 0), (0, 1)))
+    root = math.isqrt(order.disc)
+    while not _is_reduced(form, root):
+        form, basis = _rho(form, order.disc, root, basis)
+    return form, basis
+
+
+def _cycle(order: QuadOrder, form, basis=None):
+    """The cycle of a reduced form of disc D > 0, with the basis along it."""
+    root = math.isqrt(order.disc)
+    start = form
+    while True:
+        yield form, basis
+        form, basis = _rho(form, order.disc, root, basis)
+        if form == start:
+            return
+
+
+def _units(order: QuadOrder):
+    """The roots of unity of an imaginary order as coordinate pairs."""
+    count = {-1: 4, -3: 6}.get(order.d, 2)  # omega = i, e^(i pi/3)
+    zeta = (0, 1) if count > 2 else (-1, 0)
+    out = [(1, 0)]
+    while len(out) < count:
+        out.append(order._mul(out[-1], zeta))
+    return out
 
 
 def principal_generator(ideal: FracIdeal):
     """A generator if the ideal is principal, else None.
 
-    Imaginary orders enumerate the definite norm form exactly; real
-    orders search a box widened by the fundamental unit, which decides
-    principality for the desk-scale discriminants.
+    With ideal = (c/den) J and J primitive, the form of J is brought to
+    a reduced form, and its first basis vector alpha has
+    N(alpha) = a N(J); so J = (alpha) exactly when a = +-1.  For D < 0
+    J is principal iff the reduced form is the principal form, and the
+    generator returned is the associate of alpha with the least
+    omega-coordinate, then the largest rational coordinate.  For D > 0
+    J is principal iff the cycle of reduced forms meets a = 1 or
+    a = -1 (the class group is the wide one, so a generator may have
+    negative norm), and the generator is alpha at the first such form.
     """
     order = ideal.order
-    target = ideal.norm()
-    a, b, c, den = ideal.a, ideal.b, ideal.c, ideal.den
-    if order.d < 0:
-        # the definite norm bounds v: N(u + v w) >= |d| v^2 (w = sqrt d)
-        # or |d| v^2 / 4 (w a half integer)
-        coef = abs(order.d) if order.d % 4 != 1 else Fraction(abs(order.d), 4)
-        vmax = math.isqrt(int(Fraction(target * den * den) / coef)) + 1
-        for k in range(-vmax // c - 1, vmax // c + 2):
-            v = k * c
-            # m a + k b = u; N = u^2 + t u v - n-ish; solve |u| range by quadratic
-            for m in _u_range(order, target * den * den, v):
-                u = m
-                if (u - k * b) % a:
-                    continue
-                x = order.element(Fraction(u, den), Fraction(v, den))
-                if abs(x.norm()) == target and ideal.contains(x):
-                    return x
-        return None
-    bound = _unit_bound(order) * (math.isqrt(int(target * den * den)) + 1) + 2
-    for k in range(-bound // c - 1, bound // c + 2):
-        v = k * c
-        for m in range(-bound, bound + 1):
-            u = m * a + k * b
-            x = order.element(Fraction(u, den), Fraction(v, den))
-            if x and abs(x.norm()) == target and ideal.contains(x):
-                return x
-    return None
-
-
-def _u_range(order: QuadOrder, target, v):
-    """Integer u with |N(u + v omega)| = target, from the definite form."""
-    if order.d % 4 != 1:
-        # N = u^2 - d v^2
-        val = target + order.d * v * v
-        if val < 0:
-            return []
-        r = math.isqrt(int(val))
-        return [r, -r] if r * r == val else []
-    # N = u^2 + u v + v^2 (1-d)/4
-    val = 4 * target - (-(order.d)) * v * v if order.d < 0 else None
-    if val is None or val < 0:
-        return []
-    r = math.isqrt(int(val))
-    if r * r != val:
-        return []
-    out = []
-    for s in (r, -r):
-        num = s - v
-        if num % 2 == 0:
-            out.append(num // 2)
-    return out
+    form, basis = _reduce(order, *_primitive_form(ideal))
+    if order.disc < 0:
+        if form[0] != 1:
+            return None
+        gen = min((order._mul(basis[0], z) for z in _units(order)), key=lambda x: (x[1], -x[0]))
+    else:
+        gen = next((b[0] for f, b in _cycle(order, form, basis) if abs(f[0]) == 1), None)
+        if gen is None:
+            return None
+    s = Fraction(ideal.c, ideal.den)
+    return order.element(gen[0] * s, gen[1] * s)
 
 
 def is_principal(ideal: FracIdeal) -> bool:
@@ -352,87 +358,82 @@ def same_ideal_class(i1: FracIdeal, i2: FracIdeal) -> bool:
 
 
 def prime_ideals_above(order: QuadOrder, p: int):
-    """Prime ideals over p via roots of the minimal polynomial of omega."""
+    """Prime ideals (p, omega - r) over p, r a root of the minimal polynomial of omega."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     t, n = order.omega_trace, order.omega_norm
-    roots = [r for r in range(p) if (r * r - t * r + n) % p == 0]
-    if not roots:
-        return []  # inert; the ideal (p) stays prime
+    # no root: p is inert and the ideal (p) stays prime
+    return [FracIdeal(order, 1, p, -r, 1) for r in range(p) if (r * r - t * r + n) % p == 0]
+
+
+def _reduced_forms(order: QuadOrder):
+    """Forms of disc(O) with |b| <= a <= c (D < 0), or the reduced forms (D > 0)."""
+    disc = order.disc
     out = []
-    for r in roots:
-        gen = order.omega - order.field.from_int(r)
-        out.append(FracIdeal.from_generators(order, [order.field.from_int(p), gen]))
+    if disc < 0:
+        a = 1
+        while 3 * a * a <= -disc:
+            for b in range(-a + (a + disc) % 2, a + 1, 2):  # b = D mod 2
+                c, rem = divmod(b * b - disc, 4 * a)
+                if not rem and c >= a:
+                    out.append((a, b, c))
+            a += 1
+        return out
+    root = math.isqrt(disc)
+    for b in range(2 - disc % 2, root + 1, 2):
+        m = (disc - b * b) // 4
+        for a in range((root - b) // 2 + 1, (root + b) // 2 + 1):
+            if m % a == 0:
+                out += [(a, b, -m // a), (-a, b, m // a)]
     return out
 
 
-def minkowski_prime_bound(order: QuadOrder) -> int:
-    """Primes up to this bound generate the class group."""
-    d = abs(order.disc)
-    if order.d < 0:
-        # (2/pi) sqrt(d); use pi^2 > 9.8696 for a safe overestimate
-        bound = 2
-        while 98696 * bound * bound <= 40000 * d:
-            bound += 1
-        return bound
-    return math.isqrt(d) // 2 + 1
+def class_group_mod_squares(order: QuadOrder):
+    """Representatives of Cl(O)/Cl(O)^2, sorted by (norm, label).
 
-
-def class_group_mod_squares(order: QuadOrder, max_classes: int = 64):
-    """Representatives of Cl/2, deterministic smallest-norm-first.
-
-    The class group is enumerated by closing the Minkowski primes under
-    multiplication with exact principality tests, then squares are
-    quotiented out.
+    The reps of the (wide) class group are read off the forms of
+    disc(O): for D < 0 each class is one form with |b| <= a <= c, up to
+    the sign of b when |b| = a or a = c; for D > 0 a class is the cycle
+    of a reduced form (a, b, c) together with the cycle of (-a, b, -c),
+    which differ by an element of negative norm.  The ideal of a form
+    is Z |a| + Z ((b - t)/2 + omega).  Squares are quotiented out with
+    ideal products, each reduced to find its class.  The representative
+    of a coset is the least (norm, label) ideal of a form of the coset.
     """
-    bound = minkowski_prime_bound(order)
-    prime_gens = []
-    p = 2
-    while p <= bound:
-        prime_gens.extend(prime_ideals_above(order, p))
-        p += 1
-        while not is_prime(p):
-            p += 1
-    one = order.one_ideal()
-    reps = [one]
+    forms = _reduced_forms(order)
+    t = order.omega_trace
+    class_of = {}
+    reps = []
+    for f in forms:
+        if f in class_of:
+            continue
+        a, b, c = f
+        if order.disc < 0:
+            members = {f, (a, -b, c)} if b == 0 or abs(b) == a or a == c else {f}
+        else:
+            members = {g for h in (f, (-a, b, -c)) for g, _ in _cycle(order, h)}
+        for g in members:
+            class_of[g] = len(reps)
+        ideals = (FracIdeal(order, 1, abs(g[0]), (g[1] - t) // 2, 1) for g in members)
+        reps.append(min(ideals, key=_rep_key))
+    if len(reps) > MAX_CLASSES:
+        raise SearchExhausted("class group enumeration", MAX_CLASSES)
 
-    def find_class(ideal):
-        for i, r in enumerate(reps):
-            if same_ideal_class(ideal, r):
-                return i
-        return None
+    def class_index(ideal):
+        return class_of[_reduce(order, _primitive_form(ideal)[0])[0]]
 
-    frontier = [one]
-    while frontier:
-        current = frontier.pop()
-        for pg in prime_gens:
-            cand = current * pg
-            if find_class(cand) is None:
-                if len(reps) >= max_classes:
-                    raise SearchExhausted("class group enumeration", max_classes)
-                reps.append(cand)
-                frontier.append(cand)
-    squares = set()
-    for i, r in enumerate(reps):
-        j = find_class(r * r)
-        squares.add(j)
-    # quotient classes: greedily pick coset representatives, smallest norm
-    order_key = sorted(range(len(reps)), key=lambda i: (reps[i].norm(), reps[i].label()))
+    squares = {class_index(r * r) for r in reps}
     chosen = []
     covered = set()
-    for i in order_key:
-        if i in covered:
-            continue
-        chosen.append(reps[i])
-        for j in range(len(reps)):
-            if j in covered:
-                continue
-            # same coset iff reps[i] * reps[j] is a square class
-            prod = reps[i] * reps[j]
-            k = find_class(prod)
-            if k in squares:
-                covered.add(j)
+    for k in sorted(range(len(reps)), key=lambda k: _rep_key(reps[k])):
+        if k not in covered:
+            chosen.append(reps[k])
+            covered |= {class_index(reps[k] * reps[s]) for s in squares}
     return chosen
+
+
+def _rep_key(ideal: FracIdeal):
+    return ideal.norm(), ideal.label()
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +534,7 @@ def twist_by_alignment(q: IdealValuedForm, n_ideal: FracIdeal, phi: QuadElement)
     return IdealValuedForm(coeffs, gram, new_value)
 
 
-def ideal_sqrt_alignment(target: FracIdeal, current: FracIdeal, factor_cap: int = 10**5):
+def ideal_sqrt_alignment(target: FracIdeal, current: FracIdeal):
     """(N, phi) with N^2 current (phi) = target, or None.
 
     Splits the quotient ideal into primes, halves even valuations into
@@ -542,8 +543,8 @@ def ideal_sqrt_alignment(target: FracIdeal, current: FracIdeal, factor_cap: int 
     order = target.order
     j = target * current.inverse()
     num = j.norm()
-    support = set(factor_integer(num.numerator, factor_cap)) | set(
-        factor_integer(num.denominator, factor_cap)
+    support = set(factor_integer(num.numerator, ALIGNMENT_FACTOR_BOUND)) | set(
+        factor_integer(num.denominator, ALIGNMENT_FACTOR_BOUND)
     )
     n_ideal = order.one_ideal()
     for p in sorted(support):
@@ -560,20 +561,18 @@ def ideal_sqrt_alignment(target: FracIdeal, current: FracIdeal, factor_cap: int 
 
 
 def _ideal_valuation(ideal: FracIdeal, prime: FracIdeal) -> int:
-    e = 0
+    """v_P(I) = v_P(den I) - v_P((den)), both ideals integral."""
     pinv = prime.inverse()
-    cur = ideal
-    # make integral first
-    while not cur.is_integral():
-        cur = cur * prime
-        e -= 1
-    while True:
-        nxt = cur * pinv
-        if nxt.is_integral():
-            cur = nxt
+
+    def integral_valuation(cur):
+        e = 0
+        while (cur := cur * pinv).is_integral():
             e += 1
-        else:
-            return e
+        return e
+
+    order, den = ideal.order, ideal.den
+    scaled = FracIdeal(order, 1, ideal.a, ideal.b, ideal.c)
+    return integral_valuation(scaled) - integral_valuation(FracIdeal(order, 1, den, 0, den))
 
 
 def normalize_to_representative(q: IdealValuedForm, reps):

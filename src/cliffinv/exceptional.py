@@ -18,9 +18,6 @@ from .forms import DiagonalForm, signed_discriminant
 from .invariants import clifford_invariant_class, construct_preimage, e2_of_form
 from .scalars import QQ, PrimeField, RationalField
 
-TRIVIAL_LINE = "trivial"
-
-
 @dataclass
 class NormFormData:
     a: object
@@ -194,8 +191,3 @@ def pfaffian_roundtrip_check(a, b, c, d, field=None) -> bool:
         return False
     witness = construct_preimage(expected)
     return e2_of_form(witness) == got and clifford_invariant_class(data.form.entries) == got
-
-
-def pfaffian_invariant_field(_algebra=None) -> str:
-    """Over a field the pfaffian line-class is always trivial."""
-    return TRIVIAL_LINE

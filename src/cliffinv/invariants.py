@@ -109,6 +109,14 @@ def _in_i2(entries, field) -> bool:
 def _e2_structural(kernel, field, entries) -> BrauerClass2:
     """Brauer class of a component of C0 of an anisotropic I2 kernel.
 
+    A rank-4 kernel is read off its split even Clifford algebra.  A
+    kernel <a1, ..., an> with n >= 6 is Witt-equivalent to P + R with
+    P = <a1, a2, a3, a1a2a3> and R = <-a1a2a3, a4, ..., an>, both in I2;
+    e2 is additive on I2 (C(q1 + q2) is C(q1) tensor C(q2), graded), so
+    the class is that of P plus that of the kernel of R.  Over Q an
+    anisotropic kernel of rank >= 5 is definite, so R is indefinite
+    and its kernel has rank at most n - 4.
+
     The class is checked against the symbol dictionary evaluated on
     entries, a form Witt-equivalent to the kernel, unless entries is
     empty.
@@ -121,9 +129,10 @@ def _e2_structural(kernel, field, entries) -> BrauerClass2:
         if class_of_algebra(sc.minus) != cls:
             raise CliffinvError("the two component classes disagree")
     else:
-        raise CliffinvError(
-            f"anisotropic kernel of rank {len(kernel)} is outside the structural range"
-        )
+        a1, a2, a3 = kernel[:3]
+        p = a1 * a2 * a3
+        rest = witt_decompose(DiagonalForm((-p,) + tuple(kernel[3:]), field)).kernel
+        cls = _e2_structural((a1, a2, a3, p), field, ()) + _e2_structural(rest, field, ())
     if entries and clifford_invariant_class(entries) != cls:
         raise CliffinvError("structural class disagrees with the symbol dictionary")
     return cls
@@ -165,9 +174,8 @@ def e2(w) -> BrauerClass2:
 
     Components must have even rank and trivial signed discriminant.
     Over F_p every class is trivial, so the result is the empty set.
-    Over Q: rank-4 components are split directly; larger ranks are
-    Witt-reduced first, and an anisotropic kernel beyond rank 4 is an
-    error (the structural extraction cannot reach it).
+    Over Q each component is Witt-reduced and its anisotropic kernel
+    evaluated structurally.
     """
     comps = _components(w)
     total = BrauerClass2.trivial()
@@ -206,11 +214,10 @@ def e2_of_form(q) -> BrauerClass2:
 def e2_additivity_check(q, q2) -> bool:
     """Does e2 of the orthogonal sum equal the sum of the e2 values?
 
-    The summands are evaluated structurally.  The sum is evaluated
-    structurally whenever its anisotropic kernel has rank at most 4;
-    otherwise (definite rank-8 sums) the symbol dictionary stands in,
-    having been cross-validated against the structural route on both
-    summands.
+    The summands and the Witt kernel of the sum are evaluated
+    structurally, each checked against the symbol dictionary.  A
+    definite rank-8 kernel is split by its own first three entries, not
+    along the summands, so the check compares two decompositions.
     """
     c1 = e2_of_form(q)
     c2 = e2_of_form(q2)
@@ -219,13 +226,7 @@ def e2_additivity_check(q, q2) -> bool:
     field = s.field if hasattr(s, "field") else QQ
     if isinstance(field, PrimeField):
         return True  # all three classes are trivial
-    w = witt_decompose(s)
-    if len(w.kernel) <= 4:
-        c_sum = _e2_structural(w.kernel, field, entries)
-    else:
-        # validated fallback: the dictionary agreed with the structural
-        # route on both summands already (inside e2_of_form)
-        c_sum = clifford_invariant_class(entries)
+    c_sum = _e2_structural(witt_decompose(s).kernel, field, entries)
     return c_sum == c1 + c2
 
 

@@ -16,6 +16,7 @@ import random
 import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cache
 
 
 @dataclass
@@ -536,8 +537,9 @@ def _run_milnor(payload):
 # --- 14 ----------------------------------------------------------------
 
 
+@cache
 def _dedekind_catalog():
-    """Deterministic rank <= 4 catalogue of ideal-valued forms (d = -5)."""
+    """Deterministic rank <= 4 catalogue of ideal-valued forms (d = -5), built once."""
     from .dedekind import FracIdeal, QuadOrder, hyperbolic_ideal_form, ideal_orthogonal_sum, twist_by_alignment
 
     order = QuadOrder(-5)
@@ -560,7 +562,7 @@ def _dedekind_catalog():
             hyperbolic_ideal_form(order, [one], p2), p2, k.one() / k.from_int(2)
         )
     )
-    return forms
+    return tuple(forms)
 
 
 @_suite("dedekind-layer")

@@ -42,6 +42,9 @@ def test_tracer_hooks_resolve_and_record():
         order = dedekind.QuadOrder(-5)
         one = order.one_ideal()
         assert dedekind.even_clifford_order(dedekind.hyperbolic_ideal_form(order, [one], one)).algebra.dim == 2
+        assert [r.label() for r in dedekind.class_group_mod_squares(order)] == ["O", "(2,1+1w)"]
+        p2 = dedekind.prime_ideals_above(dedekind.QuadOrder(3), 2)[0]
+        assert dedekind.principal_generator(p2) is not None
     assert StructureAlgebra.__dict__["mul"] is mul
     for name in (
         "algebras.StructureAlgebra.mul.q",
@@ -51,6 +54,8 @@ def test_tracer_hooks_resolve_and_record():
         "clifford.split_components",
         "clifford.sum_isomorphism",
         "dedekind.even_clifford_order",
+        "dedekind.class_group_mod_squares",
+        "dedekind.principal_generator",
     ):
         assert tracer.calls[name] > 0, name
     assert set(tracer.metrics(0.0)) == set(spans.metric_units())

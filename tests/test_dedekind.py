@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cliffinv import jsonio
-from cliffinv.algebras import central_idempotents, check_associative
+from cliffinv.algebras import associativity_witness, central_idempotents
 from cliffinv.clifford import split_components
 from cliffinv.dedekind import (
     FracIdeal,
@@ -15,6 +15,7 @@ from cliffinv.dedekind import (
     generic_component_status,
     hyperbolic_ideal_form,
     ideal_orthogonal_sum,
+    ideal_sqrt_alignment,
     is_principal,
     normalize_to_representative,
     order_reduction_semisimple,
@@ -88,6 +89,76 @@ def test_class_groups():
     assert len(class_group_mod_squares(QuadOrder(-15))) == 2
 
 
+def test_class_group_mod_squares_sizes():
+    # h(-14) = 4 (cyclic); Cl(-21), Cl(-30) are (Z/2)^2; h = 2 for 10, 15
+    # and 34 (N(35 + 6 sqrt 34) = +1, so its narrow group has order 4);
+    # h(79) = 3, so Cl/2 is trivial
+    sizes = {-14: 2, -21: 4, -30: 4, 10: 2, 15: 2, 34: 2, 79: 1}
+    for d, size in sizes.items():
+        assert len(class_group_mod_squares(QuadOrder(d))) == size, d
+    # the least (norm, label) ideal of a reduced form in each coset
+    assert [r.label() for r in class_group_mod_squares(QuadOrder(-15))] == ["O", "(2,1+1w)"]
+    assert [r.label() for r in class_group_mod_squares(QuadOrder(-21))] == [
+        "O",
+        "(2,1+1w)",
+        "(3,1w)",
+        "(5,2+1w)",
+    ]
+    assert [r.label() for r in class_group_mod_squares(QuadOrder(34))] == ["O", "(3,1+1w)"]
+    # earlier representatives lie in the same cosets
+    earlier = (
+        (-15, (2, 0, 1), (2, 1, 1)),
+        (-21, (5, 3, 1), (5, 2, 1)),
+        (-65, (11, 1, 1), (6, 1, 1)),
+    )
+    for d, old, new in earlier:
+        o = QuadOrder(d)
+        assert ideal_sqrt_alignment(FracIdeal(o, 1, *new), FracIdeal(o, 1, *old)) is not None
+
+
+def test_real_generator_of_negative_norm():
+    # in Z[sqrt 3], x^2 - 3y^2 = 2 has no solution (2 is not a square
+    # mod 3), so (2, 1 + w) = (1 + w) has generators of norm -2 only
+    o = QuadOrder(3)
+    ideal = FracIdeal.from_generators(o, [o.field.from_int(2), o.element(1, 1)])
+    g = principal_generator(ideal)
+    assert g is not None and g.norm() == -2 and ideal.contains(g)
+    assert not is_principal(prime_ideals_above(QuadOrder(10), 2)[0])
+
+
+def _integral_ideals(order, bound):
+    """Every integral ideal of norm <= bound: c (Z A + Z (B + w)), A | N(B + w)."""
+    t, n = order.omega_trace, order.omega_norm
+    out = []
+    for c in range(1, bound + 1):
+        for a in range(1, bound // (c * c) + 1):
+            for b in range(a):
+                if (b * b + t * b + n) % a == 0:
+                    out.append(FracIdeal(order, 1, c * a, c * b, c))
+    return out
+
+
+def test_principality_sweep():
+    # (ideal count, principal count, sha256 of the verdict string in
+    # enumeration order), recorded from the earlier exhaustive box search
+    recorded = {
+        -5: (83, 42, "2550942310fc2dd75ca9f22326a65c8d5138b2d566de31b6f288190b740585df"),
+        -14: (100, 25, "03defa32a447e58cd20d8d243855ad8f35d33a382ba2176eda17f8e0fde21793"),
+        -21: (81, 20, "9c740bab6a2cdb816ff8493e7d9010b49f22e8ad2e30bee78dbee0046a36d164"),
+        10: (69, 35, "811e763d962585fd4f88d7211273857b667dc309acf3995338b606e4b15faa83"),
+        15: (65, 34, "531cb15b5d0ccf2ad49a89faeffa3521084482ac1a62323c5bac937c576efc63"),
+    }
+    for d, (count, principal, digest) in recorded.items():
+        verdicts = ""
+        for ideal in _integral_ideals(QuadOrder(d), 60):
+            g = principal_generator(ideal)
+            verdicts += "0" if g is None else "1"
+            if g is not None:
+                assert ideal.contains(g) and abs(g.norm()) == ideal.norm()
+        assert (len(verdicts), verdicts.count("1")) == (count, principal), d
+        assert hashlib.sha256(verdicts.encode()).hexdigest() == digest, d
+
+
 def test_hyperbolic_ideal_form():
     o = order5()
     one = o.one_ideal()
@@ -136,7 +207,7 @@ def test_even_clifford_order_rank2():
     p2 = p2_of(o)
     co = even_clifford_order(hyperbolic_ideal_form(o, [one], p2))
     assert co.algebra.dim == 2
-    assert check_associative(co.algebra)
+    assert associativity_witness(co.algebra) is None
     assert len(central_idempotents(co.algebra)) == 4
     assert all(c == one for c in co.coeff_ideals)
 

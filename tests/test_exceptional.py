@@ -9,7 +9,6 @@ from cliffinv.errors import CliffinvError
 from cliffinv.exceptional import (
     albert_form,
     norm_roundtrip_check,
-    pfaffian_invariant_field,
     pfaffian_roundtrip_check,
     pfaffian_space,
     reduced_norm_form,
@@ -125,7 +124,3 @@ def test_albert_twist_stability():
         n = F.random_nonzero(rng)
         assert e2_of_form(twist(af.form, Alignment(n))) == e2_of_form(af.form)
 
-
-def test_pfaffian_invariant_field_trivial():
-    assert pfaffian_invariant_field() == "trivial"
-    assert pfaffian_invariant_field(quaternion(fr(-1), fr(-1), F)) == "trivial"

@@ -28,6 +28,7 @@ f7 = GF(7)
 discriminant_algebra(DiagonalForm(tuple(f7.from_int(a) for a in (1, 2, 3, 5)), f7))
 construct_preimage(BrauerClass2.from_strs(["2", "inf"]))
 class_group_mod_squares(QuadOrder(-5))
+class_group_mod_squares(QuadOrder(10))
 print("sympy" in sys.modules)
 """
 

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from cliffinv.brauer import BrauerClass2, class_of_quaternion
-from cliffinv.errors import CliffinvError
 from cliffinv.forms import Alignment, DiagonalForm, diagonalize, hyperbolic, orthogonal_sum, twist
 from cliffinv.invariants import (
     TotalWittElement,
@@ -83,10 +82,19 @@ def test_e2_trivial_over_prime_fields():
     assert e2(TotalWittElement.from_form(q)).is_trivial()
 
 
-def test_e2_rank8_definite_kernel_errors():
-    q = diag(1, 1, 1, 1, 1, 1, 1, 1)
-    with pytest.raises(CliffinvError):
-        e2(TotalWittElement.from_form(q))
+def test_e2_definite_kernels_of_rank_8_and_12():
+    # anisotropic I2 kernels beyond rank 4 split off <a1, a2, a3, a1a2a3>
+    cases = (
+        ((1,) * 8, []),
+        ((1,) * 12, ["2", "inf"]),
+        ((1, 1, 1, 1, 1, 1, 3, 3), ["2", "3"]),
+    )
+    for entries, ramified in cases:
+        q = diag(*entries)
+        want = BrauerClass2.from_strs(ramified)
+        assert e2_of_form(q) == want
+        assert e2(TotalWittElement.from_form(q)) == want
+    assert e2_additivity_check(diag(1, 1, 1, 1), diag(1, 1, 3, 3))
 
 
 def test_e2_rank6_by_witt_reduction():
