@@ -234,11 +234,6 @@ def matrix_algebra(n: int, field) -> StructureAlgebra:
     return StructureAlgebra(field, labels, table, unit)
 
 
-def opposite(a: StructureAlgebra) -> StructureAlgebra:
-    table = [[a.table[j][i] for j in range(a.dim)] for i in range(a.dim)]
-    return StructureAlgebra(a.field, a.labels, table, a.unit, a.involution)
-
-
 def tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
     if a.field != b.field:
         raise ValueError("tensor product needs a common base field")
@@ -326,15 +321,16 @@ def reduced_trace(a: StructureAlgebra, x):
 
 
 def _ladder(dim, field, radius):
-    """Deterministic small integer coefficient tuples, nonzero first."""
+    """Nonzero small coefficient tuples, fewest nonzero entries first, so
+    that a square found on a monomial basis is a product, not a sum."""
     from itertools import product
 
     scaled = sorted(
-        (max(abs(c) for c in cs), cs)
+        (dim - cs.count(0), max(abs(c) for c in cs), cs)
         for cs in product(range(-radius, radius + 1), repeat=dim)
         if any(cs)
     )
-    for _, cs in scaled:
+    for *_, cs in scaled:
         yield [field.from_int(c) for c in cs]
 
 

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import combinations
 
 from .algebras import StructureAlgebra, find_quaternion_basis
-from .errors import SearchExhausted
-from .scalars import Place, hilbert_symbol, support_places
+from .errors import CliffinvError, SearchExhausted
+from .scalars import (
+    INFINITY,
+    Place,
+    hilbert_symbol,
+    is_prime,
+    legendre,
+    squarefree_mul,
+    support_places,
+)
 
 
 class BrauerClass2:
@@ -63,50 +71,58 @@ def class_of_quaternion(a, b) -> BrauerClass2:
     return BrauerClass2(ram)
 
 
-def add(c1: BrauerClass2, c2: BrauerClass2) -> BrauerClass2:
-    return c1 + c2
-
-
 def index(c: BrauerClass2) -> int:
     """1 for the trivial class, else 2 (period equals index over Q)."""
     return 1 if c.is_trivial() else 2
 
 
-def _candidate_values(c: BrauerClass2, aux=(2, 3, 5, 7, 11, 13, 17, 19, 23)):
-    base = [-1]
-    base += [v.p for v in c.sorted_places() if not v.is_infinite]
-    for p in aux:
-        if p not in base:
-            base.append(p)
-    values = {1}
-    for r in range(1, len(base) + 1):
-        for combo in combinations(range(len(base)), r):
-            prod = 1
-            for i in combo:
-                prod *= base[i]
-            values.add(prod)
-    return sorted(values, key=lambda v: (abs(v), v < 0))
-
-
 def quaternion_from_class(c: BrauerClass2, cap: int = 10**4):
-    """First (a, b) in a deterministic ladder with matching ramification.
+    """A quaternion pair (a, b) ramified exactly at the places of c.
 
-    Candidates are signed products of the class's primes padded with
-    small auxiliary primes, ordered by magnitude; the search is capped
-    and reports the bound on failure.
+    With P the odd primes of c and s = -1 if inf is in c, else 1:
+    a = s * prod(P), doubled when 2 is in c and a = 1 mod 8, so that a is
+    a square at no place of c; b = s * m, m a product of primes l <= cap
+    among 2 and the odd l outside c with (a|l) = 1, chosen by elimination
+    over F_2 on the symbols (l|p), p in P, so that (b|p) = -1 on P.  Then
+    (a, b) is right at inf, on P, at each odd l ((a|l) = 1) and at the
+    other odd primes (units); the product formula settles the place 2,
+    as c has even size (Serre, A Course in Arithmetic, III.2.2, Thm 4).
+    Raises SearchExhausted when the primes up to cap do not suffice.
     """
-    values = _candidate_values(c)
-    tested = 0
-    for k, a in enumerate(values):
-        for b in values[: k + 1]:
-            pairs = ((a, b),) if a == b else ((a, b), (b, a))
-            for x, y in pairs:
-                tested += 1
-                if tested > cap:
-                    raise SearchExhausted(f"quaternion pair for {c!r}", cap)
-                if class_of_quaternion(x, y) == c:
-                    return Fraction(x), Fraction(y)
-    raise SearchExhausted(f"quaternion pair for {c!r}", cap)
+    sign = -1 if INFINITY in c.places else 1
+    odd = [v.p for v in c.sorted_places() if not v.is_infinite and v.p != 2]
+    a = sign * math.prod(odd)
+    if Place.finite(2) in c.places and a % 8 == 1:
+        a *= 2
+
+    def vector(x):  # bit i is set where (x|p_i) = -1
+        return sum(1 << i for i, p in enumerate(odd) if legendre(x, p) == -1)
+
+    basis = {}  # leading bit -> (vector, squarefree product of its primes)
+
+    def reduce(vec, m):
+        for lead in sorted(basis, reverse=True):
+            if vec >> lead & 1:
+                vec, m = vec ^ basis[lead][0], squarefree_mul(m, basis[lead][1])
+        return vec, m
+
+    # (b|p) = -1 asks for (m|p) = -(s|p)
+    rest, m = vector(sign) ^ ((1 << len(odd)) - 1), 1
+    for l in range(2, cap + 1):
+        if not rest:
+            break
+        if l in odd or not is_prime(l) or (l > 2 and legendre(a, l) != 1):
+            continue
+        vec, ml = reduce(vector(l), l)
+        if vec:
+            basis[vec.bit_length() - 1] = (vec, ml)
+            rest, m = reduce(rest, m)
+    if rest:
+        raise SearchExhausted(f"quaternion pair for {c!r}", cap)
+    a, b = Fraction(a), Fraction(sign * m)
+    if class_of_quaternion(a, b) != c:
+        raise CliffinvError(f"constructed pair ({a}, {b}) misses {c!r}")
+    return a, b
 
 
 def class_of_algebra(a: StructureAlgebra) -> BrauerClass2:

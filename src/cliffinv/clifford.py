@@ -220,17 +220,6 @@ def clifford_bimodule(form) -> CliffordBimodule:
     return CliffordBimodule(even_clifford(form))
 
 
-def canonical_involution(ec: EvenClifford):
-    """Matrix of the word-reversal involution on the monomial basis."""
-    zero, one = ec.field.zero(), ec.field.one()
-    mat = [[zero] * ec.dim for _ in range(ec.dim)]
-    for i, m in enumerate(ec.masks):
-        k = m.bit_count()
-        sign = one if (k * (k - 1) // 2) % 2 == 0 else -one
-        mat[i][i] = sign
-    return mat
-
-
 @dataclass(frozen=True)
 class DiscriminantAlgebra:
     """The centre of the even Clifford algebra of an even-rank form."""
@@ -345,23 +334,6 @@ class RingMap:
 
     def apply(self, x):
         return self.fn(x)
-
-
-def reduction_mod_p(p: int) -> RingMap:
-    """Q -> F_p on p-integral rationals."""
-    from .scalars import GF, QQ
-
-    target = GF(p)
-
-    def fn(x):
-        from fractions import Fraction
-
-        x = Fraction(x)
-        if x.denominator % p == 0:
-            raise DegenerateFormError(f"denominator not invertible mod {p}")
-        return target.from_int(x.numerator) / target.from_int(x.denominator)
-
-    return RingMap(QQ, target, fn)
 
 
 def tables_commute(form: DiagonalForm, ring_map) -> bool:

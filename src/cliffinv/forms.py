@@ -31,6 +31,7 @@ from .scalars import (
     rational_sqrt,
     sqrt_mod_p,
     square_class,
+    squarefree_mul,
     squarefree_part,
     support_places,
 )
@@ -230,8 +231,18 @@ def twist(q, alignment) -> QuadraticForm | DiagonalForm:
 
 
 def signed_discriminant(q) -> SquareClass:
-    """(-1)^(n(n-1)/2) det(G) as a square class."""
-    return square_class(signed_det(q), q.field)
+    """(-1)^(n(n-1)/2) det(G) as a square class.
+
+    A diagonal form over Q multiplies the classes of its entries, so the
+    product of the entries is never factored.
+    """
+    field = q.field
+    if not (isinstance(q, DiagonalForm) and isinstance(field, RationalField)):
+        return square_class(signed_det(q), field)
+    out = square_class(-1 if (q.rank * (q.rank - 1) // 2) % 2 else 1, field)
+    for a in q.entries:
+        out = out * square_class(a, field)
+    return out
 
 
 def signed_det(q):
@@ -425,14 +436,14 @@ def _split_plane(sf):
     for idx in combinations(range(n), 3):
         sub = [sf[k] for k in idx]
         if _isotropic_sf(sub):  # then <a, b, c> = <1, -1, -abc>
-            return _embed(n, idx, _ternary_zero(*sub)), _drop(sf, idx) + [-_sf_mul(*sub)]
+            return _embed(n, idx, _ternary_zero(*sub)), _drop(sf, idx) + [-squarefree_mul(*sub)]
     # n >= 4: a1 (x/z)^2 + a2 (y/z)^2 = t, so <a1, a2> = <t, a1 a2 t>, and a
     # zero (w, u) of <t, a3, ..., an> gives the zero (w x, w y, z u) of <sf>.
     a1, a2, rest = sf[0], sf[1], sf[2:]
     t = _auxiliary_value(a1, a2, rest)
     x, y, z = _ternary_zero(a1, a2, -t)
     (w, *u), rest_t = _split_plane([t] + rest)
-    return _primitive([w * x, w * y] + [z * c for c in u]), [_sf_mul(a1, a2, t)] + rest_t
+    return _primitive([w * x, w * y] + [z * c for c in u]), [squarefree_mul(a1, a2, t)] + rest_t
 
 
 def _auxiliary_value(a1, a2, rest):
@@ -541,15 +552,6 @@ def _sqrt_mod(a, m):
         r += done * ((s - r) * pow(done, -1, p) % p)
         done *= p
     return r - m if 2 * r > m else r
-
-
-def _sf_mul(*xs):
-    """Signed squarefree part of a product of signed squarefree integers."""
-    out = 1
-    for x in xs:
-        g = math.gcd(out, x)
-        out = (out // g) * (x // g)
-    return out
 
 
 def _embed(n, idx, vals):

@@ -64,12 +64,12 @@ def second_residue(q: DiagonalForm, pi) -> DiagonalForm:
     """
     ff = _function_field_of(q)
     if pi == INFINITE_PLACE or pi is None:
-        out = []
-        for a in q.entries:
-            v = a.den.degree - a.num.degree
-            if v % 2:
-                out.append(a.num.leading() / a.den.leading())
-        return DiagonalForm(tuple(out), ff.base) if out else DiagonalForm((), ff.base)
+        out = [
+            a.num.leading() / a.den.leading()
+            for a in q.entries
+            if (a.den.degree - a.num.degree) % 2
+        ]
+        return DiagonalForm(tuple(out), ff.base)
     if not isinstance(pi, Poly):
         raise TypeError("pi must be a Poly or the infinite place marker")
     pi = pi.monic()
@@ -114,17 +114,13 @@ def residue_places(q: DiagonalForm):
 
 def reciprocity_total(q: DiagonalForm):
     """Entries over F of the sum of all transferred residues."""
-    ff = _function_field_of(q)
-    base = ff.base
     total = []
     for pi in residue_places(q):
         quot, entries = _finite_residue_entries(q, pi, twist_derivative=True)
         for w in entries:
             total.extend(_trace_transfer_entries(quot, w))
-    for a in q.entries:
-        v = a.den.degree - a.num.degree
-        if v % 2:
-            total.append(-(a.num.leading() / a.den.leading()))
+    # the degree place carries the extra factor -1
+    total.extend(-x for x in second_residue(q, INFINITE_PLACE).entries)
     return total
 
 
@@ -200,11 +196,7 @@ def certify_extended_from_base(q: DiagonalForm) -> bool:
         _, entries = _finite_residue_entries(q, pi, twist_derivative=False)
         if entries and not _residue_vanishes(entries, pi):
             return False
-    inf_entries = [
-        -(a.num.leading() / a.den.leading())
-        for a in q.entries
-        if (a.den.degree - a.num.degree) % 2
-    ]
+    inf_entries = second_residue(q, INFINITE_PLACE).entries
     if inf_entries and not is_witt_trivial_entries(inf_entries, ff.base):
         return False
     c1, c2 = _good_points(q, 2)

@@ -101,6 +101,15 @@ def squarefree_part(n: int, bound: int | None = None) -> int:
     return out
 
 
+def squarefree_mul(*xs: int) -> int:
+    """Signed squarefree part of a product of signed squarefree integers, by gcds."""
+    out = 1
+    for x in xs:
+        g = math.gcd(out, x)
+        out = (out // g) * (x // g)
+    return out
+
+
 def isqrt_exact(n: int) -> int | None:
     if n < 0:
         return None
@@ -975,14 +984,14 @@ class SquareClass:
             raise ValueError("square classes over different fields")
         f = self.field
         if isinstance(f, RationalField):
-            return SquareClass(f, squarefree_part(self.rep * other.rep))
+            return SquareClass(f, squarefree_mul(self.rep, other.rep))
         if isinstance(f, PrimeField):
             rep = 1 if self.rep == other.rep else f.nonresidue().v
             return SquareClass(f, rep)
         (c1, g1), (c2, g2) = self.rep, other.rep
         base = f.base
         if isinstance(base, RationalField):
-            c = squarefree_part(c1 * c2)
+            c = squarefree_mul(c1, c2)
         else:
             c = 1 if c1 == c2 else base.nonresidue().v
         h = g1.gcd(g2)
@@ -1029,7 +1038,8 @@ def square_class(a, field=None) -> SquareClass:
         a = Fraction(a)
         if a == 0:
             raise ValueError("0 has no square class")
-        return SquareClass(field, squarefree_part(a.numerator * a.denominator))
+        num, den = squarefree_part(a.numerator), squarefree_part(a.denominator)
+        return SquareClass(field, squarefree_mul(num, den))
     if isinstance(field, PrimeField):
         if not a:
             raise ValueError("0 has no square class")

@@ -12,7 +12,6 @@ from cliffinv.algebras import (
     find_quaternion_basis,
     is_split_quaternion,
     matrix_algebra,
-    opposite,
     quaternion,
     reduced_trace,
     sparse_row,
@@ -82,6 +81,11 @@ def test_central_idempotents():
     assert [half, half] in ids and [half, -half] in ids
     with pytest.raises(UnsupportedBase):
         central_idempotents(_product_field_algebra(3))
+
+
+def opposite(a):
+    table = [[a.table[j][i] for j in range(a.dim)] for i in range(a.dim)]
+    return StructureAlgebra(a.field, a.labels, table, a.unit, a.involution)
 
 
 def test_tensor_and_opposite():

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from cliffinv import algebras, clifford, dedekind, invariants
 from cliffinv.algebras import StructureAlgebra
+from cliffinv.brauer import BrauerClass2
 from cliffinv.clifford import EvenClifford
 from cliffinv.forms import DiagonalForm
 from cliffinv.scalars import QQ
@@ -59,6 +60,23 @@ def test_tracer_hooks_resolve_and_record():
     ):
         assert tracer.calls[name] > 0, name
     assert set(tracer.metrics(0.0)) == set(spans.metric_units())
+
+
+def test_tracer_sees_preimage_construction():
+    # brauer.pairs_per_class reads the edge from quaternion_from_class
+    # to class_of_quaternion
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    c = BrauerClass2.from_strs(["29", "31", "37", "41", "43", "47"])
+    with tracer.installed():
+        assert invariants.construct_preimage(c).rank == 4
+    for name in (
+        "brauer.quaternion_from_class",
+        "brauer.class_of_quaternion",
+        "invariants.construct_preimage",
+    ):
+        assert tracer.calls[name] > 0, name
+    assert tracer.edges["brauer.quaternion_from_class", "brauer.class_of_quaternion"] > 0
 
 
 def test_tracer_sees_witt_reduction():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cliffinv.brauer import (
     BrauerClass2,
-    add,
     class_of_algebra,
     class_of_quaternion,
     index,
@@ -18,7 +17,8 @@ from cliffinv.algebras import matrix_algebra, quaternion
 from cliffinv.clifford import even_clifford, split_components
 from cliffinv.errors import SearchExhausted
 from cliffinv.forms import DiagonalForm
-from cliffinv.scalars import QQ, Place
+from cliffinv.invariants import construct_preimage
+from cliffinv.scalars import QQ, Place, is_prime
 
 nonzero = st.integers(min_value=-60, max_value=60).filter(lambda x: x != 0)
 
@@ -42,7 +42,7 @@ def test_group_law():
     c = class_of_quaternion(-1, -1)
     c2 = class_of_quaternion(-1, 3)
     assert (c + c).is_trivial()
-    assert add(c, c2).to_json()["ramified"] == ["3", "inf"]
+    assert (c + c2).to_json()["ramified"] == ["3", "inf"]
     rng = random.Random(1)
     for _ in range(30):
         xs = [class_of_quaternion(rng.randint(1, 40), -rng.randint(1, 40)) for _ in range(3)]
@@ -64,7 +64,9 @@ def test_symbol_bilinearity_on_classes(a, b, b2):
 
 def test_realization_examples():
     assert quaternion_from_class(BrauerClass2.trivial()) == (1, 1)
-    for names in (["2", "inf"], ["2", "3"], ["5", "7"], ["2", "3", "5", "inf"]):
+    classes = [["2", "inf"], ["2", "3"], ["5", "7"], ["2", "3", "5", "inf"], ["2", "1009"]]
+    classes.append(["2", "3", "5", "7", "11", "13", "17", "19", "23", "inf"])
+    for names in classes:
         c = BrauerClass2.from_strs(names)
         a, b = quaternion_from_class(c)
         assert class_of_quaternion(a, b) == c
@@ -83,6 +85,24 @@ def test_realization_cap():
     c = BrauerClass2.from_strs(["2", "3", "5", "7", "11", "inf"])
     with pytest.raises(SearchExhausted):
         quaternion_from_class(c, cap=3)
+
+
+def test_realization_at_scale():
+    primes = [str(p) for p in range(2, 10**4) if is_prime(p)]
+    rng = random.Random(12)
+
+    def draw(most):
+        names = rng.sample(primes, rng.randint(1, most))
+        return BrauerClass2.from_strs(names + ["inf"] * (len(names) % 2))
+
+    for _ in range(100):
+        c = draw(24)
+        a, b = quaternion_from_class(c)
+        assert class_of_quaternion(a, b) == c
+    for _ in range(20):
+        c = draw(7)
+        q = construct_preimage(c)  # checks e2(q) = c structurally
+        assert q.rank == 4
 
 
 def test_index():

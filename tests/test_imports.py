@@ -27,6 +27,7 @@ e2_of_form(DiagonalForm(tuple(Fraction(a) for a in (1, -2, -3, 6)), QQ))
 f7 = GF(7)
 discriminant_algebra(DiagonalForm(tuple(f7.from_int(a) for a in (1, 2, 3, 5)), f7))
 construct_preimage(BrauerClass2.from_strs(["2", "inf"]))
+construct_preimage(BrauerClass2.from_strs(["29", "31", "37", "41", "43", "47"]))
 class_group_mod_squares(QuadOrder(-5))
 class_group_mod_squares(QuadOrder(10))
 print("sympy" in sys.modules)

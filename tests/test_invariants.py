@@ -67,6 +67,8 @@ def test_e2_examples():
     assert e2_of_form(hyperbolic(2)).is_trivial()
     assert e2_of_form(diag(1, 1, 1, 1)).to_json()["ramified"] == ["2", "inf"]
     assert e2_of_form(diag(1, 1, -3, -3)).to_json()["ramified"] == ["2", "3"]
+    # the product of the entries, 9 * 1000003^2, is beyond the factor bound
+    assert e2_of_form(diag(1, -1000003, -3, 3000009)).to_json()["ramified"] == ["2", "1000003"]
 
 
 def test_e2_requires_i2():
