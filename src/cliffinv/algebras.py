@@ -13,8 +13,10 @@ algebras through explicit certificates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import product
 from operator import itemgetter
 
 from . import linalg
@@ -311,27 +313,57 @@ def reduced_trace(a: StructureAlgebra, x):
 
     Valid for central simple algebras: over a splitting field the left
     regular representation of a degree-d algebra is d copies of the
-    reduced one.
+    reduced one.  tr(L_{e_i}) is read off the table as the sum over j of
+    the e_j-coefficient of e_i e_j.
     """
-    m = a.left_mult_matrix(list(x))
     tr = a.field.zero()
-    for i in range(a.dim):
-        tr = tr + m[i][i]
+    for xi, plane in zip(x, a.table):
+        if xi:
+            for j, entry in enumerate(plane):
+                for k, c in entry:
+                    if k == j:
+                        tr = tr + xi * c
     return tr / a.field.from_int(math.isqrt(a.dim))
 
 
-def _ladder(dim, field, radius):
-    """Nonzero small coefficient tuples, fewest nonzero entries first, so
-    that a square found on a monomial basis is a product, not a sum."""
-    from itertools import product
-
-    scaled = sorted(
-        (dim - cs.count(0), max(abs(c) for c in cs), cs)
-        for cs in product(range(-radius, radius + 1), repeat=dim)
-        if any(cs)
+@functools.cache
+def _ladder(dim, radius):
+    """Nonzero integer tuples in [-radius, radius]^dim, fewest nonzero
+    entries first, so that a square found on a monomial basis is a
+    product, not a sum."""
+    return tuple(
+        cs
+        for *_, cs in sorted(
+            (dim - cs.count(0), max(abs(c) for c in cs), cs)
+            for cs in product(range(-radius, radius + 1), repeat=dim)
+            if any(cs)
+        )
     )
-    for *_, cs in scaled:
-        yield [field.from_int(c) for c in cs]
+
+
+def _combine(a: StructureAlgebra, coeffs, vecs):
+    """sum c * v over the pairs, built in place."""
+    out = a.zero_vec()
+    for c, v in zip(coeffs, vecs):
+        if c:
+            for k, vk in enumerate(v):
+                if vk:
+                    out[k] = out[k] + c * vk
+    return out
+
+
+def _first_square(a: StructureAlgebra, vecs, radius, what, nonscalar):
+    """First combination of vecs on the ladder whose square is a nonzero
+    scalar, with that scalar."""
+    field = a.field
+    for cs in _ladder(len(vecs), radius):
+        cand = _combine(a, [field.from_int(c) for c in cs], vecs)
+        val = a.is_scalar(a.mul(cand, cand))
+        if val is None:
+            raise CliffinvError(nonscalar)
+        if val:
+            return cand, val
+    raise SearchExhausted(what, radius)
 
 
 def find_quaternion_basis(a: StructureAlgebra, radius: int = 3):
@@ -339,7 +371,9 @@ def find_quaternion_basis(a: StructureAlgebra, radius: int = 3):
 
     Follows the trace-zero recipe: any trace-zero element squares to a
     scalar, so hunt for one with nonzero square, then solve the linear
-    anticommutation condition for its partner.
+    anticommutation condition for its partner.  Candidates run through
+    a fixed ladder of small coefficient tuples, computed once per
+    (dim, radius).
     """
     if a.dim != 4:
         raise UnsupportedBase("quaternion basis extraction needs dimension 4")
@@ -350,54 +384,19 @@ def find_quaternion_basis(a: StructureAlgebra, radius: int = 3):
     a0 = linalg.nullspace([trace_row], 4, field)
     if len(a0) != 3:
         raise CliffinvError("trace-zero space has unexpected dimension")
-    x = alpha = None
-    for cs in _ladder(3, field, radius):
-        cand = a.zero_vec()
-        for c, bvec in zip(cs, a0):
-            if c:
-                cand = a.add(cand, a.scalar_mul(c, bvec))
-        sq = a.mul(cand, cand)
-        val = a.is_scalar(sq)
-        if val is None:
-            raise CliffinvError("trace-zero element with non-scalar square; not quaternion")
-        if val:
-            x, alpha = cand, val
-            break
-    if x is None:
-        raise SearchExhausted("invertible trace-zero element", radius)
+    x, alpha = _first_square(
+        a, a0, radius, "invertible trace-zero element",
+        "trace-zero element with non-scalar square; not quaternion",
+    )
     # anticommutant of x inside the trace-zero space
-    rows = []
-    for s in range(4):
-        row = []
-        for bvec in a0:
-            anti = a.add(a.mul(x, bvec), a.mul(bvec, x))
-            row.append(anti[s])
-        rows.append(row)
-    w = linalg.nullspace(rows, 3, field)
+    antis = [a.add(a.mul(x, bvec), a.mul(bvec, x)) for bvec in a0]
+    w = linalg.nullspace([list(row) for row in zip(*antis)], 3, field)
     if len(w) != 2:
         raise CliffinvError("anticommutant has unexpected dimension")
-    wbasis = []
-    for coeffs in w:
-        vec = a.zero_vec()
-        for c, bvec in zip(coeffs, a0):
-            if c:
-                vec = a.add(vec, a.scalar_mul(c, bvec))
-        wbasis.append(vec)
-    y = beta = None
-    for cs in _ladder(2, field, radius):
-        cand = a.zero_vec()
-        for c, bvec in zip(cs, wbasis):
-            if c:
-                cand = a.add(cand, a.scalar_mul(c, bvec))
-        sq = a.mul(cand, cand)
-        val = a.is_scalar(sq)
-        if val is None:
-            raise CliffinvError("anticommutant element with non-scalar square")
-        if val:
-            y, beta = cand, val
-            break
-    if y is None:
-        raise SearchExhausted("anticommuting partner", radius)
+    wbasis = [_combine(a, coeffs, a0) for coeffs in w]
+    y, beta = _first_square(
+        a, wbasis, radius, "anticommuting partner", "anticommutant element with non-scalar square"
+    )
     xy = a.mul(x, y)
     basis = [list(a.unit), x, y, xy]
     cols = [[basis[j][i] for j in range(4)] for i in range(4)]

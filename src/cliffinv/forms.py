@@ -286,12 +286,13 @@ def is_local_square(d: Fraction, v: Place) -> bool:
 
 
 def hasse_invariant(entries, v: Place) -> int:
-    """Product of Hilbert symbols (a_i, a_j)_v over i < j."""
-    out = 1
-    es = [Fraction(a) for a in entries]
-    for i in range(len(es)):
-        for j in range(i + 1, len(es)):
-            out *= hilbert_symbol(es[i], es[j], v)
+    """Product of Hilbert symbols (a_i, a_j)_v over i < j, by bilinearity
+    the n - 1 symbols (a_1...a_{j-1}, a_j)_v."""
+    out, prefix = 1, Fraction(1)
+    for a in entries:
+        if prefix != 1:  # (1, a)_v = 1
+            out *= hilbert_symbol(prefix, a, v)
+        prefix *= Fraction(a)
     return out
 
 

@@ -13,7 +13,7 @@ from cliffinv.brauer import (
     index,
     quaternion_from_class,
 )
-from cliffinv.algebras import matrix_algebra, quaternion
+from cliffinv.algebras import StructureAlgebra, matrix_algebra, quaternion
 from cliffinv.clifford import even_clifford, split_components
 from cliffinv.errors import SearchExhausted
 from cliffinv.forms import DiagonalForm
@@ -125,6 +125,22 @@ def test_class_of_algebra():
     assert class_of_algebra(matrix_algebra(2, QQ)).is_trivial()
     sc = split_components(DiagonalForm(frac(1, 1, 1, 1), QQ))
     assert class_of_algebra(sc.plus).to_json()["ramified"] == ["2", "inf"]
+
+
+def test_class_of_algebra_mul_count(monkeypatch):
+    # two candidate squares, six anticommutant products and x*y: the trace
+    # is read off the table and each product is formed once
+    sc = split_components(DiagonalForm(frac(1, 2, 3, 6), QQ))
+    mul = StructureAlgebra.mul
+    calls = []
+
+    def counted(self, x, y):
+        calls.append(None)
+        return mul(self, x, y)
+
+    monkeypatch.setattr(StructureAlgebra, "mul", counted)
+    assert class_of_algebra(sc.plus).to_json()["ramified"] == ["2", "inf"]
+    assert len(calls) <= 9
 
 
 def test_roundtrip_class_level():

@@ -22,7 +22,15 @@ from cliffinv.forms import (
     twist,
     witt_decompose,
 )
-from cliffinv.scalars import GF, QQ, QuadElement, QuadraticNumberField, square_class
+from cliffinv.scalars import (
+    GF,
+    QQ,
+    QuadElement,
+    QuadraticNumberField,
+    hilbert_symbol,
+    square_class,
+    support_places,
+)
 
 F = QQ
 
@@ -227,6 +235,23 @@ def test_hasse_invariant_and_isometry():
     assert isometric_diagonal(frac(1, 1), frac(2, 2), F)
     assert not isometric_diagonal(frac(1, 1), frac(1, 2), F)
     assert isometric_diagonal(frac(1, -1), frac(2, -2), F)
+
+
+def test_hasse_invariant_matches_pairwise_product():
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        # entries carry square factors and denominators
+        es = [
+            Fraction(rng.choice([-1, 1]) * rng.randint(1, 30) * rng.randint(1, 6) ** 2, rng.randint(1, 12))
+            for _ in range(n)
+        ]
+        for v in support_places(*es):
+            pairwise = 1
+            for i in range(n):
+                for j in range(i + 1, n):
+                    pairwise *= hilbert_symbol(es[i], es[j], v)
+            assert hasse_invariant(es, v) == pairwise, (es, v)
 
 
 def _is_squarefree_int(a):
