@@ -327,18 +327,16 @@ def reduced_trace(a: StructureAlgebra, x):
 
 
 @functools.cache
-def _ladder(dim, radius):
-    """Nonzero integer tuples in [-radius, radius]^dim, fewest nonzero
-    entries first, so that a square found on a monomial basis is a
-    product, not a sum."""
-    return tuple(
-        cs
-        for *_, cs in sorted(
-            (dim - cs.count(0), max(abs(c) for c in cs), cs)
-            for cs in product(range(-radius, radius + 1), repeat=dim)
-            if any(cs)
-        )
-    )
+def _ladder(dim):
+    """Nonzero tuples in {-1, 0, 1}^dim, fewest nonzero entries first, so
+    that a square found on a monomial basis is a product, not a sum.
+
+    x -> x^2 is quadratic: if every basis vector and every sum of two
+    square to zero, so does every combination.  Larger coefficients
+    therefore decide nothing that this ladder leaves open.
+    """
+    tuples = (cs for cs in product((-1, 0, 1), repeat=dim) if any(cs))
+    return tuple(sorted(tuples, key=lambda cs: (dim - cs.count(0), cs)))
 
 
 def _combine(a: StructureAlgebra, coeffs, vecs):
@@ -352,28 +350,28 @@ def _combine(a: StructureAlgebra, coeffs, vecs):
     return out
 
 
-def _first_square(a: StructureAlgebra, vecs, radius, what, nonscalar):
+def _first_square(a: StructureAlgebra, vecs, what, nonscalar):
     """First combination of vecs on the ladder whose square is a nonzero
     scalar, with that scalar."""
     field = a.field
-    for cs in _ladder(len(vecs), radius):
+    for cs in _ladder(len(vecs)):
         cand = _combine(a, [field.from_int(c) for c in cs], vecs)
         val = a.is_scalar(a.mul(cand, cand))
         if val is None:
             raise CliffinvError(nonscalar)
         if val:
             return cand, val
-    raise SearchExhausted(what, radius)
+    raise SearchExhausted(what, 1)
 
 
-def find_quaternion_basis(a: StructureAlgebra, radius: int = 3):
+def find_quaternion_basis(a: StructureAlgebra):
     """Quaternion parameters (x^2, y^2) and a standard basis for a.
 
     Follows the trace-zero recipe: any trace-zero element squares to a
     scalar, so hunt for one with nonzero square, then solve the linear
     anticommutation condition for its partner.  Candidates run through
     a fixed ladder of small coefficient tuples, computed once per
-    (dim, radius).
+    dimension.
     """
     if a.dim != 4:
         raise UnsupportedBase("quaternion basis extraction needs dimension 4")
@@ -385,7 +383,7 @@ def find_quaternion_basis(a: StructureAlgebra, radius: int = 3):
     if len(a0) != 3:
         raise CliffinvError("trace-zero space has unexpected dimension")
     x, alpha = _first_square(
-        a, a0, radius, "invertible trace-zero element",
+        a, a0, "invertible trace-zero element",
         "trace-zero element with non-scalar square; not quaternion",
     )
     # anticommutant of x inside the trace-zero space
@@ -395,7 +393,7 @@ def find_quaternion_basis(a: StructureAlgebra, radius: int = 3):
         raise CliffinvError("anticommutant has unexpected dimension")
     wbasis = [_combine(a, coeffs, a0) for coeffs in w]
     y, beta = _first_square(
-        a, wbasis, radius, "anticommuting partner", "anticommutant element with non-scalar square"
+        a, wbasis, "anticommuting partner", "anticommutant element with non-scalar square"
     )
     xy = a.mul(x, y)
     basis = [list(a.unit), x, y, xy]

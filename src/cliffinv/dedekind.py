@@ -353,10 +353,6 @@ def is_principal(ideal: FracIdeal) -> bool:
     return principal_generator(ideal) is not None
 
 
-def same_ideal_class(i1: FracIdeal, i2: FracIdeal) -> bool:
-    return is_principal(i1 * i2.inverse())
-
-
 def prime_ideals_above(order: QuadOrder, p: int):
     """Prime ideals (p, omega - r) over p, r a root of the minimal polynomial of omega."""
     if not is_prime(p):

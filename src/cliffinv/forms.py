@@ -614,31 +614,19 @@ def isometric_diagonal(e1, e2, field) -> bool:
         return False
     if not e1:
         return True
+    if not isinstance(field, (RationalField, PrimeField)):
+        raise UnsupportedBase("isometry test over Q and F_p only")
+    d1, d2 = (signed_discriminant(DiagonalForm(tuple(es), field)) for es in (e1, e2))
+    if d1 != d2:
+        return False
     if isinstance(field, PrimeField):
-        d1 = field.one()
-        for a in e1:
-            d1 = d1 * a
-        d2 = field.one()
-        for a in e2:
-            d2 = d2 * a
-        return field.is_square(d1 / d2)
-    if isinstance(field, RationalField):
-        if signature(e1) != signature(e2):
-            return False
-        if square_class(Fraction(_prod(e1))) != square_class(Fraction(_prod(e2))):
-            return False
-        for v in support_places(*(list(e1) + list(e2))):
-            if hasse_invariant(e1, v) != hasse_invariant(e2, v):
-                return False
         return True
-    raise UnsupportedBase("isometry test over Q and F_p only")
-
-
-def _prod(entries):
-    out = Fraction(1)
-    for a in entries:
-        out *= Fraction(a)
-    return out
+    if signature(e1) != signature(e2):
+        return False
+    for v in support_places(*(list(e1) + list(e2))):
+        if hasse_invariant(e1, v) != hasse_invariant(e2, v):
+            return False
+    return True
 
 
 def random_regular_diagonal(rng, field, rank: int) -> DiagonalForm:

@@ -9,7 +9,9 @@ e2 is computed structurally: Witt-reduce, split the even Clifford
 algebra of the anisotropic kernel, extract a quaternion basis, read its
 ramification.  A second, independent route evaluates the classical
 local symbol dictionary (Hasse invariant with the mod-8 correction
-terms); the two are compared wherever both apply.
+terms).  Every e2 over Q passes through _e2_checked, which compares the
+two on the entries the caller passed: the input form for e2_of_form,
+the orthogonal sum for e2_additivity_check, each kernel for e2.
 """
 
 from __future__ import annotations
@@ -100,13 +102,23 @@ def e1(w) -> SquareClass:
     return out
 
 
-def _in_i2(entries, field) -> bool:
-    if len(entries) % 2:
-        return False
-    return signed_discriminant(DiagonalForm(entries, field)).is_trivial
+def _e2_checked(c: WittClass, entries) -> BrauerClass2:
+    """e2 of a Witt class, checked against the symbol dictionary on
+    entries, a form in the class.  Over F_p every class is trivial."""
+    field, kernel = c.field, c.kernel
+    if not isinstance(field, (RationalField, PrimeField)):
+        raise UnsupportedBase("e2 is computed over Q (and trivially over F_p)")
+    if len(kernel) % 2 or not signed_discriminant(DiagonalForm(kernel, field)).is_trivial:
+        raise ValueError("form is not an I2 element")
+    if isinstance(field, PrimeField):
+        return BrauerClass2.trivial()  # the 2-torsion Brauer group of F_p is trivial
+    cls = _e2_structural(kernel, field)
+    if clifford_invariant_class(entries) != cls:
+        raise CliffinvError("structural class disagrees with the symbol dictionary")
+    return cls
 
 
-def _e2_structural(kernel, field, entries) -> BrauerClass2:
+def _e2_structural(kernel, field) -> BrauerClass2:
     """Brauer class of a component of C0 of an anisotropic I2 kernel.
 
     A rank-4 kernel is read off its split even Clifford algebra.  A
@@ -114,28 +126,21 @@ def _e2_structural(kernel, field, entries) -> BrauerClass2:
     P = <a1, a2, a3, a1a2a3> and R = <-a1a2a3, a4, ..., an>, both in I2;
     e2 is additive on I2 (C(q1 + q2) is C(q1) tensor C(q2), graded), so
     the class is that of P plus that of the kernel of R.  Over Q an
-    anisotropic kernel of rank >= 5 is definite, so R is indefinite
-    and its kernel has rank at most n - 4.
-
-    The class is checked against the symbol dictionary evaluated on
-    entries, a form Witt-equivalent to the kernel, unless entries is
-    empty.
+    anisotropic kernel of rank >= 5 is definite, so P is definite, hence
+    anisotropic, R is indefinite and its kernel has rank at most n - 4.
     """
     if not kernel:
-        cls = BrauerClass2.trivial()
-    elif len(kernel) == 4:
+        return BrauerClass2.trivial()
+    if len(kernel) == 4:
         sc = split_components(DiagonalForm(kernel, field))
         cls = class_of_algebra(sc.plus)
         if class_of_algebra(sc.minus) != cls:
             raise CliffinvError("the two component classes disagree")
-    else:
-        a1, a2, a3 = kernel[:3]
-        p = a1 * a2 * a3
-        rest = witt_decompose(DiagonalForm((-p,) + tuple(kernel[3:]), field)).kernel
-        cls = _e2_structural((a1, a2, a3, p), field, ()) + _e2_structural(rest, field, ())
-    if entries and clifford_invariant_class(entries) != cls:
-        raise CliffinvError("structural class disagrees with the symbol dictionary")
-    return cls
+        return cls
+    a1, a2, a3 = kernel[:3]
+    p = a1 * a2 * a3
+    rest = witt_decompose(DiagonalForm((-p,) + tuple(kernel[3:]), field)).kernel
+    return _e2_structural((a1, a2, a3, p), field) + _e2_structural(rest, field)
 
 
 def clifford_invariant_local(entries, v) -> int:
@@ -174,41 +179,23 @@ def e2(w) -> BrauerClass2:
 
     Components must have even rank and trivial signed discriminant.
     Over F_p every class is trivial, so the result is the empty set.
-    Over Q each component is Witt-reduced and its anisotropic kernel
-    evaluated structurally.
+    Over Q each component's anisotropic kernel is evaluated
+    structurally.
     """
-    comps = _components(w)
     total = BrauerClass2.trivial()
-    for c in comps:
-        field = c.field
-        if isinstance(field, PrimeField):
-            if len(c.kernel) % 2 or (
-                c.kernel and not signed_discriminant(DiagonalForm(c.kernel, field)).is_trivial
-            ):
-                raise ValueError("component is not an I2 element")
-            continue  # the 2-torsion Brauer group of F_p is trivial
-        if not isinstance(field, RationalField):
-            raise UnsupportedBase("e2 is computed over Q (and trivially over F_p)")
-        if not _in_i2(c.kernel, field) and c.kernel:
-            raise ValueError("component is not an I2 element")
-        total = total + _e2_structural(c.kernel, field, c.kernel)
+    for c in _components(w):
+        total = total + _e2_checked(c, c.kernel)
     return total
 
 
 def e2_of_form(q) -> BrauerClass2:
     """e2 of a single even-rank trivial-discriminant form over Q.
 
-    Rank 4 avoids Witt reduction entirely; other ranks reduce first.
+    The form is Witt-reduced and its anisotropic kernel evaluated
+    structurally; a hyperbolic form never reaches the Clifford algebra.
     """
     entries = _as_entries(q)
-    field = q.field
-    if isinstance(field, PrimeField):
-        return e2(TotalWittElement.from_form(q))
-    if not _in_i2(entries, field):
-        raise ValueError("form is not an I2 element")
-    if len(entries) == 4:
-        return _e2_structural(entries, field, entries)
-    return e2(TotalWittElement.from_form(q))
+    return _e2_checked(witt_decompose(DiagonalForm(entries, q.field)), entries)
 
 
 def e2_additivity_check(q, q2) -> bool:
@@ -221,13 +208,7 @@ def e2_additivity_check(q, q2) -> bool:
     """
     c1 = e2_of_form(q)
     c2 = e2_of_form(q2)
-    s = orthogonal_sum(q, q2)
-    entries = _as_entries(s)
-    field = s.field if hasattr(s, "field") else QQ
-    if isinstance(field, PrimeField):
-        return True  # all three classes are trivial
-    c_sum = _e2_structural(witt_decompose(s).kernel, field, entries)
-    return c_sum == c1 + c2
+    return e2_of_form(orthogonal_sum(q, q2)) == c1 + c2
 
 
 def construct_preimage(c: BrauerClass2) -> DiagonalForm:

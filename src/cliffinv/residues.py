@@ -10,8 +10,6 @@ familiar extra factor -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CliffinvError, UnsupportedBase
 from .forms import DiagonalForm, QuadraticForm, diagonalize, isometric_diagonal
 from .polys import Poly, QuotientField, valuation_unit
@@ -23,13 +21,6 @@ from .scalars import (
 )
 
 INFINITE_PLACE = "inf"
-
-
-@dataclass
-class ResidueData:
-    base: object  # the constant field F
-    pi: object  # monic irreducible Poly, or INFINITE_PLACE
-    form: DiagonalForm  # residue form over F[t]/pi (over F at the degree place)
 
 
 def _function_field_of(q: DiagonalForm) -> RationalFunctionField:

@@ -8,7 +8,9 @@ normal forms, and serialisation.
 
 Integer factorisation is bounded trial division (default bound 10**6,
 override with the QF_FACTOR_BOUND environment variable); anything worse
-raises FactorBoundExceeded rather than stalling.
+raises FactorBoundExceeded rather than stalling.  The last 128
+factorisations are memoised by (|n|, bound), since Witt reduction, the
+I2 test and the symbol dictionary factor the same entries in turn.
 """
 
 from __future__ import annotations
@@ -33,8 +35,12 @@ def factor_integer(n: int, bound: int | None = None) -> dict[int, int]:
     """Prime factorisation of |n| by trial division, as {prime: exponent}."""
     if n == 0:
         raise ValueError("cannot factor 0")
-    bound = bound or factor_bound()
-    n = abs(n)
+    return dict(_trial_division(abs(n), bound or factor_bound()))
+
+
+@lru_cache(maxsize=128)
+def _trial_division(n: int, bound: int) -> dict[int, int]:
+    """Factorisation of n > 0; the cached dict is copied, never handed out."""
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:

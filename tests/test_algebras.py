@@ -186,7 +186,7 @@ def test_find_quaternion_basis_on_conjugated_table():
 
 def _frozen_sample():
     """Split components of <a, b, c, abc>, quaternions (a, b), the
-    conjugated table and M_2(Q), whose nilpotent candidates walk 16 rungs
+    conjugated table and M_2(Q), whose nilpotent candidates walk 8 rungs
     of the ladders."""
     rng = random.Random(8)
     algebras = []

@@ -235,6 +235,8 @@ def test_hasse_invariant_and_isometry():
     assert isometric_diagonal(frac(1, 1), frac(2, 2), F)
     assert not isometric_diagonal(frac(1, 1), frac(1, 2), F)
     assert isometric_diagonal(frac(1, -1), frac(2, -2), F)
+    # the product 1000036000099 of the entries is beyond trial division
+    assert isometric_diagonal((1000003, 1000033), (1000033, 1000003), QQ)
 
 
 def test_hasse_invariant_matches_pairwise_product():

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from cliffinv.brauer import BrauerClass2, class_of_quaternion
+from cliffinv import invariants
+from cliffinv.brauer import BrauerClass2, class_of_algebra, class_of_quaternion
+from cliffinv.errors import CliffinvError
 from cliffinv.forms import Alignment, DiagonalForm, diagonalize, hyperbolic, orthogonal_sum, twist
 from cliffinv.invariants import (
     TotalWittElement,
@@ -138,6 +140,45 @@ def test_e2_additivity_random():
     rng = random.Random(39)
     for _ in range(8):
         assert e2_additivity_check(rand_i2_rank4(rng), rand_i2_rank4(rng))
+
+
+def test_e2_of_form_witt_reduces_rank4(monkeypatch):
+    # a hyperbolic rank-4 form is H + H: its class is trivial without C0
+    calls = []
+
+    def counting(alg):
+        calls.append(alg)
+        return class_of_algebra(alg)
+
+    monkeypatch.setattr(invariants, "class_of_algebra", counting)
+    assert e2_of_form(diag(1, -1, 2, -2)).is_trivial()
+    assert e2_of_form(diag(3, -3, 5, -5)).is_trivial()
+    assert calls == []
+    assert e2_of_form(diag(1, 1, 1, 1)) == BrauerClass2.from_strs(["2", "inf"])
+    assert len(calls) == 2
+
+
+def test_dictionary_checks_the_callers_entries(monkeypatch):
+    real = invariants.clifford_invariant_class
+    seen = []
+
+    def skewed(entries):
+        seen.append(tuple(entries))
+        return real(entries) + BrauerClass2.from_strs(["3", "5"])
+
+    monkeypatch.setattr(invariants, "clifford_invariant_class", skewed)
+    h1, h2 = diag(1, -1, 2, -2), diag(3, -3, 5, -5)
+    for q in (h1, diag(1, 1, 1, 1, 1, -1)):
+        with pytest.raises(CliffinvError):
+            e2_of_form(q)
+        assert seen.pop() == q.entries
+    # right on the summands, wrong on their sum
+    monkeypatch.setattr(
+        invariants, "clifford_invariant_class", lambda es: skewed(es) if len(es) == 8 else real(es)
+    )
+    with pytest.raises(CliffinvError):
+        e2_additivity_check(h1, h2)
+    assert seen == [h1.entries + h2.entries]
 
 
 def test_e2_homomorphism_via_components():

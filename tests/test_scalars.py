@@ -144,8 +144,20 @@ def test_square_class_quadratic_field_unsupported():
 def test_factor_bound():
     with pytest.raises(FactorBoundExceeded):
         factor_integer(10**13 + 37, bound=10**3)
+    f = factor_integer(360)
+    assert f == {2: 3, 3: 2, 5: 1}
+    f[2], f[7] = 99, 1  # the memoised factorisation is not handed out
     assert factor_integer(360) == {2: 3, 3: 2, 5: 1}
     assert squarefree_part(-360) == -10
+
+
+def test_factor_bound_applies_after_a_memoised_factorisation(monkeypatch):
+    assert factor_integer(1000003) == {1000003: 1}
+    monkeypatch.setenv("QF_FACTOR_BOUND", "10")
+    with pytest.raises(FactorBoundExceeded):
+        factor_integer(1000003)
+    monkeypatch.delenv("QF_FACTOR_BOUND")
+    assert factor_integer(1000003) == {1000003: 1}
 
 
 def test_is_prime():
