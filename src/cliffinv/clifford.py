@@ -51,26 +51,32 @@ def _mul_masks_gram(s: int, t: int, gram, field) -> dict:
     multiplication of e_S by e_j walks the i in S with i > j from the
     largest down: each adds sign 2 g_ij e_(S-i), then flips the sign.
     It ends with sign g_jj e_(S-j) when j is in S, else sign e_(S+j).
-    On a diagonal Gram matrix this is `_mul_masks`.
+    The sign is carried as a parity, and a term is negated once, when
+    it is emitted; zero Gram entries emit nothing.  On a diagonal Gram
+    matrix this is `_mul_masks`.
     """
     terms = {s: field.one()}
     while t:
         j = (t & -t).bit_length() - 1
         t &= t - 1
+        bit = 1 << j
         pairs = []
         for m, c in terms.items():
+            odd = False
             above = m >> (j + 1) << (j + 1)
             while above:
                 i = above.bit_length() - 1
                 above ^= 1 << i
                 g = gram[i][j]
                 if g:
-                    pairs.append((m ^ (1 << i), c * (g + g)))
-                c = -c
-            if m >> j & 1:
-                pairs.append((m ^ (1 << j), c * gram[j][j]))
-            else:
-                pairs.append((m | (1 << j), c))
+                    v = c * (g + g)
+                    pairs.append((m ^ (1 << i), -v if odd else v))
+                odd = not odd
+            if not m & bit:
+                pairs.append((m | bit, -c if odd else c))
+            elif gram[j][j]:
+                v = c * gram[j][j]
+                pairs.append((m ^ bit, -v if odd else v))
         terms = {}
         for m, v in pairs:
             terms[m] = terms[m] + v if m in terms else v

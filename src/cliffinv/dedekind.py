@@ -33,7 +33,7 @@ from .scalars import (
     QuadraticNumberField,
     factor_integer,
     is_prime,
-    legendre,
+    sqrt_mod_p,
     squarefree_part,
 )
 
@@ -670,18 +670,17 @@ def split_reduction(order: QuadOrder, p: int) -> RingMap:
         raise ValueError("need an odd prime")
     if order.disc % p == 0:
         raise ValueError(f"{p} ramifies")
-    if legendre(order.d % p, p) != 1:
+    root = sqrt_mod_p(order.d, p)
+    if root is None:
         raise ValueError(f"{p} is inert; residue field is not prime")
-    root = min(r for r in range(p) if (r * r - order.d) % p == 0)
     target = GF(p)
 
     def fn(x: QuadElement):
-        for frac in (x.a, x.b):
-            if frac.denominator % p == 0:
-                raise CliffinvError(f"denominator not invertible mod {p}")
-        return target.from_int(x.a.numerator) / target.from_int(x.a.denominator) + (
-            target.from_int(x.b.numerator) / target.from_int(x.b.denominator)
-        ) * target.from_int(root)
+        a, b = x.a, x.b
+        if a.denominator % p == 0 or b.denominator % p == 0:
+            raise CliffinvError(f"denominator not invertible mod {p}")
+        v = a.numerator * pow(a.denominator, -1, p) + b.numerator * pow(b.denominator, -1, p) * root
+        return target.from_int(v)
 
     return RingMap(order.field, target, fn)
 

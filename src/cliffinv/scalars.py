@@ -496,14 +496,21 @@ def GF(p: int) -> PrimeField:
     return PrimeField(p)
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 class QuadElement:
-    """a + b*sqrt(d) with rational a, b and squarefree d."""
+    """a + b*sqrt(d) with rational a, b and squarefree d.
+
+    The components are `Fraction`s.  Fractions are immutable, so one
+    passed in is kept, not copied, and elements share their components.
+    """
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b, d: int):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a if type(a) is Fraction else Fraction(a)
+        self.b = b if type(b) is Fraction else Fraction(b)
         self.d = d
 
     def _lift(self, other):
@@ -512,7 +519,7 @@ class QuadElement:
                 raise ValueError("mixed radicands")
             return other
         if isinstance(other, (int, Fraction)):
-            return QuadElement(other, 0, self.d)
+            return QuadElement(other, _ZERO, self.d)
         return NotImplemented
 
     def __add__(self, other):
@@ -532,6 +539,11 @@ class QuadElement:
         o = self._lift(other)
         if o is NotImplemented:
             return o
+        # a rational factor scales both components: two products
+        if not o.b:
+            return QuadElement(self.a * o.a, self.b * o.a, self.d)
+        if not self.b:
+            return QuadElement(self.a * o.a, self.a * o.b, self.d)
         return QuadElement(
             self.a * o.a + self.d * self.b * o.b,
             self.a * o.b + self.b * o.a,
@@ -590,7 +602,8 @@ class QuadElement:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # a rational element equals its rational part, so hashes as it
+        return hash(self.a) if not self.b else hash((self.a, self.b, self.d))
 
     def __repr__(self):
         return f"{self.a}+{self.b}*sqrt({self.d})"
@@ -607,10 +620,10 @@ class QuadraticNumberField:
         self.name = f"Q(sqrt({d}))"
 
     def zero(self):
-        return QuadElement(0, 0, self.d)
+        return QuadElement(_ZERO, _ZERO, self.d)
 
     def one(self):
-        return QuadElement(1, 0, self.d)
+        return QuadElement(_ONE, _ZERO, self.d)
 
     def from_int(self, n):
         return QuadElement(n, 0, self.d)

@@ -46,6 +46,8 @@ def test_tracer_hooks_resolve_and_record():
         assert [r.label() for r in dedekind.class_group_mod_squares(order)] == ["O", "(2,1+1w)"]
         p2 = dedekind.prime_ideals_above(dedekind.QuadOrder(3), 2)[0]
         assert dedekind.principal_generator(p2) is not None
+        # arith reads dedekind.reduction_commutes.self_s
+        assert dedekind.reduction_commutes(dedekind.hyperbolic_ideal_form(order, [one, one], one), 29)
     assert StructureAlgebra.__dict__["mul"] is mul
     for name in (
         "algebras.StructureAlgebra.mul.q",
@@ -57,6 +59,7 @@ def test_tracer_hooks_resolve_and_record():
         "dedekind.even_clifford_order",
         "dedekind.class_group_mod_squares",
         "dedekind.principal_generator",
+        "dedekind.reduction_commutes",
     ):
         assert tracer.calls[name] > 0, name
     assert set(tracer.metrics(0.0)) == set(spans.metric_units())

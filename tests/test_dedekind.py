@@ -1,4 +1,5 @@
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from cliffinv.dedekind import (
     prime_ideals_above,
     principal_generator,
     reduction_commutes,
+    split_reduction,
     total_witt_element,
     twist_by_alignment,
 )
@@ -246,12 +248,22 @@ def test_even_clifford_order_tables_frozen():
         4: "21bfbfe09c4f46d40240dba61b8f05f3abb73d0b973dc80b9e67e7989077c756",
         6: "c91fd4db5c0b2152a332567a76b401c55036878503c6cc4a2f36d33462219268",
     }
+    # the hyperbolic forms scaled by 1 + √-5: structure constants with a
+    # √-5 part (1, 22 and 367 of them), recorded before the rational-factor
+    # shortcut of QuadElement.__mul__
+    twisted = {
+        2: "b91e134e1dea121951bcc7c00e9092778dcf3d5ef5df8efa0ca7be7c28283181",
+        4: "6a85e96f0666956f4aa971fd8da678057e2f978ef68a6079bb6dbe1644034428",
+        6: "6958741ba33e46d9a0d5093b40a72a304237b72b47221040d6faf57643641c67",
+    }
+    p2 = p2_of(o)
     q = xy
     for n in (2, 4, 6):
         if n > 2:
             q = ideal_orthogonal_sum(q, xy)
-        h = hyperbolic_ideal_form(o, [one] * (n // 2), p2_of(o))
-        for form, digest in ((h, hyperbolic[n]), (q, xy_sums[n])):
+        h = hyperbolic_ideal_form(o, [one] * (n // 2), p2)
+        tw = twist_by_alignment(h, p2, o.element(1, 1))
+        for form, digest in ((h, hyperbolic[n]), (q, xy_sums[n]), (tw, twisted[n])):
             co = even_clifford_order(form)
             dumped = jsonio.canonical_dumps(jsonio.algebra_to_json(co.algebra)).encode()
             assert hashlib.sha256(dumped).hexdigest() == digest
@@ -295,6 +307,31 @@ def test_reduction_commutes():
         assert reduction_commutes(h4, p)
     with pytest.raises(ValueError):
         reduction_commutes(h4, 11)  # inert prime
+
+
+def test_split_reduction_is_a_ring_map():
+    o = order5()
+    k = o.field
+    rng = random.Random(23)
+    # the root of -5 comes from Tonelli-Shanks, so a prime above 10^12 returns
+    for p in (3, 7, 23, 29, 1000000000061):
+        rm = split_reduction(o, p)
+        w = rm.apply(k.gen())
+        assert w * w == rm.apply(k.from_int(-5)) and 0 < w.v <= p // 2
+
+        dens = [x for x in range(1, 13) if x % p]
+
+        def element():
+            a, b = (Fraction(rng.randint(-40, 40), rng.choice(dens)) for _ in range(2))
+            return QuadElement(a, b, -5)
+
+        assert rm.apply(k.one()) == rm.target.one()
+        for _ in range(40):
+            x, y = element(), element()
+            assert rm.apply(x + y) == rm.apply(x) + rm.apply(y)
+            assert rm.apply(x * y) == rm.apply(x) * rm.apply(y)
+    with pytest.raises(CliffinvError):
+        split_reduction(o, 3).apply(k.one() / k.from_int(3))
 
 
 def test_order_reductions_semisimple():

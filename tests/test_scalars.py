@@ -205,6 +205,47 @@ def test_quadratic_field_arithmetic():
     assert x.norm() == -1
 
 
+def test_quad_element_product_matches_schoolbook():
+    # the rational-factor shortcut of __mul__ against (a + b√d)(c + e√d)
+    rng = random.Random(17)
+    d = -5
+
+    def rational():
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+    def element(irrational):
+        b = rational() if irrational else 0
+        while irrational and not b:
+            b = rational()
+        return QuadElement(rational(), b, d)
+
+    for x_irr, y_irr in ((False, False), (False, True), (True, False), (True, True)):
+        for _ in range(50):
+            x, y = element(x_irr), element(y_irr)
+            got = x * y
+            assert got.a == x.a * y.a + d * x.b * y.b
+            assert got.b == x.a * y.b + x.b * y.a
+            assert type(got.a) is Fraction and type(got.b) is Fraction
+            assert got == y * x
+    for c in (3, Fraction(-2, 7)):
+        got = QuadElement(Fraction(1, 2), 3, d) * c
+        assert (got.a, got.b) == (Fraction(1, 2) * c, 3 * c)
+        assert type(got.a) is Fraction and type(got.b) is Fraction
+        assert c * QuadElement(Fraction(1, 2), 3, d) == got
+
+
+def test_quad_element_hash_agrees_with_equality():
+    two = QuadElement(2, 0, -5)
+    half = QuadElement(Fraction(1, 2), 0, -5)
+    w = QuadElement(0, 1, -5)
+    assert two == 2 and half == Fraction(1, 2)
+    assert 2 in {two} and two in {2}
+    assert Fraction(1, 2) in {half, w} and w in {half, w}
+    table = {two: "two", Fraction(1, 2): "half", w: "w"}
+    assert table[2] == "two" and table[half] == "half" and table[QuadElement(0, 1, -5)] == "w"
+    assert len({two, 2, Fraction(2), QuadElement(Fraction(2), Fraction(0), -5)}) == 1
+
+
 def test_rational_function_field():
     ff = RationalFunctionField(QQ)
     t = ff.t()
