@@ -9,6 +9,11 @@ the even Clifford algebras up to rank 7 need.  Isomorphism testing is
 deliberately not general: quaternions go through ramification data,
 etale quadratic algebras through their discriminant, split matrix
 algebras through explicit certificates.
+
+A table is twisted when each entry is one pair (k(i, j), c_ij), k is
+symmetric with a permutation in each row, and e_0 is the unit, as in a
+Clifford algebra.  `twisted_center` and `find_quaternion_basis` read
+such a table directly; others take a linear solve and a search.
 """
 
 from __future__ import annotations
@@ -73,9 +78,6 @@ class StructureAlgebra:
 
     def add(self, x, y):
         return [a + b for a, b in zip(x, y)]
-
-    def sub(self, x, y):
-        return [a - b for a, b in zip(x, y)]
 
     def left_mult_matrix(self, x):
         """Matrix of y -> x*y on the basis."""
@@ -183,6 +185,25 @@ def center(a: StructureAlgebra, generators=None):
                     lm.setdefault(s, {})[t] = comm[s]
         rows.extend(lm.values())
     return linalg.nullspace_sparse(rows, a.dim, a.field)
+
+
+def twisted_center(a: StructureAlgebra):
+    """Basis of the centre of a twisted table, None for any other table.
+
+    [x, e_j] = sum x_i (c_ij - c_ji) e_k(i,j) has distinct targets, so the
+    centre is spanned by the e_i with table[i][j] == table[j][i] for all
+    j: no linear solve.
+    """
+    cols = list(zip(*a.table))
+    unit_row = tuple(((j, a.field.one()),) for j in range(a.dim))
+    if a.table[0] != unit_row or cols[0] != unit_row:
+        return None
+    if any(len(e) != 1 for row in a.table for e in row):
+        return None
+    ks = [[e[0][0] for e in row] for row in a.table]
+    if any(len(set(r)) != a.dim for r in ks) or ks != [list(c) for c in zip(*ks)]:
+        return None
+    return [a.basis_vec(i) for i, (row, col) in enumerate(zip(a.table, cols)) if row == col]
 
 
 def central_idempotents(a: StructureAlgebra, generators=None):
@@ -303,9 +324,7 @@ def quaternion(a, b, field) -> StructureAlgebra:
         [zero, zero, -one, zero],
         [zero, zero, zero, -one],
     ]
-    alg = StructureAlgebra(field, ("1", "i", "j", "k"), t, unit, inv)
-    alg.quaternion_params = (a, b)
-    return alg
+    return StructureAlgebra(field, ("1", "i", "j", "k"), t, unit, inv)
 
 
 def reduced_trace(a: StructureAlgebra, x):
@@ -367,16 +386,40 @@ def _first_square(a: StructureAlgebra, vecs, what, nonscalar):
 def find_quaternion_basis(a: StructureAlgebra):
     """Quaternion parameters (x^2, y^2) and a standard basis for a.
 
-    Follows the trace-zero recipe: any trace-zero element squares to a
-    scalar, so hunt for one with nonzero square, then solve the linear
-    anticommutation condition for its partner.  Candidates run through
-    a fixed ladder of small coefficient tuples, computed once per
-    dimension.
+    On a twisted table (see `twisted_center`) where e_1, e_2 square to
+    scalars and e_1 anticommutes with e_2, e_3, x = -e_1 and y = -e_2 are
+    read off: the answer of `_ladder_pair`, which other tables take.
     """
     if a.dim != 4:
         raise UnsupportedBase("quaternion basis extraction needs dimension 4")
-    if len(center(a)) != 1:
+    cen = twisted_center(a)
+    if len(center(a) if cen is None else cen) != 1:
         raise CliffinvError("algebra is not central")
+    t = a.table
+    if cen is not None and t[1][1][0][0] == t[2][2][0][0] == 0 and all(
+        t[1][j][0][1] == -t[j][1][0][1] for j in (2, 3)
+    ):
+        x, y = a.zero_vec(), a.zero_vec()
+        x[1] = y[2] = -a.field.one()
+        alpha, beta = t[1][1][0][1], t[2][2][0][1]
+    else:
+        x, alpha, y, beta = _ladder_pair(a)
+    xy = a.mul(x, y)
+    basis = [list(a.unit), x, y, xy]
+    cols = [[basis[j][i] for j in range(4)] for i in range(4)]
+    if linalg.rank(cols, a.field) != 4:
+        raise CliffinvError("extracted quaternion basis is degenerate")
+    return alpha, beta, cols
+
+
+def _ladder_pair(a: StructureAlgebra):
+    """x, x^2, y, y^2 by the trace-zero recipe on a central algebra of dim 4.
+
+    Any trace-zero element squares to a scalar, so hunt for one with
+    nonzero square, then solve the linear anticommutation condition for
+    its partner.  Candidates run through a fixed ladder of small
+    coefficient tuples, computed once per dimension.
+    """
     field = a.field
     trace_row = [reduced_trace(a, a.basis_vec(i)) for i in range(4)]
     a0 = linalg.nullspace([trace_row], 4, field)
@@ -395,12 +438,7 @@ def find_quaternion_basis(a: StructureAlgebra):
     y, beta = _first_square(
         a, wbasis, "anticommuting partner", "anticommutant element with non-scalar square"
     )
-    xy = a.mul(x, y)
-    basis = [list(a.unit), x, y, xy]
-    cols = [[basis[j][i] for j in range(4)] for i in range(4)]
-    if linalg.rank(cols, field) != 4:
-        raise CliffinvError("extracted quaternion basis is degenerate")
-    return alpha, beta, cols
+    return x, alpha, y, beta
 
 
 def is_split_quaternion(a: StructureAlgebra) -> bool:
@@ -408,12 +446,8 @@ def is_split_quaternion(a: StructureAlgebra) -> bool:
     field = a.field
     if isinstance(field, PrimeField):
         return True  # norm form has rank 4 >= 3 over a finite field
-    params = getattr(a, "quaternion_params", None)
-    if params is None:
-        alpha, beta, _ = find_quaternion_basis(a)
-        params = (alpha, beta)
     if not isinstance(field, RationalField):
         raise UnsupportedBase("splitness decision over Q and F_p only")
-    x, y = params
+    x, y, _ = find_quaternion_basis(a)
     norm = DiagonalForm((field.one(), -x, -y, x * y), field)
     return is_isotropic(norm)

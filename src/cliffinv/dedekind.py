@@ -349,10 +349,6 @@ def principal_generator(ideal: FracIdeal):
     return order.element(gen[0] * s, gen[1] * s)
 
 
-def is_principal(ideal: FracIdeal) -> bool:
-    return principal_generator(ideal) is not None
-
-
 def prime_ideals_above(order: QuadOrder, p: int):
     """Prime ideals (p, omega - r) over p, r a root of the minimal polynomial of omega."""
     if not is_prime(p):

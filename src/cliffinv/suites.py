@@ -151,7 +151,7 @@ def _gen_center(seed):
 
 @_runner("center-law")
 def _run_center(payload):
-    from .algebras import center
+    from .algebras import center, twisted_center
     from .clifford import EvenClifford, discriminant_algebra
     from .forms import DiagonalForm, signed_discriminant
     from .scalars import square_class
@@ -161,6 +161,8 @@ def _run_center(payload):
     form = DiagonalForm(_entries_of(tag, ints), field)
     ec = EvenClifford(form)
     cen = center(ec.algebra, ec.generators())
+    if twisted_center(ec.algebra) != cen:
+        return f"twisted centre differs from the solved centre on {ints}"
     if form.rank % 2:
         return None if len(cen) == 1 else f"odd rank centre dim {len(cen)} on {ints}"
     if len(cen) != 2:

@@ -1,12 +1,14 @@
 import hashlib
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from cliffinv import linalg
 from cliffinv.algebras import (
     StructureAlgebra,
+    _ladder_pair,
     associativity_witness,
     center,
     central_idempotents,
@@ -17,8 +19,9 @@ from cliffinv.algebras import (
     reduced_trace,
     sparse_row,
     tensor,
+    twisted_center,
 )
-from cliffinv.clifford import split_components
+from cliffinv.clifford import EvenClifford, split_components
 from cliffinv.errors import CliffinvError, UnsupportedBase
 from cliffinv.forms import DiagonalForm
 from cliffinv.scalars import GF, QQ, hilbert_symbol, support_places
@@ -61,11 +64,36 @@ def test_associativity_witness_on_perturbed_table():
     tbl[1][2] = [(0, Fraction(5)), *q.table[1][2]]
     bad = StructureAlgebra(F, q.labels, tbl, q.unit)
     assert associativity_witness(bad) is not None
+    # a second pair after the first keeps k a symmetric permutation table
+    tbl = [list(plane) for plane in q.table]
+    tbl[1][3] = [*q.table[1][3], (3, Fraction(5))]
+    assert twisted_center(StructureAlgebra(F, q.labels, tbl, q.unit)) is None
+
+
+def _symmetric_group_algebra():
+    """Q[S_3]: one pair per entry, but k(g, h) = gh is not symmetric."""
+    perms = list(permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    one = F.one()
+    table = [[((index[tuple(g[h[x]] for x in range(3))], one),) for h in perms] for g in perms]
+    return StructureAlgebra(F, [str(p) for p in perms], table, [one] + [F.zero()] * 5)
 
 
 def test_center_dimensions():
     assert len(center(quaternion(Fraction(-1), Fraction(3), F))) == 1
     assert len(center(_product_field_algebra(2))) == 2
+    s3 = _symmetric_group_algebra()
+    assert associativity_witness(s3) is None
+    assert len(center(s3)) == 3  # the class sums
+    assert twisted_center(s3) is None
+    # rows that are no permutations: e_1 - e_2 is central, e_1 and e_2 are not
+    one = F.one()
+    rows = [[(0, one), (1, one), (2, one), (3, one)], [(1, one), (0, one), (3, one), (0, one)],
+            [(2, one), (3, one), (0, one), (0, one)], [(3, one), (0, -one), (0, -one), (0, one)]]
+    table = [[(pair,) for pair in row] for row in rows]
+    clash = StructureAlgebra(F, ("1", "a", "b", "c"), table, [one] + [F.zero()] * 3)
+    assert len(center(clash)) == 2
+    assert twisted_center(clash) is None
 
 
 def test_central_idempotents():
@@ -177,11 +205,26 @@ def _conjugated(q):
     return StructureAlgebra(F, ("a", "b", "c", "d"), table, unit)
 
 
+def _permuted(q):
+    """q on its basis reordered, so that the unit is not e_0."""
+    perm = (2, 0, 3, 1)  # new e_i is old e_perm[i]
+    pos = {old: new for new, old in enumerate(perm)}
+    table = [
+        [tuple((pos[k], c) for k, c in q.table[perm[i]][perm[j]]) for j in range(4)]
+        for i in range(4)
+    ]
+    unit = [q.unit[perm[i]] for i in range(4)]
+    return StructureAlgebra(F, tuple(q.labels[i] for i in perm), table, unit)
+
+
 def test_find_quaternion_basis_on_conjugated_table():
-    conj = _conjugated(quaternion(Fraction(-1), Fraction(-1), F))
-    assert associativity_witness(conj) is None
-    alpha, beta, _ = find_quaternion_basis(conj)
-    assert ramification(alpha, beta) == {"2", "inf"}
+    # neither table is twisted, so the ladder answers
+    q = quaternion(Fraction(-1), Fraction(-1), F)
+    for alg in (_conjugated(q), _permuted(q)):
+        assert associativity_witness(alg) is None
+        assert twisted_center(alg) is None
+        alpha, beta, _ = find_quaternion_basis(alg)
+        assert ramification(alpha, beta) == {"2", "inf"}
 
 
 def _frozen_sample():
@@ -211,9 +254,69 @@ def test_find_quaternion_basis_outputs_frozen():
     assert digest.hexdigest() == FROZEN_EXTRACTION
 
 
+def _biquadratic_field():
+    """Q(sqrt 2, sqrt 3) on 1, u, v, uv: a twisted table, commutative."""
+    one = F.one()
+    u2, v2 = Fraction(2), Fraction(3)
+    products = {(1, 1): (0, u2), (2, 2): (0, v2), (3, 3): (0, u2 * v2),
+                (1, 2): (3, one), (1, 3): (2, u2), (2, 3): (1, v2)}
+    table = [[None] * 4 for _ in range(4)]
+    for i in range(4):
+        table[0][i] = table[i][0] = ((i, one),)
+    for (i, j), pair in products.items():
+        table[i][j] = table[j][i] = (pair,)
+    return StructureAlgebra(F, ("1", "u", "v", "uv"), table, [one, F.zero(), F.zero(), F.zero()])
+
+
 def test_find_quaternion_basis_rejects_noncentral():
-    with pytest.raises(CliffinvError):
-        find_quaternion_basis(_product_field_algebra(4))
+    field4 = _biquadratic_field()
+    assert associativity_witness(field4) is None
+    assert len(twisted_center(field4)) == 4
+    for alg in (_product_field_algebra(4), field4):
+        with pytest.raises(CliffinvError, match="algebra is not central"):
+            find_quaternion_basis(alg)
+
+
+def test_twisted_center_matches_center_on_clifford_tables():
+    rng = random.Random(12)
+    for field in (F, GF(3), GF(5), GF(7), GF(11)):
+        for rank in range(1, 8):
+            ec = EvenClifford(DiagonalForm(tuple(field.random_nonzero(rng) for _ in range(rank)), field))
+            cen = twisted_center(ec.algebra)
+            assert cen is not None
+            assert cen == center(ec.algebra, ec.generators())
+            assert len(cen) == 2 - rank % 2
+
+
+def test_twisted_read_matches_ladder():
+    # split components of <a, b, c, abc> and quaternion tables are twisted;
+    # the read-off must be the ladder's answer, sign and basis included
+    rng = random.Random(13)
+    algebras = []
+    for field in (F, GF(3), GF(5), GF(7), GF(11)):
+        for _ in range(12):
+            a, b, c = (field.random_nonzero(rng) for _ in range(3))
+            sc = split_components(DiagonalForm((a, b, c, a * b * c), field))
+            algebras += [sc.plus, sc.minus, quaternion(a, b, field)]
+    for alg in algebras:
+        assert twisted_center(alg) is not None
+        alpha, beta, cols = find_quaternion_basis(alg)
+        x, y = ([row[k] for row in cols] for k in (1, 2))
+        assert repr((x, alpha, y, beta)) == repr(_ladder_pair(alg))
+    # central twisted tables no associative algebra has: e_1 commuting
+    # with e_3, and e_1^2 = e_2 over Z/4; both routes refuse them
+    q = quaternion(Fraction(-1), Fraction(-1), F)
+    table = [list(plane) for plane in q.table]
+    table[3][1] = table[1][3]
+    one = F.one()
+    z4 = [[(((i + j) % 4, -one if (i, j) in {(2, 1), (2, 3), (3, 1)} else one),) for j in range(4)]
+          for i in range(4)]
+    for t, error in ((table, "anticommutant"), (z4, "non-scalar")):
+        odd = StructureAlgebra(F, q.labels, t, q.unit)
+        assert len(twisted_center(odd)) == 1
+        for route in (find_quaternion_basis, _ladder_pair):
+            with pytest.raises(CliffinvError, match=error):
+                route(odd)
 
 
 def test_quaternion_norm_equivalence():

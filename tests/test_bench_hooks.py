@@ -7,6 +7,8 @@ computation through the hooked names.
 """
 
 import importlib.util
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +19,8 @@ from cliffinv.clifford import EvenClifford
 from cliffinv.forms import DiagonalForm
 from cliffinv.scalars import QQ
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _load_spans():
@@ -94,3 +97,12 @@ def test_tracer_sees_witt_reduction():
     for name in ("forms.witt_decompose", "forms.is_isotropic", "scalars.rational_sqrt"):
         assert tracer.calls[name] > 0, name
     assert tracer.planes == 2
+
+
+def test_benchmark_smoke():
+    # every workload at a tiny size, traced and untraced, answers checked
+    out = subprocess.run(
+        [sys.executable, str(PERFBENCH / "smoke.py")],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr

@@ -24,8 +24,10 @@ from cliffinv.clifford import (
     tables_commute,
 )
 from cliffinv.errors import CliffinvError, DegenerateFormError
-from cliffinv.forms import DiagonalForm, diagonalize, hyperbolic, random_regular_diagonal, random_regular_gram, signed_det
+from cliffinv.forms import DiagonalForm, diagonalize, hyperbolic, signed_det
 from cliffinv.scalars import GF, QQ, square_class
+
+from random_forms import random_regular_diagonal, random_regular_gram
 
 F = QQ
 

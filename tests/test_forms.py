@@ -16,8 +16,6 @@ from cliffinv.forms import (
     isometric_diagonal,
     isotropic_vector,
     orthogonal_sum,
-    random_regular_diagonal,
-    random_regular_gram,
     signed_discriminant,
     twist,
     witt_decompose,
@@ -31,6 +29,8 @@ from cliffinv.scalars import (
     square_class,
     support_places,
 )
+
+from random_forms import random_regular_diagonal, random_regular_gram
 
 F = QQ
 
