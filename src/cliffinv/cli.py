@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import jsonio
-from .errors import CliffinvError, FactorBoundExceeded, SearchExhausted
+from .errors import CliffinvError, DegenerateFormError, FactorBoundExceeded, SearchExhausted
 from .scalars import GF, QQ
 
 
@@ -179,6 +179,9 @@ def _cmd_inv(args):
     return 0
 
 
+_EXC_ARITY = {"norm": (2,), "albert": (4,), "roundtrip": (2, 4)}
+
+
 def _cmd_exc(args):
     from .exceptional import (
         albert_form,
@@ -188,24 +191,16 @@ def _cmd_exc(args):
     )
 
     vals = [Fraction(x) for x in args.params]
-    if args.op == "norm":
-        data = reduced_norm_form(*vals)
-        _emit(args, data.form, jsonio.render_table(data.form))
-        return 0
-    if args.op == "albert":
-        data = albert_form(*vals)
-        _emit(args, data.form, jsonio.render_table(data.form))
-        return 0
+    arity = _EXC_ARITY[args.op]
+    if len(vals) not in arity:
+        raise jsonio.ParseError("params", f"{args.op} takes {' or '.join(map(str, arity))} parameters")
     if args.op == "roundtrip":
-        if len(vals) == 2:
-            ok = norm_roundtrip_check(*vals)
-        elif len(vals) == 4:
-            ok = pfaffian_roundtrip_check(*vals)
-        else:
-            raise jsonio.ParseError("params", "round trips take 2 or 4 parameters")
+        ok = (norm_roundtrip_check if len(vals) == 2 else pfaffian_roundtrip_check)(*vals)
         _emit(args, {"roundtrip": ok}, f"round trip {'holds' if ok else 'FAILS'}")
         return 0 if ok else 1
-    return 2
+    data = (reduced_norm_form if args.op == "norm" else albert_form)(*vals)
+    _emit(args, data.form, jsonio.render_table(data.form))
+    return 0
 
 
 def _parse_ideal(order, tok: str):
@@ -385,7 +380,7 @@ def main(argv=None) -> int:
     except (FactorBoundExceeded, SearchExhausted) as e:
         print(f"resource bound exceeded: {e}", file=sys.stderr)
         return 3
-    except (jsonio.ParseError, ValueError, OSError, KeyError) as e:
+    except (jsonio.ParseError, DegenerateFormError, ValueError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CliffinvError as e:

@@ -23,6 +23,7 @@ from . import linalg
 from .algebras import AlgebraMorphism, StructureAlgebra, center
 from .errors import CliffinvError, DegenerateFormError
 from .forms import DiagonalForm, QuadraticForm, diagonalize, hyperbolic, signed_det
+from .scalars import QQ
 
 MAX_RANK = 7
 
@@ -414,18 +415,16 @@ class HyperbolicModel:
     target: StructureAlgebra
 
 
-def hyperbolic_model(r: int, field=None) -> HyperbolicModel:
-    """Even Clifford algebra of the rank-2r hyperbolic form as operators
-    on the parity-graded exterior algebra, with the odd part as the two
-    Hom blocks.
+def hyperbolic_model(r: int) -> HyperbolicModel:
+    """Even Clifford algebra of the rank-2r hyperbolic form over Q as
+    operators on the parity-graded exterior algebra, with the odd part as
+    the two Hom blocks.
 
     The generator t_i + v_j acts by contraction plus left wedging, so
     squares match the hyperbolic pairing; the assembled map is certified
     to be a bijective algebra homomorphism before being returned.
     """
-    from .scalars import QQ
-
-    field = field or QQ
+    field = QQ
     if r < 1 or r > 4:
         raise ValueError("rank parameter r must be between 1 and 4")
     h = hyperbolic(r, field)

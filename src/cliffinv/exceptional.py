@@ -18,6 +18,10 @@ from .forms import DiagonalForm, signed_discriminant
 from .invariants import clifford_invariant_class, construct_preimage, e2_of_form
 from .scalars import QQ, PrimeField, RationalField
 
+NORM_SAMPLES = 20
+NORM_SEED = 0
+
+
 @dataclass
 class NormFormData:
     a: object
@@ -47,15 +51,16 @@ def _norm_value(q: StructureAlgebra, x):
     return val
 
 
-def reduced_norm_form(a, b, field=None, samples: int = 20, seed: int = 0) -> NormFormData:
-    """<1, -a, -b, ab>, checked against the algebra norm on samples."""
+def reduced_norm_form(a, b, field=None) -> NormFormData:
+    """<1, -a, -b, ab>, checked against the algebra norm on NORM_SAMPLES
+    seeded samples."""
     field = field or QQ
     if not a or not b:
         raise ValueError("nonzero parameters required")
     q = quaternion(a, b, field)
     form = DiagonalForm((field.one(), -a, -b, a * b), field)
-    rng = random.Random(seed)
-    for _ in range(samples):
+    rng = random.Random(NORM_SEED)
+    for _ in range(NORM_SAMPLES):
         x = [field.from_int(rng.randint(-5, 5)) for _ in range(4)]
         p = [field.from_int(rng.randint(-5, 5)) for _ in range(4)]
         lhs = _norm_value(q, q.mul(x, p))

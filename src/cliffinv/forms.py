@@ -7,7 +7,9 @@ rank-one form <a> has Gram [a].
 
 Isotropy and Witt reduction work on the diagonal entries over both
 bases, Q and F_p: a Gram matrix is diagonalised once on entry and not
-rebuilt afterwards.
+rebuilt afterwards.  The local tests over Q (isotropy, Hasse invariant,
+isometry) multiply and pair the scalars.local_class keys of the entries,
+never the entries themselves.
 """
 
 from __future__ import annotations
@@ -27,7 +29,9 @@ from .scalars import (
     RationalField,
     SquareClass,
     factor_integer,
-    hilbert_symbol,
+    hilbert_pairing,
+    local_class,
+    local_class_mul,
     rational_sqrt,
     sqrt_mod_p,
     square_class,
@@ -281,19 +285,24 @@ def _squarefree_entries(entries):
     return out, scales
 
 
-def is_local_square(d: Fraction, v: Place) -> bool:
-    return _local_class(d.numerator * d.denominator, v) == _local_class(1, v)
+def local_profile(entries, v: Place):
+    """(key of a_1...a_n, Hasse invariant) of <a_1, ..., a_n> at v.
+
+    The Hasse invariant is the product of the Hilbert symbols
+    (a_i, a_j)_v over i < j, by bilinearity the n - 1 symbols
+    (a_1...a_{j-1}, a_j)_v, all on local_class keys.
+    """
+    prefix, hasse = local_class(1, v), 1
+    for a in entries:
+        k = local_class(a, v)
+        hasse *= hilbert_pairing(prefix, k, v)
+        prefix = local_class_mul(prefix, k, v)
+    return prefix, hasse
 
 
 def hasse_invariant(entries, v: Place) -> int:
-    """Product of Hilbert symbols (a_i, a_j)_v over i < j, by bilinearity
-    the n - 1 symbols (a_1...a_{j-1}, a_j)_v."""
-    out, prefix = 1, Fraction(1)
-    for a in entries:
-        if prefix != 1:  # (1, a)_v = 1
-            out *= hilbert_symbol(prefix, a, v)
-        prefix *= Fraction(a)
-    return out
+    """Product of Hilbert symbols (a_i, a_j)_v over i < j."""
+    return local_profile(entries, v)[1]
 
 
 def _isotropic_locally(entries, v: Place) -> bool:
@@ -302,16 +311,15 @@ def _isotropic_locally(entries, v: Place) -> bool:
         return False
     if v.is_infinite:
         return any(a > 0 for a in entries) and any(a < 0 for a in entries)
-    d = Fraction(1)
-    for a in entries:
-        d *= a
+    d, eps = local_profile(entries, v)
+    one, minus_one = local_class(1, v), local_class(-1, v)
+    minus_d = local_class_mul(minus_one, d, v)
     if n == 2:
-        return is_local_square(-d, v)
-    eps = hasse_invariant(entries, v)
+        return minus_d == one
     if n == 3:
-        return hilbert_symbol(-1, -d, v) == eps
+        return hilbert_pairing(minus_one, minus_d, v) == eps
     if n == 4:
-        return (not is_local_square(d, v)) or eps == hilbert_symbol(-1, -1, v)
+        return d != one or eps == hilbert_pairing(minus_one, minus_one, v)
     return True  # rank >= 5 at a finite place
 
 
@@ -460,7 +468,7 @@ def _auxiliary_value(a1, a2, rest):
     verdicts = [{} for _ in places]
 
     def local(t, v, seen):
-        key = _local_class(t, v)
+        key = local_class(t, v)
         if key not in seen:
             seen[key] = _isotropic_locally([a1, a2, -t], v) and _isotropic_locally([t] + rest, v)
         return seen[key]
@@ -478,17 +486,6 @@ def _auxiliary_value(a1, a2, rest):
                 if _isotropic_sf([a1, a2, -t]) and _isotropic_sf([t] + rest):
                     return t
     raise SearchExhausted("auxiliary value of a rational isotropic vector", AUX_BOUND)
-
-
-def _local_class(t, v):
-    """A key for the class of the nonzero integer t in Q_v*/Q_v*^2."""
-    if v.is_infinite:
-        return t > 0
-    p, e = v.p, 0
-    while t % p == 0:
-        t //= p
-        e += 1
-    return e % 2, t % 8 if p == 2 else pow(t, (p - 1) // 2, p)
 
 
 def _ternary_zero(a, b, c):

@@ -9,9 +9,11 @@ e2 is computed structurally: Witt-reduce, split the even Clifford
 algebra of the anisotropic kernel, extract a quaternion basis, read its
 ramification.  A second, independent route evaluates the classical
 local symbol dictionary (Hasse invariant with the mod-8 correction
-terms).  Every e2 over Q passes through _e2_checked, which compares the
-two on the entries the caller passed: the input form for e2_of_form,
-the orthogonal sum for e2_additivity_check, each kernel for e2.
+terms) on the local square-class keys of the entries, without forming
+a Clifford algebra.  Every e2 over Q passes through _e2_checked, which
+compares the two on the entries the caller passed: the input form for
+e2_of_form, the orthogonal sum for e2_additivity_check, each kernel
+for e2.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .forms import (
     DiagonalForm,
     WittClass,
     _as_entries,
-    hasse_invariant,
+    local_profile,
     orthogonal_sum,
     signed_discriminant,
     witt_decompose,
@@ -36,7 +38,9 @@ from .scalars import (
     PrimeField,
     RationalField,
     SquareClass,
-    hilbert_symbol,
+    hilbert_pairing,
+    local_class,
+    local_class_mul,
     square_class,
     support_places,
 )
@@ -150,27 +154,23 @@ def clifford_invariant_local(entries, v) -> int:
     Hasse symbol by (-1,-d) when n is 3 or 4 mod 8, by (-1,-1) when n is
     5 or 6 mod 8, and by (-1,d) when n is 7 or 0 mod 8.
     """
-    es = [Fraction(a) for a in entries]
-    s = hasse_invariant(es, v)
-    n = len(es) % 8
-    d = Fraction(1)
-    for a in es:
-        d *= a
-    if (len(es) * (len(es) - 1) // 2) % 2:
-        d = -d
-    if n in (3, 4):
-        s *= hilbert_symbol(-1, -d, v)
-    elif n in (5, 6):
-        s *= hilbert_symbol(-1, -1, v)
-    elif n in (7, 0):
-        s *= hilbert_symbol(-1, d, v)
+    n = len(entries)
+    d, s = local_profile(entries, v)
+    minus_one = local_class(-1, v)
+    if (n * (n - 1) // 2) % 2:
+        d = local_class_mul(minus_one, d, v)
+    if n % 8 in (3, 4):
+        s *= hilbert_pairing(minus_one, local_class_mul(minus_one, d, v), v)
+    elif n % 8 in (5, 6):
+        s *= hilbert_pairing(minus_one, minus_one, v)
+    elif n % 8 in (7, 0):
+        s *= hilbert_pairing(minus_one, d, v)
     return s
 
 
 def clifford_invariant_class(entries) -> BrauerClass2:
     """The symbol-dictionary route to the Clifford Brauer class over Q."""
-    es = [Fraction(a) for a in entries]
-    ram = [v for v in support_places(*es) if clifford_invariant_local(es, v) == -1]
+    ram = [v for v in support_places(*entries) if clifford_invariant_local(entries, v) == -1]
     return BrauerClass2(ram)
 
 

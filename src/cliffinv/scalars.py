@@ -231,21 +231,45 @@ class Place:
 INFINITY = Place.infinity()
 
 
-def _valuation_frac(x: Fraction, p: int) -> tuple[int, Fraction]:
-    """x = p^e * u with u a p-adic unit; returns (e, u)."""
+def local_class(x, v: Place):
+    """A key for the class of the nonzero rational x in Q_v*/Q_v*^2.
+
+    It is read off n = numerator * denominator, an integer in the class
+    of x: the sign of n at the real place, else (v_p(n) mod 2, u mod 8)
+    at 2 and (v_p(n) mod 2, u^((p-1)/2) mod p) at odd p, u the unit part.
+    """
+    n = x.numerator * x.denominator
+    if not n:
+        raise ValueError("0 has no square class")
+    p = v.p
+    if p is None:
+        return -1 if n < 0 else 1
     e = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
-        e += 1
-    while den % p == 0:
-        den //= p
-        e -= 1
-    return e, Fraction(num, den)
+    while n % p == 0:
+        n //= p
+        e ^= 1
+    return e, n % 8 if p == 2 else pow(n, (p - 1) // 2, p)
 
 
-def _unit_mod(u: Fraction, m: int) -> int:
-    return (u.numerator * pow(u.denominator, -1, m)) % m
+def local_class_mul(k, l, v: Place):
+    """The key at v of the product of the classes with keys k and l."""
+    p = v.p
+    if p is None:
+        return k * l
+    return k[0] ^ l[0], k[1] * l[1] % (8 if p == 2 else p)
+
+
+def hilbert_pairing(k, l, v: Place) -> int:
+    """(a, b)_v from the keys k of a and l of b, by the formulas of hilbert_symbol."""
+    p = v.p
+    if p is None:
+        return -1 if k < 0 and l < 0 else 1
+    (alpha, u), (beta, w) = k, l
+    if p == 2:
+        exp = (u - 1) // 2 * ((w - 1) // 2) + alpha * (w * w - 1) // 8 + beta * (u * u - 1) // 8
+    else:  # u, w are Euler's criterion: 1 on squares
+        exp = alpha * beta * (p - 1) // 2 + beta * (u != 1) + alpha * (w != 1)
+    return -1 if exp % 2 else 1
 
 
 def hilbert_symbol(a, b, v: Place) -> int:
@@ -258,30 +282,9 @@ def hilbert_symbol(a, b, v: Place) -> int:
     is eps(u) eps(w) + alpha omega(w) + beta omega(u) with
     eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8 taken mod 2.
     """
-    a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("Hilbert symbol needs nonzero arguments")
-    if v.is_infinite:
-        return -1 if a < 0 and b < 0 else 1
-    p = v.p
-    if p == 2:
-        alpha, u = _valuation_frac(a, 2)
-        beta, w = _valuation_frac(b, 2)
-        u8, w8 = _unit_mod(u, 8), _unit_mod(w, 8)
-        eps_u, eps_w = ((u8 - 1) // 2) % 2, ((w8 - 1) // 2) % 2
-        om_u, om_w = ((u8 * u8 - 1) // 8) % 2, ((w8 * w8 - 1) // 8) % 2
-        exp = eps_u * eps_w + alpha * om_w + beta * om_u
-        return -1 if exp % 2 else 1
-    alpha, u = _valuation_frac(a, p)
-    beta, w = _valuation_frac(b, p)
-    sign = 1
-    if (alpha * beta) % 2 and p % 4 == 3:
-        sign = -sign
-    if beta % 2:
-        sign *= legendre(u.numerator, p) * legendre(u.denominator, p)
-    if alpha % 2:
-        sign *= legendre(w.numerator, p) * legendre(w.denominator, p)
-    return sign
+    return hilbert_pairing(local_class(a, v), local_class(b, v), v)
 
 
 def support_places(*values) -> list[Place]:
@@ -299,7 +302,6 @@ def support_places(*values) -> list[Place]:
 
 def product_formula_check(a, b) -> bool:
     """Product of (a,b)_v over all v dividing 2ab and infinity; must be +1."""
-    a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("nonzero arguments required")
     prod = 1

@@ -103,6 +103,29 @@ def test_cli_usage_error():
     assert main(["qf"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["exc", "norm", "1", "2", "3"], "norm takes 2 parameters"),
+        (["exc", "norm", "2"], "norm takes 2 parameters"),
+        (["exc", "albert", "1", "2", "3", "4", "5"], "albert takes 4 parameters"),
+    ],
+)
+def test_cli_exc_arity_is_a_usage_error(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["qf", "witt", "--entries", "0,1"], ["inv", "e2", "--entries", "1,0,1,1"]],
+)
+def test_cli_degenerate_form_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "diagonal entry is zero" in err and "verification failure" not in err
+
+
 def test_convert_round_trip(tmp_path, capsys):
     q = QuadraticForm(
         ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))), QQ

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffinv.errors import FactorBoundExceeded, UnsupportedBase
+from cliffinv.forms import hasse_invariant
+from cliffinv.invariants import clifford_invariant_local
 from cliffinv.polys import Poly
 from cliffinv.scalars import (
     GF,
@@ -100,6 +102,84 @@ def test_hilbert_a_minus_a(a):
 def test_hilbert_bimultiplicative(a, a2, b):
     for v in support_places(a, a2, b):
         assert hilbert_symbol(a * a2, b, v) == hilbert_symbol(a, b, v) * hilbert_symbol(a2, b, v)
+
+
+def _reference_hilbert(a, b, v):
+    """(a, b)_v by the valuations of Fractions, as hilbert_symbol documents it."""
+    a, b = Fraction(a), Fraction(b)
+    if v.is_infinite:
+        return -1 if a < 0 and b < 0 else 1
+    p = v.p
+
+    def split(x):  # x = p^e * num/den with num, den prime to p
+        e, num, den = 0, x.numerator, x.denominator
+        while num % p == 0:
+            num, e = num // p, e + 1
+        while den % p == 0:
+            den, e = den // p, e - 1
+        return e, num, den
+
+    alpha, un, ud = split(a)
+    beta, wn, wd = split(b)
+    if p == 2:
+        u8, w8 = un * pow(ud, -1, 8) % 8, wn * pow(wd, -1, 8) % 8
+        eps_u, eps_w = (u8 - 1) // 2 % 2, (w8 - 1) // 2 % 2
+        om_u, om_w = (u8 * u8 - 1) // 8 % 2, (w8 * w8 - 1) // 8 % 2
+        return -1 if (eps_u * eps_w + alpha * om_w + beta * om_u) % 2 else 1
+    sign = -1 if (alpha * beta) % 2 and p % 4 == 3 else 1
+    if beta % 2:
+        sign *= legendre(un, p) * legendre(ud, p)
+    if alpha % 2:
+        sign *= legendre(wn, p) * legendre(wd, p)
+    return sign
+
+
+# 2, odd p = 1 and = 3 mod 4, primes above 10^6 of both kinds, the real place
+LOCAL_PLACES = [Place.finite(p) for p in (2, 3, 5, 7, 13, 1000003, 1000033)] + [INFINITY]
+
+
+def _seeded_rational(rng, v):
+    """A signed rational with square factors, a denominator and a power of p."""
+    p = v.p or rng.choice((2, 3))
+    x = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**4) * rng.randint(1, 6) ** 2, rng.randint(1, 300))
+    return x * Fraction(p) ** rng.randint(-3, 3)
+
+
+def test_hilbert_symbol_matches_valuation_reference():
+    rng = random.Random(12)
+    for v in LOCAL_PLACES:
+        values = set()
+        for _ in range(400):
+            a, b = _seeded_rational(rng, v), _seeded_rational(rng, v)
+            got = hilbert_symbol(a, b, v)
+            assert got == _reference_hilbert(a, b, v), (a, b, v)
+            values.add(got)
+        assert values == {1, -1}, v
+
+
+def test_local_invariants_match_pairwise_hilbert_symbols():
+    rng = random.Random(13)
+    for v in LOCAL_PLACES:
+        for n in range(9):  # the empty form and rank 1 included
+            for _ in range(12):
+                es = [_seeded_rational(rng, v) for _ in range(n)]
+                hasse = 1
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        hasse *= hilbert_symbol(es[i], es[j], v)
+                assert hasse_invariant(es, v) == hasse, (es, v)
+                d = Fraction(-1 if n * (n - 1) // 2 % 2 else 1)
+                for a in es:
+                    d *= a
+                # the mod-8 correction of the Hasse invariant, on rationals
+                clifford = hasse
+                if n % 8 in (3, 4):
+                    clifford *= hilbert_symbol(-1, -d, v)
+                elif n % 8 in (5, 6):
+                    clifford *= hilbert_symbol(-1, -1, v)
+                elif n % 8 in (7, 0):
+                    clifford *= hilbert_symbol(-1, d, v)
+                assert clifford_invariant_local(es, v) == clifford, (es, v)
 
 
 def test_product_formula_bulk():
