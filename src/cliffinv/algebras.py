@@ -37,6 +37,13 @@ def sparse_row(vec):
     return tuple((k, c) for k, c in enumerate(vec) if c)
 
 
+def _entry(row):
+    """A table entry as (k, c) pairs sorted by k, zeros dropped."""
+    if type(row) is tuple and len(row) == 1 and row[0][1]:
+        return row
+    return tuple(sorted(((k, c) for k, c in row if c), key=itemgetter(0)))
+
+
 class StructureAlgebra:
     def __init__(self, field, labels, table, unit, involution=None):
         self.field = field
@@ -45,10 +52,7 @@ class StructureAlgebra:
         if self.dim > MAX_DIM:
             raise ValueError(f"dimension {self.dim} exceeds cap {MAX_DIM}")
         # zero coefficients are dropped so that equal algebras have equal tables
-        self.table = tuple(
-            tuple(tuple(sorted(((k, c) for k, c in row if c), key=itemgetter(0))) for row in plane)
-            for plane in table
-        )
+        self.table = tuple(tuple(_entry(row) for row in plane) for plane in table)
         self.unit = tuple(unit)
         self.involution = None if involution is None else tuple(tuple(r) for r in involution)
 
@@ -62,16 +66,20 @@ class StructureAlgebra:
 
     def mul(self, x, y):
         out = self.zero_vec()
-        ys = sparse_row(y)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
+        for k, c in self.mul_rows(sparse_row(x), sparse_row(y)).items():
+            out[k] = c
+        return out
+
+    def mul_rows(self, xs, ys):
+        """Product of two sparse rows as {k: c}, every c nonzero."""
+        out = {}
+        for i, xi in xs:
             ti = self.table[i]
             for j, yj in ys:
                 c = xi * yj
                 for k, t in ti[j]:
-                    out[k] = out[k] + c * t
-        return out
+                    out[k] = out[k] + c * t if k in out else c * t
+        return {k: c for k, c in out.items() if c}
 
     def scalar_mul(self, c, x):
         return [c * v for v in x]
@@ -127,15 +135,14 @@ class AlgebraMorphism:
     def is_multiplicative(self) -> bool:
         """phi(e_i) phi(e_j) = phi(e_i e_j) on every pair of basis elements."""
         src, tgt = self.source, self.target
-        cols = [list(col) for col in zip(*self.matrix)]
-        sparse_cols = [sparse_row(col) for col in cols]
+        sparse_cols = [sparse_row(col) for col in zip(*self.matrix)]
         for i in range(src.dim):
             for j in range(src.dim):
-                lhs = tgt.zero_vec()
+                lhs = {}
                 for k, c in src.table[i][j]:
                     for s, v in sparse_cols[k]:
-                        lhs[s] = lhs[s] + c * v
-                if lhs != tgt.mul(cols[i], cols[j]):
+                        lhs[s] = lhs[s] + c * v if s in lhs else c * v
+                if {s: v for s, v in lhs.items() if v} != tgt.mul_rows(sparse_cols[i], sparse_cols[j]):
                     return False
         return True
 
@@ -396,9 +403,10 @@ def find_quaternion_basis(a: StructureAlgebra):
     if len(center(a) if cen is None else cen) != 1:
         raise CliffinvError("algebra is not central")
     t = a.table
-    if cen is not None and t[1][1][0][0] == t[2][2][0][0] == 0 and all(
+    twisted = cen is not None and t[1][1][0][0] == t[2][2][0][0] == 0 and all(
         t[1][j][0][1] == -t[j][1][0][1] for j in (2, 3)
-    ):
+    )
+    if twisted:
         x, y = a.zero_vec(), a.zero_vec()
         x[1] = y[2] = -a.field.one()
         alpha, beta = t[1][1][0][1], t[2][2][0][1]
@@ -407,7 +415,11 @@ def find_quaternion_basis(a: StructureAlgebra):
     xy = a.mul(x, y)
     basis = [list(a.unit), x, y, xy]
     cols = [[basis[j][i] for j in range(4)] for i in range(4)]
-    if linalg.rank(cols, a.field) != 4:
+    if twisted:  # signed monomials: rank 4 iff they are four distinct ones
+        full = sorted(r[0][0] for r in map(sparse_row, basis) if len(r) == 1) == [0, 1, 2, 3]
+    else:
+        full = linalg.rank(cols, a.field) == 4
+    if not full:
         raise CliffinvError("extracted quaternion basis is degenerate")
     return alpha, beta, cols
 

@@ -4,18 +4,19 @@ Basis monomials e_S, the product of the e_i (i in S) in increasing
 order, are indexed by bitmasks: even subsets span the even algebra, odd
 subsets the bimodule.  Monomial products take one of two paths.
 
-Diagonal forms <a_1, ..., a_n> use `_mul_masks`: e_i e_j = -e_j e_i
-(i != j) and e_i e_i = a_i make every product one signed monomial,
-e_S e_T = c e_(S xor T), so the algebra is a twisted group algebra of
-(Z/2)^n with one pair per table entry.  EvenClifford, CliffordBimodule,
-split_components and sum_isomorphism take this path, diagonalising a
-QuadraticForm first.  Gram matrices use `_mul_masks_gram`, where
-e_i e_j + e_j e_i = 2 g_ij makes a product a short sum of monomials;
-dedekind.even_clifford_order takes this path to keep its pseudo-basis.
+On a diagonal form <a_1, ..., a_n>, e_S e_T = (-1)^sigma(S, T)
+a_(S and T) e_(S xor T): a twisted group algebra of (Z/2)^n with one pair
+per table entry.  `EvenClifford.mul_masks` is two lookups, the sign in
+one parity table per n and a_U among the 2^n subset products of the
+form; the bimodule, split_components and sum_isomorphism all use it,
+diagonalising a QuadraticForm first.  Gram matrices use
+`_mul_masks_gram`, where e_i e_j + e_j e_i = 2 g_ij makes a product a
+short sum of monomials; dedekind.even_clifford_order takes this path.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,21 +29,16 @@ from .scalars import QQ
 MAX_RANK = 7
 
 
-def _mul_masks(s: int, t: int, entries, field):
-    """Product of basis monomials: e_S e_T = coef * e_(S xor T)."""
-    inv = 0
-    tt = t
-    while tt:
-        j = (tt & -tt).bit_length() - 1
-        inv += (s >> (j + 1)).bit_count()
-        tt &= tt - 1
-    coef = field.one() if inv % 2 == 0 else -field.one()
-    common = s & t
-    while common:
-        i = (common & -common).bit_length() - 1
-        coef = coef * entries[i]
-        common &= common - 1
-    return coef, s ^ t
+@functools.cache
+def _sign_parity(n: int) -> bytes:
+    """sigma(S, T) = #{i in S, j in T, i > j} mod 2 at index S << n | T."""
+    out = bytearray(1 << 2 * n)
+    for s in range(1 << n):
+        above = [(s >> (j + 1)).bit_count() & 1 for j in range(n)]
+        for t in range(1, 1 << n):
+            low = t & -t
+            out[s << n | t] = out[s << n | (t ^ low)] ^ above[low.bit_length() - 1]
+    return bytes(out)
 
 
 def _mul_masks_gram(s: int, t: int, gram, field) -> dict:
@@ -54,7 +50,7 @@ def _mul_masks_gram(s: int, t: int, gram, field) -> dict:
     It ends with sign g_jj e_(S-j) when j is in S, else sign e_(S+j).
     The sign is carried as a parity, and a term is negated once, when
     it is emitted; zero Gram entries emit nothing.  On a diagonal Gram
-    matrix this is `_mul_masks`.
+    matrix this is `EvenClifford.mul_masks`.
     """
     terms = {s: field.one()}
     while t:
@@ -111,23 +107,28 @@ class EvenClifford:
         self.masks = _masks_by_parity(self.n, 0)
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.dim = len(self.masks)
+        subset = [self.field.one()]  # subset[U] = a_U, the product of a_i over i in U
+        for a in form.entries:
+            subset += [c * a for c in subset]
+        self._signed, self._parity = (subset, [-c for c in subset]), _sign_parity(self.n)
         self._check_generator_relations()
 
     def _check_generator_relations(self):
         a = self.form.entries
-        f = self.field
+        mul = self.mul_masks
         for i in range(self.n):
-            c, m = _mul_masks(1 << i, 1 << i, a, f)
+            c, m = mul(1 << i, 1 << i)
             if m != 0 or c != a[i]:
                 raise CliffinvError("generator square relation failed")
             for j in range(i + 1, self.n):
                 for k in range(j + 1, self.n):
-                    c1, m1 = _mul_masks((1 << i) | (1 << j), (1 << j) | (1 << k), a, f)
+                    c1, m1 = mul((1 << i) | (1 << j), (1 << j) | (1 << k))
                     if m1 != (1 << i) | (1 << k) or c1 != a[j]:
                         raise CliffinvError("pair contraction relation failed")
 
     def mul_masks(self, s, t):
-        return _mul_masks(s, t, self.form.entries, self.field)
+        """e_S e_T as (coef, S xor T); products share their coefficient objects."""
+        return self._signed[self._parity[s << self.n | t]][s & t], s ^ t
 
     def mul_monomial_coords(self, x, x_masks, y, y_masks, index):
         """Product of coordinate vectors on monomial bases; index places the result.
@@ -623,8 +624,8 @@ def sum_isomorphism(q1: DiagonalForm, q2: DiagonalForm) -> SumIsomorphism:
         li = block0[i] if i < dim0 else block1[i - dim0]
         lj = block0[j] if j < dim0 else block1[j - dim0]
         ei, oi = i < dim0, j < dim0
-        c1, m1 = _mul_masks(li[0], lj[0], q1.entries, field)
-        c2, m2 = _mul_masks(li[1], lj[1], q2.entries, field)
+        c1, m1 = e1.mul_masks(li[0], lj[0])
+        c2, m2 = e2.mul_masks(li[1], lj[1])
         c = c1 * c2
         if not ei and not oi:
             c = -c  # pairing of two odd (x) odd elements

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -314,6 +315,9 @@ def product_formula_check(a, b) -> bool:
 # Field tower
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 class RationalField:
     """Q with Fraction elements."""
 
@@ -321,10 +325,10 @@ class RationalField:
     name = "Q"
 
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     def one(self):
-        return Fraction(1)
+        return _ONE
 
     def from_int(self, n):
         return Fraction(n)
@@ -471,7 +475,8 @@ class PrimeField:
         return FpElement(rng.randint(1, self.p - 1), self.p)
 
     def elt_to_str(self, x: FpElement) -> str:
-        return f"{x.v} mod {self.p}"
+        # interned: answers that keep many residue strings share one per value
+        return sys.intern(f"{x.v} mod {self.p}")
 
     def elt_from_str(self, s: str):
         """Parse "v mod p" or a bare integer v, the residue of v."""
@@ -496,9 +501,6 @@ class PrimeField:
 @lru_cache(maxsize=None)
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
-
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class QuadElement:

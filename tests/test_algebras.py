@@ -58,6 +58,17 @@ def test_quaternion_relations():
     assert q.is_scalar(q.mul(k, k)) == -6
 
 
+def test_mul_returns_zero_where_terms_cancel():
+    # (i + j)^2 = a + b + ij + ji: ij and ji cancel, and so do a and b = -a
+    for field in (F, GF(7)):
+        q = quaternion(field.from_int(2), field.from_int(-2), field)
+        x = q.add(q.basis_vec(1), q.basis_vec(2))
+        assert q.mul(x, x) == [field.zero()] * 4
+        assert q.mul_rows(sparse_row(x), sparse_row(x)) == {}
+        if field == F:
+            assert all(c is F.zero() for c in q.mul(x, x))
+
+
 def test_associativity_witness_on_perturbed_table():
     q = quaternion(Fraction(-1), Fraction(-1), F)
     tbl = [list(plane) for plane in q.table]
@@ -275,6 +286,20 @@ def test_find_quaternion_basis_rejects_noncentral():
     for alg in (_product_field_algebra(4), field4):
         with pytest.raises(CliffinvError, match="algebra is not central"):
             find_quaternion_basis(alg)
+
+
+def test_find_quaternion_basis_rejects_degenerate_basis(monkeypatch):
+    q = quaternion(Fraction(2), Fraction(3), F)
+    # twisted route: a unit vector that is not e_0 repeats the monomial of x
+    wrong_unit = StructureAlgebra(F, q.labels, q.table, q.basis_vec(1))
+    with pytest.raises(CliffinvError, match="degenerate"):
+        find_quaternion_basis(wrong_unit)
+    # ladder route: a partner equal to x makes xy a scalar
+    alg = _conjugated(q)
+    x, alpha, _, _ = _ladder_pair(alg)
+    monkeypatch.setattr("cliffinv.algebras._ladder_pair", lambda a: (x, alpha, x, alpha))
+    with pytest.raises(CliffinvError, match="degenerate"):
+        find_quaternion_basis(alg)
 
 
 def test_twisted_center_matches_center_on_clifford_tables():

@@ -5,12 +5,11 @@ from fractions import Fraction
 import pytest
 
 from cliffinv import jsonio, linalg
-from cliffinv.algebras import associativity_witness, center, central_idempotents, find_quaternion_basis, is_split_quaternion
+from cliffinv.algebras import AlgebraMorphism, associativity_witness, center, central_idempotents, find_quaternion_basis, is_split_quaternion
 from cliffinv.brauer import class_of_algebra
 from cliffinv.clifford import (
     CliffordBimodule,
     EvenClifford,
-    _mul_masks,
     _mul_masks_gram,
     RingMap,
     base_change,
@@ -30,6 +29,24 @@ from cliffinv.scalars import GF, QQ, square_class
 from random_forms import random_regular_diagonal, random_regular_gram
 
 F = QQ
+
+
+def _reference_mul_masks(s, t, entries, field):
+    """e_S e_T = coef * e_(S xor T) by walking bits: each j in T passes
+    the bits of S above it, and each i in S and T contributes a_i."""
+    inv = 0
+    tt = t
+    while tt:
+        j = (tt & -tt).bit_length() - 1
+        inv += (s >> (j + 1)).bit_count()
+        tt &= tt - 1
+    coef = field.one() if inv % 2 == 0 else -field.one()
+    common = s & t
+    while common:
+        i = (common & -common).bit_length() - 1
+        coef = coef * entries[i]
+        common &= common - 1
+    return coef, s ^ t
 
 
 def frac(*xs):
@@ -275,10 +292,22 @@ def test_gram_product_matches_diagonal_product():
             form = random_regular_diagonal(rng, field, n)
             a = form.entries
             gram = [[a[i] if i == j else field.zero() for j in range(n)] for i in range(n)]
+            mul = EvenClifford(form).mul_masks
             for s in range(1 << n):
                 for t in range(1 << n):
-                    c, m = _mul_masks(s, t, a, field)
+                    c, m = mul(s, t)
                     assert _mul_masks_gram(s, t, gram, field) == {m: c}
+
+
+def test_lookup_product_matches_bit_walk():
+    rng = random.Random(13)
+    for field in (F, GF(3), GF(11)):
+        for n in range(1, 8):
+            form = random_regular_diagonal(rng, field, n)
+            mul = EvenClifford(form).mul_masks
+            for s in range(1 << n):
+                for t in range(1 << n):
+                    assert mul(s, t) == _reference_mul_masks(s, t, form.entries, field)
 
 
 def test_gram_product_relations():
@@ -383,6 +412,21 @@ def test_sum_isomorphism_rank_pairs():
     q1 = random_regular_diagonal(rng, f7, 2)
     q2 = random_regular_diagonal(rng, f7, 3)
     assert sum_isomorphism(q1, q2).morphism.is_isomorphism()
+
+
+def test_perturbed_sum_isomorphism_is_not_multiplicative():
+    rng = random.Random(29)
+    q1 = random_regular_diagonal(rng, F, 2)
+    q2 = random_regular_diagonal(rng, F, 3)
+    good = sum_isomorphism(q1, q2).morphism
+    assert good.is_multiplicative()
+    rows = [list(r) for r in good.matrix]
+    # the image of e1 e2 picks up an extra coordinate
+    col = good.source.labels.index("e12")
+    row = next(i for i, r in enumerate(rows) if not r[col])
+    rows[row][col] = F.one()
+    bad = AlgebraMorphism(good.source, good.target, tuple(tuple(r) for r in rows))
+    assert not bad.is_multiplicative()
 
 
 def test_base_change():

@@ -379,3 +379,10 @@ def test_scalar_serialisation_round_trips():
     ff = RationalFunctionField(QQ)
     y = (ff.t() ** 2 - 1) / (ff.t() + 2)
     assert ff.elt_from_str(ff.elt_to_str(y)) == y
+
+
+def test_shared_constants_and_residue_strings():
+    assert QQ.one() is QQ.one()
+    assert QQ.zero() == 0 and QQ.one() == 1
+    f7 = GF(7)
+    assert f7.elt_to_str(f7.from_int(3)) is f7.elt_to_str(f7.from_int(10))
