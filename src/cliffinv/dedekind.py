@@ -19,6 +19,7 @@ determinant identity det(2G) (prod a_i)^2 = L^n.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -232,7 +233,7 @@ class FracIdeal:
         if self == self.order.one_ideal():
             return "O"
         body = f"{self.a},{self.b}+{self.c}w" if self.b else f"{self.a},{self.c}w"
-        return f"({body})" if self.den == 1 else f"({body})/{self.den}"
+        return sys.intern(f"({body})" if self.den == 1 else f"({body})/{self.den}")
 
     def __repr__(self):
         return f"FracIdeal[{self.label()} over Z[w], d={self.order.d}]"

@@ -9,7 +9,8 @@ Isotropy and Witt reduction work on the diagonal entries over both
 bases, Q and F_p: a Gram matrix is diagonalised once on entry and not
 rebuilt afterwards.  The local tests over Q (isotropy, Hasse invariant,
 isometry) multiply and pair the scalars.local_class keys of the entries,
-never the entries themselves.
+never the entries themselves, at the places of the entries' carried
+classes (s, P) (see scalars), which an Entries tuple computes once.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from . import linalg
@@ -28,14 +30,16 @@ from .scalars import (
     PrimeField,
     RationalField,
     SquareClass,
+    class_mul,
     factor_integer,
     hilbert_pairing,
     local_class,
     local_class_mul,
+    places_of,
+    rational_class,
     rational_sqrt,
     sqrt_mod_p,
     square_class,
-    squarefree_mul,
     squarefree_part,
     support_places,
 )
@@ -45,12 +49,13 @@ TRIVIAL_LABEL = "trivial"
 
 @dataclass(frozen=True)
 class DiagonalForm:
-    """<a_1, ..., a_n> with all entries nonzero."""
+    """<a_1, ..., a_n> with all entries nonzero, kept as Entries."""
 
     entries: tuple
     field: object
 
     def __post_init__(self):
+        object.__setattr__(self, "entries", Entries(self.entries))
         for a in self.entries:
             if not a:
                 raise DegenerateFormError("diagonal entry is zero")
@@ -135,12 +140,9 @@ class WittClass:
         return hash((self.field, len(self.kernel)))
 
 
-def _as_entries(q):
-    """Diagonal entries of q, diagonalising first when necessary."""
-    if isinstance(q, DiagonalForm):
-        return q.entries
-    d, _ = diagonalize(q)
-    return d.entries
+def _as_diagonal(q) -> DiagonalForm:
+    """q itself when diagonal, else its diagonalisation."""
+    return q if isinstance(q, DiagonalForm) else diagonalize(q)[0]
 
 
 def diagonalize(q: QuadraticForm):
@@ -237,16 +239,14 @@ def twist(q, alignment) -> QuadraticForm | DiagonalForm:
 def signed_discriminant(q) -> SquareClass:
     """(-1)^(n(n-1)/2) det(G) as a square class.
 
-    A diagonal form over Q multiplies the classes of its entries, so the
-    product of the entries is never factored.
+    A diagonal form over Q multiplies the carried classes of its entries,
+    so the product of the entries is never factored.
     """
     field = q.field
     if not (isinstance(q, DiagonalForm) and isinstance(field, RationalField)):
         return square_class(signed_det(q), field)
-    out = square_class(-1 if (q.rank * (q.rank - 1) // 2) % 2 else 1, field)
-    for a in q.entries:
-        out = out * square_class(a, field)
-    return out
+    sign = -1 if (q.rank * (q.rank - 1) // 2) % 2 else 1
+    return SquareClass(field, class_mul(*q.entries.squarefree[0], sign=sign)[0])
 
 
 def signed_det(q):
@@ -273,16 +273,21 @@ def signed_det(q):
 
 
 def _squarefree_entries(entries):
-    """Write each rational entry a as s * r^2: returns the signed squarefree
-    integers s and the positive rationals r."""
-    out = []
-    scales = []
-    for a in entries:
-        a = Fraction(a)
-        sf = square_class(a).rep
-        out.append(sf)
-        scales.append(rational_sqrt(a / sf))
-    return out, scales
+    """Write each rational entry a as s * r^2: returns the carried classes
+    (s, P) of scalars.rational_class, one factorisation of each numerator
+    (and of each denominator other than 1), and the positive rationals r."""
+    out = [rational_class(a) for a in entries]
+    return out, [rational_sqrt(Fraction(a) / s) for a, (s, _) in zip(entries, out)]
+
+
+class Entries(tuple):
+    """Diagonal entries; over Q, squarefree is _squarefree_entries of the
+    tuple, computed once.  Entries(e) is e when e is already an Entries."""
+
+    def __new__(cls, entries=()):
+        return entries if type(entries) is cls else super().__new__(cls, entries)
+
+    squarefree = cached_property(_squarefree_entries)
 
 
 def local_profile(entries, v: Place):
@@ -324,15 +329,15 @@ def _isotropic_locally(entries, v: Place) -> bool:
 
 
 def _isotropic_sf(sf) -> bool:
-    """Hasse-Minkowski for <sf>, the entries signed squarefree integers."""
+    """Hasse-Minkowski for <sf>, the entries carried classes (s, P)."""
     n = len(sf)
     if n <= 1:
         return False
     if n == 2:
-        return sf[0] == -sf[1]
+        return sf[0][0] == -sf[1][0]
     if n >= 5:
-        return any(a > 0 for a in sf) and any(a < 0 for a in sf)
-    return all(_isotropic_locally(sf, v) for v in support_places(*sf))
+        return any(s > 0 for s, _ in sf) and any(s < 0 for s, _ in sf)
+    return all(_isotropic_locally([s for s, _ in sf], v) for v in places_of(sf))
 
 
 def is_isotropic(q) -> bool:
@@ -342,7 +347,7 @@ def is_isotropic(q) -> bool:
     local-global principle with rank-by-rank local tests.
     """
     field = q.field
-    entries = _as_entries(q)
+    entries = _as_diagonal(q).entries
     n = len(entries)
     if n <= 1:
         return False
@@ -351,7 +356,7 @@ def is_isotropic(q) -> bool:
             return True
         return field.is_square(-entries[0] * entries[1])
     if isinstance(field, RationalField):
-        return _isotropic_sf(_squarefree_entries(entries)[0])
+        return _isotropic_sf(entries.squarefree[0])
     raise UnsupportedBase(
         f"isotropy over {field!r} is not decided here; bounded searches live in dedekind"
     )
@@ -383,7 +388,7 @@ def _isotropic_vector_diag(entries, field):
     if isinstance(field, PrimeField):
         vec = _fp_zero(entries, field)
     elif isinstance(field, RationalField):
-        sf, scales = _squarefree_entries(entries)
+        sf, scales = entries.squarefree
         x, _ = _split_plane(sf)
         vec = [Fraction(c) / s for c, s in zip(x, scales)]
     else:
@@ -433,30 +438,31 @@ AUX_BOUND = 10**6
 
 
 def _split_plane(sf):
-    """(v, rest) for an isotropic form <sf> on signed squarefree integers.
+    """(v, rest) for an isotropic form <sf> on carried classes (s, P).
 
-    v is a nonzero integer zero of <sf>, and <sf> is isometric to
-    <1, -1> + <rest>, rest again signed squarefree integers.
+    v is a nonzero integer zero of <s>, and <sf> is isometric to
+    <1, -1> + <rest>, rest again carried classes, so no product is factored.
     """
     n = len(sf)
     for i, j in combinations(range(n), 2):
-        if sf[i] == -sf[j]:  # the hyperbolic plane itself
+        if sf[i][0] == -sf[j][0]:  # the hyperbolic plane itself
             return _embed(n, (i, j), (1, 1)), _drop(sf, (i, j))
     for idx in combinations(range(n), 3):
         sub = [sf[k] for k in idx]
         if _isotropic_sf(sub):  # then <a, b, c> = <1, -1, -abc>
-            return _embed(n, idx, _ternary_zero(*sub)), _drop(sf, idx) + [-squarefree_mul(*sub)]
+            zero = _ternary_zero(*(s for s, _ in sub))
+            return _embed(n, idx, zero), _drop(sf, idx) + [class_mul(*sub, sign=-1)]
     # n >= 4: a1 (x/z)^2 + a2 (y/z)^2 = t, so <a1, a2> = <t, a1 a2 t>, and a
     # zero (w, u) of <t, a3, ..., an> gives the zero (w x, w y, z u) of <sf>.
     a1, a2, rest = sf[0], sf[1], sf[2:]
     t = _auxiliary_value(a1, a2, rest)
-    x, y, z = _ternary_zero(a1, a2, -t)
+    x, y, z = _ternary_zero(a1[0], a2[0], -t[0])
     (w, *u), rest_t = _split_plane([t] + rest)
-    return _primitive([w * x, w * y] + [z * c for c in u]), [squarefree_mul(a1, a2, t)] + rest_t
+    return _primitive([w * x, w * y] + [z * c for c in u]), [class_mul(a1, a2, t)] + rest_t
 
 
 def _auxiliary_value(a1, a2, rest):
-    """Least squarefree |t| with <a1, a2, -t> and <t, rest> both isotropic.
+    """(t, P) for the least squarefree |t| with <a1, a2, -t>, <t, rest> isotropic.
 
     At a place v both tests depend only on the class of t in Q_v*/Q_v*^2,
     so each class is tested once per place of 2 a1 a2 rest; a candidate
@@ -464,13 +470,14 @@ def _auxiliary_value(a1, a2, rest):
     p of those places at which no unit class passes divides every such t,
     so only multiples of d, the product of these primes, are tried.
     """
-    places = support_places(a1, a2, *rest)
+    places = places_of([a1, a2, *rest])
     verdicts = [{} for _ in places]
+    b1, b2, ints = a1[0], a2[0], [s for s, _ in rest]
 
     def local(t, v, seen):
         key = local_class(t, v)
         if key not in seen:
-            seen[key] = _isotropic_locally([a1, a2, -t], v) and _isotropic_locally([t] + rest, v)
+            seen[key] = _isotropic_locally([b1, b2, -t], v) and _isotropic_locally([t] + ints, v)
         return seen[key]
 
     d = 1
@@ -482,9 +489,10 @@ def _auxiliary_value(a1, a2, rest):
             d *= v.p
     for m in range(1, AUX_BOUND + 1):
         for t in (d * m, -d * m):
-            if all(local(t, v, seen) for v, seen in zip(places, verdicts)) and squarefree_part(t) == t:
-                if _isotropic_sf([a1, a2, -t]) and _isotropic_sf([t] + rest):
-                    return t
+            if all(local(t, v, seen) for v, seen in zip(places, verdicts)):
+                s, ps = rational_class(t)
+                if s == t and _isotropic_sf([a1, a2, (-t, ps)]) and _isotropic_sf([(t, ps)] + rest):
+                    return t, ps
     raise SearchExhausted("auxiliary value of a rational isotropic vector", AUX_BOUND)
 
 
@@ -571,26 +579,30 @@ def _primitive(v):
 def witt_decompose(q) -> WittClass:
     """Split off hyperbolic planes until the rest is anisotropic.
 
-    The form is diagonalised once.  Over Q it stays diagonal on signed
-    squarefree integers: each split checks its isotropic vector exactly
-    and replaces the form by the complement of the plane in that shape,
-    so the kernel entries are signed squarefree integers.  Over F_p every
-    ternary form is isotropic, and an isotropic <a, b, c> is isometric to
-    <1, -1, -abc>, so planes come off three entries at a time; a last
-    binary <a, b> is a plane exactly when -ab is a square.
+    The form is diagonalised once.  Over Q its entries are factored once,
+    into carried classes (s, P), and is_isotropic tests the form itself;
+    each split checks its isotropic vector exactly and replaces the classes
+    by those of the complement of the plane, so the kernel entries are
+    signed squarefree integers, and the kernel carries their classes.
+    Over F_p every ternary form is isotropic, and an isotropic <a, b, c> is
+    isometric to <1, -1, -abc>, so planes come off three entries at a time;
+    a last binary <a, b> is a plane exactly when -ab is a square.
     """
     field = q.field
     if not isinstance(field, (RationalField, PrimeField)):
         raise UnsupportedBase("Witt decomposition over Q and F_p only")
-    entries = _as_entries(q)
-    index = 0
+    d = _as_diagonal(q)
+    entries, index = d.entries, 0
     if isinstance(field, RationalField):
-        sf, _ = _squarefree_entries(entries)
-        while is_isotropic(DiagonalForm(tuple(Fraction(a) for a in sf), field)):
+        sf, isotropic = entries.squarefree[0], is_isotropic(d)
+        while isotropic:
             v, rest = _split_plane(sf)
-            _check_zero(sf, v, field)
+            _check_zero([s for s, _ in sf], v, field)
             sf, index = rest, index + 1
-        return WittClass(tuple(Fraction(a) for a in sf), index, field)
+            isotropic = _isotropic_sf(sf)
+        kernel = Entries(Fraction(s) for s, _ in sf)
+        kernel.squarefree = sf, [Fraction(1)] * len(sf)  # the classes travel with the kernel
+        return WittClass(kernel, index, field)
     while len(entries) >= 3:
         a, b, c, *rest = entries
         entries, index = (-a * b * c, *rest), index + 1

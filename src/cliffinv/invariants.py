@@ -26,8 +26,9 @@ from .clifford import discriminant_algebra, split_components
 from .errors import CliffinvError, UnsupportedBase
 from .forms import (
     DiagonalForm,
+    Entries,
     WittClass,
-    _as_entries,
+    _as_diagonal,
     local_profile,
     orthogonal_sum,
     signed_discriminant,
@@ -42,7 +43,7 @@ from .scalars import (
     local_class,
     local_class_mul,
     square_class,
-    support_places,
+    places_of,
 )
 
 TRIVIAL_LABEL = "trivial"
@@ -108,7 +109,7 @@ def e1(w) -> SquareClass:
 
 def _e2_checked(c: WittClass, entries) -> BrauerClass2:
     """e2 of a Witt class, checked against the symbol dictionary on
-    entries, a form in the class.  Over F_p every class is trivial."""
+    entries, a form in the class; both read carried classes (forms.Entries)."""
     field, kernel = c.field, c.kernel
     if not isinstance(field, (RationalField, PrimeField)):
         raise UnsupportedBase("e2 is computed over Q (and trivially over F_p)")
@@ -170,7 +171,8 @@ def clifford_invariant_local(entries, v) -> int:
 
 def clifford_invariant_class(entries) -> BrauerClass2:
     """The symbol-dictionary route to the Clifford Brauer class over Q."""
-    ram = [v for v in support_places(*entries) if clifford_invariant_local(entries, v) == -1]
+    es = Entries(entries)
+    ram = [v for v in places_of(es.squarefree[0]) if clifford_invariant_local(es, v) == -1]
     return BrauerClass2(ram)
 
 
@@ -194,8 +196,8 @@ def e2_of_form(q) -> BrauerClass2:
     The form is Witt-reduced and its anisotropic kernel evaluated
     structurally; a hyperbolic form never reaches the Clifford algebra.
     """
-    entries = _as_entries(q)
-    return _e2_checked(witt_decompose(DiagonalForm(entries, q.field)), entries)
+    d = _as_diagonal(q)
+    return _e2_checked(witt_decompose(d), d.entries)
 
 
 def e2_additivity_check(q, q2) -> bool:

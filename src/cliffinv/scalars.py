@@ -8,9 +8,11 @@ normal forms, and serialisation.
 
 Integer factorisation is bounded trial division (default bound 10**6,
 override with the QF_FACTOR_BOUND environment variable); anything worse
-raises FactorBoundExceeded rather than stalling.  The last 128
-factorisations are memoised by (|n|, bound), since Witt reduction, the
-I2 test and the symbol dictionary factor the same entries in turn.
+raises FactorBoundExceeded rather than stalling.  A square class over Q
+is carried as (s, P), s signed squarefree and P its primes, as Q*/Q*^2 =
+{+-1} x (+)_p Z/2.  The last 128 factorisations are memoised by (|n|,
+bound): the same integers recur across forms, in the quaternion
+parameters class_of_quaternion factors, and in the d of each order.
 """
 
 from __future__ import annotations
@@ -96,16 +98,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def squarefree_part(n: int, bound: int | None = None) -> int:
+def squarefree_part(n: int) -> int:
     """The signed squarefree integer representing n modulo nonzero squares."""
-    if n == 0:
+    return rational_class(n)[0]
+
+
+def rational_class(x) -> tuple[int, frozenset]:
+    """(s, P) for the nonzero rational x: s the signed squarefree integer in
+    its square class, P its primes; a denominator of 1 is not factored."""
+    x = Fraction(x)
+    if not x:
         raise ValueError("0 has no square class")
-    sign = -1 if n < 0 else 1
-    out = sign
-    for p, e in factor_integer(n, bound).items():
-        if e % 2:
-            out *= p
-    return out
+    primes = {p for p, e in factor_integer(x.numerator).items() if e % 2}
+    if x.denominator != 1:
+        primes ^= {p for p, e in factor_integer(x.denominator).items() if e % 2}
+    return (-1 if x < 0 else 1) * math.prod(primes), frozenset(primes)
+
+
+def class_mul(*classes, sign: int = 1) -> tuple[int, frozenset]:
+    """sign times the product of classes (s, P): a symmetric difference of sets."""
+    primes = frozenset()
+    for s, ps in classes:
+        sign, primes = -sign if s < 0 else sign, primes ^ ps
+    return sign * math.prod(primes), primes
 
 
 def squarefree_mul(*xs: int) -> int:
@@ -219,7 +234,8 @@ class Place:
         return f"Place({self.p})"
 
     def __str__(self):
-        return "inf" if self.p is None else str(self.p)
+        # interned: the Brauer keys a caller keeps share one string per place
+        return "inf" if self.p is None else sys.intern(str(self.p))
 
     @classmethod
     def parse(cls, s: str) -> "Place":
@@ -290,15 +306,18 @@ def hilbert_symbol(a, b, v: Place) -> int:
 
 def support_places(*values) -> list[Place]:
     """2, infinity, and every odd prime dividing one of the rationals."""
-    primes: set[int] = set()
-    for x in values:
-        x = Fraction(x)
-        for n in (x.numerator, x.denominator):
-            primes.update(factor_integer(n).keys())
-    primes.add(2)
-    places = [Place.finite(p) for p in sorted(primes)]
-    places.append(INFINITY)
-    return places
+    primes = {2}
+    for x in map(Fraction, values):
+        primes.update(factor_integer(x.numerator))
+        if x.denominator != 1:
+            primes.update(factor_integer(x.denominator))
+    return [Place.finite(p) for p in sorted(primes)] + [INFINITY]
+
+
+def places_of(classes) -> list[Place]:
+    """2, infinity and the primes of the classes (s, P), the only other places
+    where a form with entries in these classes may differ from a split one."""
+    return [Place.finite(p) for p in sorted({2}.union(*(ps for _, ps in classes)))] + [INFINITY]
 
 
 def product_formula_check(a, b) -> bool:
@@ -1058,11 +1077,7 @@ def square_class(a, field=None) -> SquareClass:
     if field is None:
         field = _infer_field(a)
     if isinstance(field, RationalField):
-        a = Fraction(a)
-        if a == 0:
-            raise ValueError("0 has no square class")
-        num, den = squarefree_part(a.numerator), squarefree_part(a.denominator)
-        return SquareClass(field, squarefree_mul(num, den))
+        return SquareClass(field, rational_class(a)[0])
     if isinstance(field, PrimeField):
         if not a:
             raise ValueError("0 has no square class")

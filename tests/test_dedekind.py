@@ -87,6 +87,8 @@ def test_class_groups():
     assert [r.label() for r in class_group_mod_squares(QuadOrder(-1))] == ["O"]
     assert [r.label() for r in class_group_mod_squares(QuadOrder(2))] == ["O"]
     assert [r.label() for r in class_group_mod_squares(QuadOrder(5))] == ["O"]
+    # labels are interned: every kept copy shares one string
+    assert reps[1].label() is class_group_mod_squares(order5())[1].label()
     assert len(class_group_mod_squares(QuadOrder(-15))) == 2
 
 

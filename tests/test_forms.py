@@ -1,14 +1,18 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations, count
 
 import pytest
 
 from cliffinv import linalg
+from cliffinv.brauer import BrauerClass2
 from cliffinv.errors import DegenerateFormError, UnsupportedBase
 from cliffinv.forms import (
     Alignment,
     DiagonalForm,
     QuadraticForm,
+    _isotropic_locally,
     diagonalize,
     hasse_invariant,
     hyperbolic,
@@ -20,13 +24,16 @@ from cliffinv.forms import (
     twist,
     witt_decompose,
 )
+from cliffinv.invariants import clifford_invariant_class, clifford_invariant_local, e2_of_form
 from cliffinv.scalars import (
     GF,
     QQ,
     QuadElement,
     QuadraticNumberField,
+    factor_integer,
     hilbert_symbol,
     square_class,
+    squarefree_mul,
     support_places,
 )
 
@@ -340,3 +347,105 @@ def test_isotropy_decision_and_construction_agree():
             assert not _box_has_zero(ints, 6)
         _assert_witt_class(q, witt_decompose(q))
     assert seen[True] and seen[False]
+
+
+# The route before carried classes: every entry squarefreed on its own,
+# products of entries by gcds, and the places of every isotropy test and
+# of the dictionary by support_places.  The package now factors each entry
+# once and multiplies the carried prime sets; both must agree everywhere.
+
+
+def _reference_squarefree(a):
+    a = Fraction(a)
+    n = a.numerator * a.denominator
+    return (-1 if n < 0 else 1) * math.prod(p for p, e in factor_integer(n).items() if e % 2)
+
+
+def _reference_isotropic(sf):
+    n = len(sf)
+    if n <= 1:
+        return False
+    if n == 2:
+        return sf[0] == -sf[1]
+    if n >= 5:
+        return any(a > 0 for a in sf) and any(a < 0 for a in sf)
+    return all(_isotropic_locally(sf, v) for v in support_places(*sf))
+
+
+def _reference_auxiliary(a1, a2, rest):
+    d = 1
+    for v in support_places(a1, a2, *rest):
+        units = () if v.is_infinite else (1, 3, 5, 7) if v.p == 2 else (1, GF(v.p).nonresidue().v)
+        if units and not any(
+            _isotropic_locally([a1, a2, -u], v) and _isotropic_locally([u] + rest, v) for u in units
+        ):
+            d *= v.p
+    for m in count(1):
+        for t in (d * m, -d * m):
+            if _reference_squarefree(t) == t and _reference_isotropic([a1, a2, -t]):
+                if _reference_isotropic([t] + rest):
+                    return t
+
+
+def _reference_split(sf):
+    """The complement of the plane that witt_decompose splits off <sf>."""
+    n = len(sf)
+    for i, j in combinations(range(n), 2):
+        if sf[i] == -sf[j]:
+            return [a for k, a in enumerate(sf) if k not in (i, j)]
+    for idx in combinations(range(n), 3):
+        sub = [sf[k] for k in idx]
+        if _reference_isotropic(sub):
+            return [a for k, a in enumerate(sf) if k not in idx] + [-squarefree_mul(*sub)]
+    a1, a2, rest = sf[0], sf[1], sf[2:]
+    t = _reference_auxiliary(a1, a2, rest)
+    return [squarefree_mul(a1, a2, t)] + _reference_split([t] + rest)
+
+
+def _reference_witt(entries):
+    sf, index = [_reference_squarefree(a) for a in entries], 0
+    while _reference_isotropic(sf):
+        sf, index = _reference_split(sf), index + 1
+    return frac(*sf), index
+
+
+def _reference_discriminant(entries):
+    n = len(entries)
+    return squarefree_mul(-1 if (n * (n - 1) // 2) % 2 else 1, *map(_reference_squarefree, entries))
+
+
+def _reference_dictionary(entries):
+    return BrauerClass2([v for v in support_places(*entries) if clifford_invariant_local(entries, v) == -1])
+
+
+def _carried_class_forms(rng, count):
+    """Rank 1-8 forms with denominators, signs, square factors and at most
+    one entry with a prime near 10^6; every third even-rank form is in I2."""
+    def entry(big=False):
+        num = rng.choice([-1, 1]) * rng.choice([1, 2, 3, 5, 6, 7, 10, 11, 13]) * rng.randint(1, 6) ** 2
+        return Fraction(num * (rng.choice([999961, 999979, 999983]) if big else 1), rng.choice([1, 1, 2, 4, 9, 12]))
+
+    for k in range(count):
+        n = rng.randint(1, 8)
+        es = [entry(big=i == 0 and rng.random() < 0.3) for i in range(n)]
+        if n % 2 == 0 and k % 3 == 0:
+            # make the signed discriminant trivial: scale the last entry by it
+            es[-1] *= _reference_discriminant(es) * rng.randint(1, 5) ** 2
+        rng.shuffle(es)
+        yield DiagonalForm(tuple(es), F)
+
+
+def test_carried_classes_match_the_reference_route():
+    rng = random.Random(1108)
+    n_i2 = 0
+    for q in _carried_class_forms(rng, 520):
+        es = list(q.entries)
+        w = witt_decompose(q)
+        assert (w.kernel, w.index) == _reference_witt(es), es
+        assert is_isotropic(q) == _reference_isotropic([_reference_squarefree(a) for a in es])
+        assert signed_discriminant(q).rep == _reference_discriminant(es), es
+        assert clifford_invariant_class(es) == _reference_dictionary(es), es
+        if q.rank % 2 == 0 and _reference_discriminant(es) == 1:
+            n_i2 += 1
+            assert e2_of_form(q) == _reference_dictionary(es), es
+    assert n_i2 >= 80

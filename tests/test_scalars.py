@@ -369,6 +369,18 @@ def test_place_parsing_and_order():
         Place.parse("6")
 
 
+def test_place_strings_are_shared_and_round_trip():
+    from cliffinv.brauer import BrauerClass2
+
+    assert str(Place.finite(11)) is str(Place.finite(11))
+    assert str(Place.finite(1000003)) is str(Place.finite(1000003))
+    c = BrauerClass2.from_strs(["11", "1000003", "2", "inf"])
+    names = c.to_json()["ramified"]
+    assert names == ["2", "11", "1000003", "inf"]
+    assert BrauerClass2.from_strs(names) == c
+    assert all(Place.parse(str(v)) == v for v in c.places)
+
+
 def test_scalar_serialisation_round_trips():
     assert QQ.elt_from_str(QQ.elt_to_str(Fraction(-3, 4))) == Fraction(-3, 4)
     f7 = GF(7)
