@@ -14,6 +14,8 @@ A table is twisted when each entry is one pair (k(i, j), c_ij), k is
 symmetric with a permutation in each row, and e_0 is the unit, as in a
 Clifford algebra.  `twisted_center` and `find_quaternion_basis` read
 such a table directly; others take a linear solve and a search.
+`center` and `AlgebraMorphism.is_multiplicative` read one entry per basis
+pair where generators, columns and entries are one term.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class StructureAlgebra:
         if self.dim > MAX_DIM:
             raise ValueError(f"dimension {self.dim} exceeds cap {MAX_DIM}")
         # zero coefficients are dropped so that equal algebras have equal tables
-        self.table = tuple(tuple(_entry(row) for row in plane) for plane in table)
+        self.table = tuple(tuple(map(_entry, plane)) for plane in table)
         self.unit = tuple(unit)
         self.involution = None if involution is None else tuple(tuple(r) for r in involution)
 
@@ -133,16 +135,31 @@ class AlgebraMorphism:
         return self.apply(list(self.source.unit)) == list(self.target.unit)
 
     def is_multiplicative(self) -> bool:
-        """phi(e_i) phi(e_j) = phi(e_i e_j) on every pair of basis elements."""
+        """phi(e_i) phi(e_j) = phi(e_i e_j) on every pair of basis elements.
+
+        When every column is one term, phi(e_i) = v_i e_(s_i), a pair with
+        e_i e_j = c e_k and e_(s_i) e_(s_j) = t e_s holds iff s_k == s and
+        c v_k == v_i v_j t: three products, no dicts.  Other pairs compare
+        sparse rows.
+        """
         src, tgt = self.source, self.target
-        sparse_cols = [sparse_row(col) for col in zip(*self.matrix)]
-        for i in range(src.dim):
-            for j in range(src.dim):
+        cols = [sparse_row(col) for col in zip(*self.matrix)]
+        one_term = all(len(col) == 1 for col in cols)
+        for row, col_i in zip(src.table, cols):
+            for e, col_j in zip(row, cols):
+                if one_term and len(e) == 1:
+                    ((si, vi),), ((sj, vj),), ((k, c),) = col_i, col_j, e
+                    f = tgt.table[si][sj]
+                    if len(f) == 1:
+                        ((sk, vk),), ((s, t),) = cols[k], f
+                        if sk != s or c * vk != vi * vj * t:
+                            return False
+                        continue
                 lhs = {}
-                for k, c in src.table[i][j]:
-                    for s, v in sparse_cols[k]:
+                for k, c in e:
+                    for s, v in cols[k]:
                         lhs[s] = lhs[s] + c * v if s in lhs else c * v
-                if {s: v for s, v in lhs.items() if v} != tgt.mul_rows(sparse_cols[i], sparse_cols[j]):
+                if {s: v for s, v in lhs.items() if v} != tgt.mul_rows(col_i, col_j):
                     return False
         return True
 
@@ -172,20 +189,33 @@ def center(a: StructureAlgebra, generators=None):
 
     With a generating set the commutation equations are only posed
     against those elements, which keeps Clifford-sized systems cheap.
+    A monomial generator c e_u poses [x, e_u] = 0: scaling equations by
+    c != 0 keeps their kernel, and so the reduced basis returned.  A t
+    with table[t][u] == table[u][t] adds no equation, and two one-pair
+    entries with a common k add the single coefficient c_tu - c_ut.
     """
     gens = generators if generators is not None else [a.basis_vec(i) for i in range(a.dim)]
-    zero = a.field.zero()
+    zero, table = a.field.zero(), a.table
     rows = []
     for g in gens:
         gs = sparse_row(g)
-        # coefficient of x_t in coordinate s of [x, g]
-        lm = {}
-        for t in range(a.dim):
+        lm = {}  # coefficient of x_t in coordinate s of [x, g]
+        ts = range(a.dim)
+        if len(gs) == 1:
+            u, gs, ts = gs[0][0], ((gs[0][0], a.field.one()),), []
+            for t, (tu, ut) in enumerate(zip([row[u] for row in table], table[u])):
+                if tu == ut:
+                    continue
+                if len(tu) == len(ut) == 1 and tu[0][0] == ut[0][0]:
+                    lm.setdefault(tu[0][0], {})[t] = tu[0][1] - ut[0][1]
+                else:
+                    ts.append(t)
+        for t in ts:
             comm = {}
             for u, gu in gs:
-                for s, c in a.table[t][u]:
+                for s, c in table[t][u]:
                     comm[s] = comm.get(s, zero) + gu * c
-                for s, c in a.table[u][t]:
+                for s, c in table[u][t]:
                     comm[s] = comm.get(s, zero) - gu * c
             for s in sorted(comm):
                 if comm[s]:

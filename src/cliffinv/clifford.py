@@ -173,11 +173,11 @@ class EvenClifford:
 
     @cached_property
     def algebra(self) -> StructureAlgebra:
-        def row(s, t):
-            c, m = self.mul_masks(s, t)
-            return ((self.index[m], c),)
-
-        table = [[row(s, t) for t in self.masks] for s in self.masks]
+        n, index, signed, parity = self.n, self.index, self._signed, self._parity
+        table = [
+            [((index[s ^ t], signed[parity[s << n | t]][s & t]),) for t in self.masks]
+            for s in self.masks
+        ]
         labels = tuple(_mask_label(m) for m in self.masks)
         return StructureAlgebra(self.field, labels, table, self.unit_coords())
 
@@ -615,26 +615,25 @@ def sum_isomorphism(q1: DiagonalForm, q2: DiagonalForm) -> SumIsomorphism:
     block0 = [(s, t) for s in e1.masks for t in e2.masks]
     block1 = [(s, t) for s in b1.masks for t in b2.masks]
     dim0 = len(block0)
-    dim = dim0 + len(block1)
-    pos0 = {p: i for i, p in enumerate(block0)}
-    pos1 = {p: dim0 + i for i, p in enumerate(block1)}
+    basis = block0 + block1
+    dim = len(basis)
+    pos = {p: i for i, p in enumerate(basis)}  # even pairs, then odd pairs
     zero = field.zero()
 
-    def mul_basis(i, j):
-        li = block0[i] if i < dim0 else block1[i - dim0]
-        lj = block0[j] if j < dim0 else block1[j - dim0]
-        ei, oi = i < dim0, j < dim0
-        c1, m1 = e1.mul_masks(li[0], lj[0])
-        c2, m2 = e2.mul_masks(li[1], lj[1])
-        c = c1 * c2
-        if not ei and not oi:
-            c = -c  # pairing of two odd (x) odd elements
-        pos = pos0 if ei == oi else pos1
-        return ((pos[(m1, m2)], c),)
-
-    table = [[mul_basis(i, j) for j in range(dim)] for i in range(dim)]
+    # e_(s1 t1) e_(s2 t2) by the factor products; odd (x) odd times odd (x)
+    # odd, the pairing, flips the sign, read off the second factor
+    (sg1, par1), (sg2, par2) = (e1._signed, e1._parity), (e2._signed, e2._parity)
+    odd = [i >= dim0 for i in range(dim)]
+    table = [
+        [
+            ((pos[s1 ^ t1, s2 ^ t2], sg1[par1[s1 << n1 | t1]][s1 & t1]
+              * sg2[par2[s2 << n2 | t2] ^ (oi and oj)][s2 & t2]),)
+            for (t1, t2), oj in zip(basis, odd)
+        ]
+        for (s1, s2), oi in zip(basis, odd)
+    ]
     unit = [zero] * dim
-    unit[pos0[(0, 0)]] = field.one()
+    unit[pos[(0, 0)]] = field.one()
     labels = tuple(
         f"{_mask_label(s)}(x){_mask_label(t)}" for s, t in block0
     ) + tuple(f"{_mask_label(s)}(x){_mask_label(t)}'" for s, t in block1)
@@ -644,11 +643,11 @@ def sum_isomorphism(q1: DiagonalForm, q2: DiagonalForm) -> SumIsomorphism:
         """Image of the generator e_i e_j (i < j) of the big algebra."""
         v = [zero] * dim
         if j < n1:
-            v[pos0[((1 << i) | (1 << j), 0)]] = field.one()
+            v[pos[((1 << i) | (1 << j), 0)]] = field.one()
         elif i >= n1:
-            v[pos0[(0, (1 << (i - n1)) | (1 << (j - n1)))]] = field.one()
+            v[pos[(0, (1 << (i - n1)) | (1 << (j - n1)))]] = field.one()
         else:
-            v[pos1[(1 << i, 1 << (j - n1))]] = field.one()
+            v[pos[(1 << i, 1 << (j - n1))]] = field.one()
         return v
 
     cols = []

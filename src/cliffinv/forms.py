@@ -194,7 +194,11 @@ def orthogonal_sum(q, q2):
     if isinstance(q, DiagonalForm) and isinstance(q2, DiagonalForm):
         if q.field != q2.field:
             raise ValueError("orthogonal sum needs a common base field")
-        return DiagonalForm(q.entries + q2.entries, q.field)
+        entries = Entries(q.entries + q2.entries)
+        if "squarefree" in vars(q.entries) and "squarefree" in vars(q2.entries):
+            (c1, r1), (c2, r2) = q.entries.squarefree, q2.entries.squarefree
+            entries.squarefree = [*c1, *c2], [*r1, *r2]  # the summands' classes carry over
+        return DiagonalForm(entries, q.field)
     qa = q.to_quadratic() if isinstance(q, DiagonalForm) else q
     qb = q2.to_quadratic() if isinstance(q2, DiagonalForm) else q2
     if qa.field != qb.field:

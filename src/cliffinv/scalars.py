@@ -365,8 +365,9 @@ class RationalField:
                 return Fraction(n)
 
     def elt_to_str(self, x) -> str:
+        # interned, as for PrimeField: str(0) is a fresh string on each call
         x = Fraction(x)
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return sys.intern(str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}")
 
     def elt_from_str(self, s: str):
         return Fraction(s)

@@ -313,6 +313,63 @@ def test_twisted_center_matches_center_on_clifford_tables():
             assert len(cen) == 2 - rank % 2
 
 
+# The centre as solved before monomial generators lost their factor and
+# equal entries their equation: every commutator row accumulated in dicts.
+def _reference_center(a, generators=None):
+    gens = generators if generators is not None else [a.basis_vec(i) for i in range(a.dim)]
+    zero = a.field.zero()
+    rows = []
+    for g in gens:
+        gs = sparse_row(g)
+        lm = {}
+        for t in range(a.dim):
+            comm = {}
+            for u, gu in gs:
+                for s, c in a.table[t][u]:
+                    comm[s] = comm.get(s, zero) + gu * c
+                for s, c in a.table[u][t]:
+                    comm[s] = comm.get(s, zero) - gu * c
+            for s in sorted(comm):
+                if comm[s]:
+                    lm.setdefault(s, {})[t] = comm[s]
+        rows.extend(lm.values())
+    return linalg.nullspace_sparse(rows, a.dim, a.field)
+
+
+def _scaled(field, rng, vecs):
+    """Each vector times a random nonzero c != 1."""
+    out = []
+    for v in vecs:
+        c = field.random_nonzero(rng)
+        while c == field.one():
+            c = field.random_nonzero(rng)
+        out.append([c * x for x in v])
+    return out
+
+
+def test_center_matches_reference():
+    from cliffinv.dedekind import FracIdeal, QuadOrder, even_clifford_order, hyperbolic_ideal_form
+
+    rng = random.Random(16)
+    cases = []
+    for field in (F, GF(3), GF(5), GF(7), GF(11)):
+        for rank in range(1, 8):
+            ec = EvenClifford(DiagonalForm(tuple(field.random_nonzero(rng) for _ in range(rank)), field))
+            gens = ec.generators()
+            cases += [(ec.algebra, gens), (ec.algebra, _scaled(field, rng, gens)), (ec.algebra, None)]
+            # sums of generators take the loop over every t
+            cases.append((ec.algebra, [ec.algebra.add(g, h) for g, h in zip(gens, gens[1:])] + gens[:1]))
+    q = quaternion(Fraction(-1), Fraction(3), F)
+    m2 = matrix_algebra(2, GF(5))
+    o = QuadOrder(-5)
+    p2 = FracIdeal.from_generators(o, [o.field.from_int(2), o.element(1, 1)])
+    order = even_clifford_order(hyperbolic_ideal_form(o, [o.one_ideal(), o.one_ideal()], p2)).algebra
+    for a in (q, m2, tensor(q, q), matrix_algebra(3, F), _symmetric_group_algebra(), order):
+        cases += [(a, None), (a, _scaled(a.field, rng, [a.basis_vec(i) for i in range(a.dim)]))]
+    for a, gens in cases:
+        assert center(a, gens) == _reference_center(a, gens)
+
+
 def test_twisted_read_matches_ladder():
     # split components of <a, b, c, abc> and quaternion tables are twisted;
     # the read-off must be the ladder's answer, sign and basis included

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cliffinv import jsonio, linalg
-from cliffinv.algebras import AlgebraMorphism, associativity_witness, center, central_idempotents, find_quaternion_basis, is_split_quaternion
+from cliffinv.algebras import AlgebraMorphism, StructureAlgebra, associativity_witness, center, central_idempotents, find_quaternion_basis, is_split_quaternion
 from cliffinv.brauer import class_of_algebra
 from cliffinv.clifford import (
     CliffordBimodule,
@@ -427,6 +427,43 @@ def test_perturbed_sum_isomorphism_is_not_multiplicative():
     rows[row][col] = F.one()
     bad = AlgebraMorphism(good.source, good.target, tuple(tuple(r) for r in rows))
     assert not bad.is_multiplicative()
+
+
+def _with_columns(m, cols):
+    """The morphism m with the given columns."""
+    return AlgebraMorphism(m.source, m.target, tuple(zip(*cols)))
+
+
+def test_one_term_perturbations_are_not_multiplicative():
+    # every column stays one term, so the check reads one entry per pair
+    rng = random.Random(30)
+    for field in (F, GF(3), GF(7)):
+        for rank in range(2, 7):
+            q = random_regular_diagonal(rng, field, rank)
+            k = rng.randrange(1, rank)
+            good = sum_isomorphism(DiagonalForm(q.entries[:k], field), DiagonalForm(q.entries[k:], field)).morphism
+            assert good.is_multiplicative()
+            cols = [list(c) for c in zip(*good.matrix)]
+            assert all(sum(map(bool, c)) == 1 for c in cols)
+            dim = len(cols)
+            for scale in (-field.one(), field.from_int(2)):
+                j = rng.randrange(1, dim)
+                bad = cols[:j] + [[scale * x for x in cols[j]]] + cols[j + 1:]
+                # at rank 2, C0 is quadratic etale and e12 -> -e12 an automorphism
+                automorphism = dim == 2 and scale * scale == field.one()
+                assert _with_columns(good, bad).is_multiplicative() == automorphism
+            i, j = dim - 2, dim - 1
+            swapped = cols[:i] + [cols[j], cols[i]] + cols[j + 1:]
+            assert not _with_columns(good, swapped).is_multiplicative()
+    assert hyperbolic_model(2).phi0.is_multiplicative()  # columns of several terms
+    # on the group algebra of (Z/2)^3 every coefficient is 1, so swapping
+    # e_1 and e_2, no group automorphism, fails on the targets alone
+    one, zero = F.one(), F.zero()
+    table = [[((i ^ j, one),) for j in range(8)] for i in range(8)]
+    group = StructureAlgebra(F, [str(i) for i in range(8)], table, [one] + [zero] * 7)
+    perm = [0, 2, 1, 3, 4, 5, 6, 7]
+    swap = AlgebraMorphism(group, group, tuple(tuple(one if perm[j] == i else zero for j in range(8)) for i in range(8)))
+    assert swap.preserves_unit() and swap.is_bijective() and not swap.is_multiplicative()
 
 
 def test_base_change():

@@ -13,6 +13,7 @@ from cliffinv.forms import (
     DiagonalForm,
     QuadraticForm,
     _isotropic_locally,
+    _squarefree_entries,
     diagonalize,
     hasse_invariant,
     hyperbolic,
@@ -449,3 +450,19 @@ def test_carried_classes_match_the_reference_route():
             n_i2 += 1
             assert e2_of_form(q) == _reference_dictionary(es), es
     assert n_i2 >= 80
+
+
+def test_orthogonal_sum_carries_the_summands_classes():
+    rng = random.Random(36)
+    forms = list(_carried_class_forms(rng, 60))
+    kernels = [DiagonalForm(w.kernel, F) for w in map(witt_decompose, forms[:30]) if w.kernel]
+    summands = forms + kernels
+    for k in range(len(summands)):
+        q1, q2 = summands[k], rng.choice(summands)
+        if k % 3 == 0:  # fresh summands, no classes to carry
+            q1, q2 = DiagonalForm(tuple(q1.entries), F), DiagonalForm(tuple(q2.entries), F)
+        else:  # both summands compute their classes, and the sum carries them
+            q1.entries.squarefree, q2.entries.squarefree
+        s = orthogonal_sum(q1, q2)
+        assert ("squarefree" in vars(s.entries)) == (k % 3 != 0)
+        assert s.entries.squarefree == _squarefree_entries(tuple(s.entries))

@@ -398,3 +398,7 @@ def test_shared_constants_and_residue_strings():
     assert QQ.zero() == 0 and QQ.one() == 1
     f7 = GF(7)
     assert f7.elt_to_str(f7.from_int(3)) is f7.elt_to_str(f7.from_int(10))
+    assert QQ.elt_to_str(QQ.zero()) is QQ.elt_to_str(Fraction(0))
+    assert QQ.elt_to_str(Fraction(-6, 8)) is QQ.elt_to_str(Fraction(-3, 4))
+    for x in (Fraction(0), Fraction(1), Fraction(-3, 4), Fraction(10**20, 7)):
+        assert QQ.elt_from_str(QQ.elt_to_str(x)) == x
