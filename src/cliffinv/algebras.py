@@ -4,11 +4,15 @@ The structure table is sparse: table[i][j] is a tuple of (k, c) pairs,
 sorted by k with every c nonzero, and e_i e_j = sum c e_k over them.
 Clifford, matrix and quaternion algebras have one pair per entry, so
 a table holds dim^2 pairs rather than dim^3 coefficients.  Elements
-are dense coordinate vectors.  Dimension is capped at 64, which is all
-the even Clifford algebras up to rank 7 need.  Isomorphism testing is
-deliberately not general: quaternions go through ramification data,
-etale quadratic algebras through their discriminant, split matrix
-algebras through explicit certificates.
+are dense coordinate vectors.  Every involution the package builds is
+diagonal on the basis (the standard involution of a quaternion algebra
+and tensor products of those), so `involution` is a sign vector: one
+field element +-1 per basis element, with sigma(e_i) = s_i e_i.
+Dimension is capped at 64, which is all the even Clifford algebras up
+to rank 7 need.  Isomorphism testing is deliberately not general:
+quaternions go through ramification data, etale quadratic algebras
+through their discriminant, split matrix algebras through explicit
+certificates.
 
 A table is twisted when each entry is one pair (k(i, j), c_ij), k is
 symmetric with a permutation in each row, and e_0 is the unit, as in a
@@ -56,7 +60,7 @@ class StructureAlgebra:
         # zero coefficients are dropped so that equal algebras have equal tables
         self.table = tuple(tuple(map(_entry, plane)) for plane in table)
         self.unit = tuple(unit)
-        self.involution = None if involution is None else tuple(tuple(r) for r in involution)
+        self.involution = None if involution is None else tuple(involution)
 
     def zero_vec(self):
         return [self.field.zero()] * self.dim
@@ -97,7 +101,7 @@ class StructureAlgebra:
     def apply_involution(self, x):
         if self.involution is None:
             raise CliffinvError("algebra carries no involution")
-        return linalg.matvec([list(r) for r in self.involution], list(x), self.field)
+        return [s * c for s, c in zip(self.involution, x)]
 
     def is_scalar(self, x):
         """If x = c * unit return c, else None."""
@@ -320,14 +324,7 @@ def tensor(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
                 unit[i * b.dim + j] = ua * ub
     inv = None
     if a.involution is not None and b.involution is not None:
-        inv = [[zero] * dim for _ in range(dim)]
-        for i1 in range(a.dim):
-            for j1 in range(b.dim):
-                for i2 in range(a.dim):
-                    for j2 in range(b.dim):
-                        v = a.involution[i1][i2] * b.involution[j1][j2]
-                        if v:
-                            inv[i1 * b.dim + j1][i2 * b.dim + j2] = v
+        inv = [sa * sb for sa in a.involution for sb in b.involution]
     return StructureAlgebra(field, labels, table, unit, inv)
 
 
@@ -355,13 +352,7 @@ def quaternion(a, b, field) -> StructureAlgebra:
     put(3, 2, 1, b)
     put(3, 3, 0, -(a * b))
     unit = [one, zero, zero, zero]
-    inv = [
-        [one, zero, zero, zero],
-        [zero, -one, zero, zero],
-        [zero, zero, -one, zero],
-        [zero, zero, zero, -one],
-    ]
-    return StructureAlgebra(field, ("1", "i", "j", "k"), t, unit, inv)
+    return StructureAlgebra(field, ("1", "i", "j", "k"), t, unit, (one, -one, -one, -one))
 
 
 def reduced_trace(a: StructureAlgebra, x):

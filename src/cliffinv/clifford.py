@@ -2,7 +2,11 @@
 
 Basis monomials e_S, the product of the e_i (i in S) in increasing
 order, are indexed by bitmasks: even subsets span the even algebra, odd
-subsets the bimodule.  Monomial products take one of two paths.
+subsets the bimodule.  A Clifford element, even or odd, is a {mask: coef}
+dict, and `EvenClifford.mul` multiplies any two.  An operator on the
+exterior algebra of the hyperbolic model is a column map
+{mask: {mask: coef}}, composed and combined by `linalg.compose` and
+`linalg.combine`.  Monomial products take one of two paths.
 
 On a diagonal form <a_1, ..., a_n>, e_S e_T = (-1)^sigma(S, T)
 a_(S and T) e_(S xor T): a twisted group algebra of (Z/2)^n with one pair
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
-from .algebras import AlgebraMorphism, StructureAlgebra, center
+from .algebras import AlgebraMorphism, StructureAlgebra, center, matrix_algebra
 from .errors import CliffinvError, DegenerateFormError
 from .forms import DiagonalForm, QuadraticForm, diagonalize, hyperbolic, signed_det
 from .scalars import QQ
@@ -130,23 +134,19 @@ class EvenClifford:
         """e_S e_T as (coef, S xor T); products share their coefficient objects."""
         return self._signed[self._parity[s << self.n | t]][s & t], s ^ t
 
-    def mul_monomial_coords(self, x, x_masks, y, y_masks, index):
-        """Product of coordinate vectors on monomial bases; index places the result.
+    def mul(self, x, y):
+        """Product of Clifford elements given as {mask: coef}, even or odd.
 
-        The even product, both bimodule actions and the pairing are this
-        one product with different bases.
+        One loop over the pairs of terms serves the even product, both
+        bimodule actions and the pairing C1 x C1 -> C0.
         """
-        out = [self.field.zero()] * len(index)
-        for xi, s in zip(x, x_masks):
-            if not xi:
-                continue
-            for yj, t in zip(y, y_masks):
-                if not yj:
-                    continue
+        out = {}
+        for s, a in x.items():
+            for t, b in y.items():
                 c, m = self.mul_masks(s, t)
-                k = index[m]
-                out[k] = out[k] + xi * yj * c
-        return out
+                v = a * b * c
+                out[m] = out[m] + v if m in out else v
+        return {m: c for m, c in out.items() if c}
 
     def unit_coords(self):
         v = [self.field.zero()] * self.dim
@@ -154,22 +154,21 @@ class EvenClifford:
         return v
 
     def embed_pair(self, i: int, j: int):
-        """Coordinates of the generator image of e_i (x) e_j."""
-        v = [self.field.zero()] * self.dim
+        """The generator image of e_i (x) e_j, as {mask: coef}."""
         if i == j:
-            v[self.index[0]] = self.form.entries[i]
-        elif i < j:
-            v[self.index[(1 << i) | (1 << j)]] = self.field.one()
-        else:
-            v[self.index[(1 << i) | (1 << j)]] = -self.field.one()
-        return v
+            return {0: self.form.entries[i]}
+        one = self.field.one()
+        return {(1 << i) | (1 << j): one if i < j else -one}
 
     def generators(self):
-        return [
-            self.embed_pair(i, j)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        ]
+        """Coordinate vectors of the e_i e_j with i < j, which `center` takes."""
+        zero, one, out = self.field.zero(), self.field.one(), []
+        for i in range(self.n):
+            for j in range(i + 1, self.n):
+                v = [zero] * self.dim
+                v[self.index[(1 << i) | (1 << j)]] = one
+                out.append(v)
+        return out
 
     @cached_property
     def algebra(self) -> StructureAlgebra:
@@ -186,35 +185,19 @@ class EvenClifford:
 
 
 class CliffordBimodule:
-    """Odd-subset monomials with the two-sided even-algebra action."""
+    """Odd-subset monomials.  The two-sided action of the even algebra and
+    the pairing C1 x C1 -> C0 (value line trivialised) are `EvenClifford.mul`."""
 
     def __init__(self, even: EvenClifford):
         self.even = even
         self.field = even.field
         self.n = even.n
         self.masks = _masks_by_parity(self.n, 1)
-        self.index = {m: i for i, m in enumerate(self.masks)}
         self.dim = len(self.masks)
 
     def embed_vector(self, i: int):
-        v = [self.field.zero()] * self.dim
-        v[self.index[1 << i]] = self.field.one()
-        return v
-
-    def left_act(self, even_coords, odd_coords):
-        """x * m with x in the even algebra."""
-        ev = self.even
-        return ev.mul_monomial_coords(even_coords, ev.masks, odd_coords, self.masks, self.index)
-
-    def right_act(self, odd_coords, even_coords):
-        """m . x with x in the even algebra."""
-        ev = self.even
-        return ev.mul_monomial_coords(odd_coords, self.masks, even_coords, ev.masks, self.index)
-
-    def mult(self, x, y):
-        """The pairing m: C1 x C1 -> C0 (value line trivialised)."""
-        ev = self.even
-        return ev.mul_monomial_coords(x, self.masks, y, self.masks, ev.index)
+        """The image of the i-th basis vector, as {mask: coef}."""
+        return {1 << i: self.field.one()}
 
 
 def even_clifford(form) -> EvenClifford:
@@ -240,13 +223,18 @@ class DiscriminantAlgebra:
         return f"DiscriminantAlgebra(x^2 - ({self.delta}), split={self.split})"
 
 
-def discriminant_algebra(form) -> DiscriminantAlgebra:
-    """Centre presented as F[x]/(x^2 - delta), delta the signed discriminant."""
+def discriminant_algebra(form_or_ec) -> DiscriminantAlgebra:
+    """Centre presented as F[x]/(x^2 - delta), delta the signed discriminant.
+
+    Takes a form, or an EvenClifford whose algebra table is then reused.
+    """
+    ec = form_or_ec if isinstance(form_or_ec, EvenClifford) else None
+    form = form_or_ec if ec is None else ec.form
     if isinstance(form, QuadraticForm):
         form, _ = diagonalize(form)
     if form.rank % 2:
         raise ValueError("discriminant algebra needs even rank (odd rank has scalar centre)")
-    ec = EvenClifford(form)
+    ec = ec or EvenClifford(form)
     delta = signed_det(form)
     # the top monomial squares to exactly the signed determinant
     c, m = ec.mul_masks(ec.top_mask(), ec.top_mask())
@@ -361,30 +349,22 @@ def tables_commute(form: DiagonalForm, ring_map) -> bool:
 # Hyperbolic exterior model
 
 
-def _exterior_matrix(i, masks, index, field, wedge: bool):
-    """Left exterior multiplication by the i-th basis vector (wedge), or
-    the interior product by the i-th dual basis vector, on the exterior
-    algebra: both toggle bit i with the sign of the bits below it."""
-    mat = [[field.zero()] * len(masks) for _ in masks]
-    for col, m in enumerate(masks):
-        if bool(m >> i & 1) != wedge:
-            below = (m & ((1 << i) - 1)).bit_count()
-            mat[index[m ^ (1 << i)]][col] = field.one() if below % 2 == 0 else -field.one()
-    return mat
-
-
 def exterior_operators(r: int, field):
-    """Contraction and wedge matrices on the full exterior algebra.
+    """Contraction and wedge operators on the full exterior algebra.
 
-    Returns (masks, contractions, wedges) with masks ordered by degree
-    then value; operator index i refers to the i-th basis vector of the
-    underlying rank-r module.
+    Returns (contractions, wedges) as column maps on the masks of the
+    exterior basis: the interior product by the i-th dual basis vector,
+    and left exterior multiplication by the i-th basis vector, both
+    toggle bit i with the sign of the bits below it.
     """
-    masks = sorted(range(1 << r), key=lambda m: (m.bit_count(), m))
-    index = {m: i for i, m in enumerate(masks)}
-    contract = [_exterior_matrix(i, masks, index, field, False) for i in range(r)]
-    wedge = [_exterior_matrix(i, masks, index, field, True) for i in range(r)]
-    return masks, contract, wedge
+    one = field.one()
+    contract, wedge = [], []
+    for i in range(r):
+        bit = 1 << i
+        signs = {m: -one if (m & (bit - 1)).bit_count() % 2 else one for m in range(1 << r)}
+        contract.append({m: {m ^ bit: c} for m, c in signs.items() if m & bit})
+        wedge.append({m: {m ^ bit: c} for m, c in signs.items() if not m & bit})
+    return contract, wedge
 
 
 def product_algebra(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
@@ -408,9 +388,6 @@ class HyperbolicModel:
     form: QuadraticForm
     even: EvenClifford
     bimodule: CliffordBimodule
-    plus_masks: tuple
-    minus_masks: tuple
-    clifford_ops: list  # operator matrices of the diagonalised generators
     phi0: AlgebraMorphism
     phi1_matrix: list
     target: StructureAlgebra
@@ -422,8 +399,11 @@ def hyperbolic_model(r: int) -> HyperbolicModel:
     the two Hom blocks.
 
     The generator t_i + v_j acts by contraction plus left wedging, so
-    squares match the hyperbolic pairing; the assembled map is certified
-    to be a bijective algebra homomorphism before being returned.
+    squares match the hyperbolic pairing.  Each diagonal generator is
+    then a signed monomial map, and so is the operator of each e_S
+    (`_operator_products`); phi0 and phi1 are read off these operators.
+    The assembled map is certified to be a bijective algebra
+    homomorphism before being returned.
     """
     field = QQ
     if r < 1 or r > 4:
@@ -432,153 +412,68 @@ def hyperbolic_model(r: int) -> HyperbolicModel:
     diag, pmat = diagonalize(h)
     ec = EvenClifford(diag)
     bim = CliffordBimodule(ec)
-
-    all_masks, contract, wedge = exterior_operators(r, field)
-    full_index = {m: i for i, m in enumerate(all_masks)}
-
+    contract, wedge = exterior_operators(r, field)
     n = 2 * r
-    ops = []
-    for k in range(n):
-        acc = [[field.zero()] * (1 << r) for _ in range(1 << r)]
-        for i in range(n):
-            c = pmat[i][k]
-            if not c:
-                continue
-            base = contract[i] if i < r else wedge[i - r]
-            for rr in range(1 << r):
-                row = base[rr]
-                arow = acc[rr]
-                for cc in range(1 << r):
-                    if row[cc]:
-                        arow[cc] = arow[cc] + c * row[cc]
-        ops.append(acc)
+    gens = [linalg.combine([row[k] for row in pmat], contract + wedge) for k in range(n)]
 
     # Clifford relations for the operator assignment
+    one = field.one()
     for k in range(n):
-        sq = linalg.matmul(ops[k], ops[k], field)
-        expect = diag.entries[k]
-        for i in range(1 << r):
-            for j in range(1 << r):
-                want = expect if i == j else field.zero()
-                if sq[i][j] != want:
-                    raise CliffinvError("operator square violates the form")
-    for k in range(n):
+        if linalg.compose(gens[k], gens[k]) != {m: {m: diag.entries[k]} for m in range(1 << r)}:
+            raise CliffinvError("operator square violates the form")
         for l in range(k + 1, n):
-            anti = linalg.matmul(ops[k], ops[l], field)
-            anti2 = linalg.matmul(ops[l], ops[k], field)
-            for i in range(1 << r):
-                for j in range(1 << r):
-                    if anti[i][j] + anti2[i][j]:
-                        raise CliffinvError("operators fail to anticommute")
+            anti = [linalg.compose(gens[k], gens[l]), linalg.compose(gens[l], gens[k])]
+            if linalg.combine([one, one], anti):
+                raise CliffinvError("operators fail to anticommute")
 
-    plus_masks = tuple(m for m in all_masks if m.bit_count() % 2 == 0)
-    minus_masks = tuple(m for m in all_masks if m.bit_count() % 2 == 1)
-    plus_pos = {m: i for i, m in enumerate(plus_masks)}
-    minus_pos = {m: i for i, m in enumerate(minus_masks)}
+    ops = _operator_products(gens, r, field)
+
+    # each parity block in the order of `_masks_by_parity`; an operator is
+    # flattened as its block on even sources, then its block on odd sources
     mdim = 1 << (r - 1)
+    block = mdim * mdim
+    pos = {m: i for p in (0, 1) for i, m in enumerate(_masks_by_parity(r, p))}
 
-    def op_product(mask):
-        mat = linalg.identity(1 << r, field)
-        for b in range(n):
-            if mask >> b & 1:
-                mat = linalg.matmul(mat, ops[b], field)
-        return mat
-
-    def even_blocks(mat):
-        plus = [[mat[full_index[mi]][full_index[mj]] for mj in plus_masks] for mi in plus_masks]
-        minus = [[mat[full_index[mi]][full_index[mj]] for mj in minus_masks] for mi in minus_masks]
-        return plus, minus
-
-    def odd_blocks(mat):
-        to_minus = [[mat[full_index[mi]][full_index[mj]] for mj in plus_masks] for mi in minus_masks]
-        to_plus = [[mat[full_index[mi]][full_index[mj]] for mj in minus_masks] for mi in plus_masks]
-        return to_minus, to_plus
-
-    from .algebras import matrix_algebra
+    def flat(s):
+        out = [field.zero()] * (2 * block)
+        for col, terms in ops[s].items():
+            for row, c in terms.items():
+                if (row.bit_count() + col.bit_count() + s.bit_count()) % 2:
+                    raise CliffinvError("operator mixes parity blocks")
+                out[col.bit_count() % 2 * block + pos[row] * mdim + pos[col]] = c
+        return out
 
     target = product_algebra(matrix_algebra(mdim, field), matrix_algebra(mdim, field))
-
-    cols0 = []
-    for m in ec.masks:
-        mat = op_product(m)
-        for mi in plus_masks:
-            for mj in minus_masks:
-                if mat[full_index[mi]][full_index[mj]] or mat[full_index[mj]][full_index[mi]]:
-                    raise CliffinvError("even operator mixes parity blocks")
-        plus, minus = even_blocks(mat)
-        flat = [plus[i][j] for i in range(mdim) for j in range(mdim)]
-        flat += [minus[i][j] for i in range(mdim) for j in range(mdim)]
-        cols0.append(flat)
-    phi0_matrix = [[cols0[j][i] for j in range(ec.dim)] for i in range(target.dim)]
-    phi0 = AlgebraMorphism(ec.algebra, target, tuple(tuple(r_) for r_ in phi0_matrix))
+    phi0 = AlgebraMorphism(ec.algebra, target, tuple(zip(*map(flat, ec.masks))))
     if not phi0.is_isomorphism():
         raise CliffinvError("hyperbolic model map failed certification")
-
-    cols1 = []
-    for m in bim.masks:
-        mat = op_product(m)
-        to_minus, to_plus = odd_blocks(mat)
-        flat = [to_minus[i][j] for i in range(mdim) for j in range(mdim)]
-        flat += [to_plus[i][j] for i in range(mdim) for j in range(mdim)]
-        cols1.append(flat)
-    phi1_matrix = [[cols1[j][i] for j in range(bim.dim)] for i in range(2 * mdim * mdim)]
+    phi1_matrix = [list(row) for row in zip(*map(flat, bim.masks))]
     if linalg.rank(phi1_matrix, field) != bim.dim:
         raise CliffinvError("odd-part map is not bijective")
-
-    model = HyperbolicModel(
-        rank=r,
-        field=field,
-        form=h,
-        even=ec,
-        bimodule=bim,
-        plus_masks=plus_masks,
-        minus_masks=minus_masks,
-        clifford_ops=ops,
-        phi0=phi0,
-        phi1_matrix=phi1_matrix,
-        target=target,
-    )
-    _certify_phi1_equivariance(model)
-    return model
+    _certify_phi1_equivariance(ec, bim, ops)
+    return HyperbolicModel(r, field, h, ec, bim, phi0, phi1_matrix, target)
 
 
-def _phi1_apply(model: HyperbolicModel, odd_coords):
-    field = model.field
-    out = [field.zero()] * len(model.phi1_matrix)
-    for j, c in enumerate(odd_coords):
-        if c:
-            for i in range(len(out)):
-                if model.phi1_matrix[i][j]:
-                    out[i] = out[i] + c * model.phi1_matrix[i][j]
-    return out
+def _operator_products(gens, r, field):
+    """ops[S], the operator of e_S for every mask S: the operator of S
+    minus its top bit composed with that bit's generator operator."""
+    ops = [{m: {m: field.one()} for m in range(1 << r)}]
+    for s in range(1, 1 << len(gens)):
+        top = s.bit_length() - 1
+        ops.append(linalg.compose(ops[s ^ (1 << top)], gens[top]))
+    return ops
 
 
-def _certify_phi1_equivariance(model: HyperbolicModel):
-    """phi1 of the module actions must match operator composition."""
-    field = model.field
-    mdim = 1 << (model.rank - 1)
-    ec, bim = model.even, model.bimodule
-
-    def blocks(vec):
-        """The two mdim x mdim blocks of a flattened image."""
-        off = mdim * mdim
-        first = [vec[i * mdim : (i + 1) * mdim] for i in range(mdim)]
-        return first, [vec[off + i * mdim : off + (i + 1) * mdim] for i in range(mdim)]
-
-    def phi1(odd_coords):
-        return blocks(_phi1_apply(model, odd_coords))
-
-    for e in linalg.identity(ec.dim, field):
-        pb, mb = blocks(model.phi0.apply(e))
-        for o in linalg.identity(bim.dim, field):
-            tm, tp = phi1(o)
-            # left action: operators compose on the left
-            lm, lp = phi1(bim.left_act(e, o))
-            if lm != linalg.matmul(mb, tm, field) or lp != linalg.matmul(pb, tp, field):
-                raise CliffinvError("odd map fails left equivariance")
-            rm, rp = phi1(bim.right_act(o, e))
-            if rm != linalg.matmul(tm, pb, field) or rp != linalg.matmul(tp, mb, field):
-                raise CliffinvError("odd map fails right equivariance")
+def _certify_phi1_equivariance(ec: EvenClifford, bim: CliffordBimodule, ops):
+    """phi1 of the module actions must match operator composition:
+    op(e_S) op(e_T) = c op(e_(S xor T)) where e_S e_T = c e_(S xor T),
+    for S even and T odd (left action) and S odd and T even (right)."""
+    for e in ec.masks:
+        for o in bim.masks:
+            for s, t, side in ((e, o, "left"), (o, e, "right")):
+                c, m = ec.mul_masks(s, t)
+                if linalg.compose(ops[s], ops[t]) != linalg.combine([c], [ops[m]]):
+                    raise CliffinvError(f"odd map fails {side} equivariance")
 
 
 # ---------------------------------------------------------------------------

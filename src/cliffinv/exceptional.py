@@ -38,7 +38,7 @@ class AlbertFormData:
 @dataclass
 class PfaffianSpaceData:
     ambient: StructureAlgebra  # the degree-4 algebra acting on itself
-    psi: list  # involutory endomorphism of the underlying 16-space
+    psi: dict  # involutory endomorphism of the underlying 16-space, a column map
     alternating_basis: list  # basis of im(id - psi)
 
 
@@ -134,37 +134,29 @@ def pfaffian_space(a, b, c, d, field=None) -> PfaffianSpaceData:
     coefs_b = _goldman_terms(qb)
     coefs_c = _goldman_terms(qc)
     # trace element of A as sum over the 16 product basis vectors
-    terms = []
-    for mu in range(4):
-        for nu in range(4):
-            terms.append((coefs_b[mu] * coefs_c[nu], mu * 4 + nu))
+    terms = [(coefs_b[mu] * coefs_c[nu], mu * 4 + nu) for mu in range(4) for nu in range(4)]
+    one, zero = field.one(), field.zero()
+
+    def sandwich(k, signs):
+        """sum coef * u e_k (s_u u) over the terms, as {row: coef}: on a
+        twisted table each term is one signed monomial."""
+        acc = {}
+        for coef, idx in terms:
+            ux = amb.mul_rows(((idx, coef),), ((k, one),))
+            for row, v in amb.mul_rows(ux.items(), ((idx, signs[idx]),)).items():
+                acc[row] = acc[row] + v if row in acc else v
+        return {row: v for row, v in acc.items() if v}
+
     # certify: sandwiching without sigma gives the reduced trace map
     for k in range(16):
-        x = amb.basis_vec(k)
-        acc = amb.zero_vec()
-        for coef, idx in terms:
-            u = amb.basis_vec(idx)
-            acc = amb.add(acc, amb.scalar_mul(coef, amb.mul(amb.mul(u, x), u)))
-        expected = amb.scalar_mul(reduced_trace(amb, x), list(amb.unit))
-        if acc != expected:
+        tr = reduced_trace(amb, amb.basis_vec(k))
+        if sandwich(k, [one] * 16) != {i: tr * u for i, u in enumerate(amb.unit) if tr * u}:
             raise CliffinvError("trace element certification failed")
-    # psi(x) = sum coef * u x sigma(u)
-    psi_cols = []
-    for k in range(16):
-        x = amb.basis_vec(k)
-        acc = amb.zero_vec()
-        for coef, idx in terms:
-            u = amb.basis_vec(idx)
-            su = amb.apply_involution(u)
-            acc = amb.add(acc, amb.scalar_mul(coef, amb.mul(amb.mul(u, x), su)))
-        psi_cols.append(acc)
-    psi = [[psi_cols[j][i] for j in range(16)] for i in range(16)]
-    sq = linalg.matmul(psi, psi, field)
-    ident = linalg.identity(16, field)
-    if sq != ident:
+    # psi(x) = sum coef * u x sigma(u), sigma(u) = s_u u
+    psi = {k: sandwich(k, amb.involution) for k in range(16)}
+    if linalg.compose(psi, psi) != {k: {k: one} for k in range(16)}:
         raise CliffinvError("trace image is not involutory")
-    diff = [[ident[i][j] - psi[i][j] for j in range(16)] for i in range(16)]
-    cols = [[diff[i][j] for i in range(16)] for j in range(16)]
+    cols = [[(one if i == k else zero) - psi[k].get(i, zero) for i in range(16)] for k in range(16)]
     alt = linalg.column_space_basis(cols, field)
     if len(alt) != 6:
         raise CliffinvError(f"alternating space has dimension {len(alt)}, not 6")

@@ -3,6 +3,9 @@
 Elements only need +, -, *, /, unary -, and truthiness for a zero test,
 so the same routines serve Fractions, prime fields, quadratic fields and
 rational function fields.  Matrices are lists of lists, row major.
+An operator on a monomial basis is a column map {col: {row: coeff}},
+with zero coefficients and empty columns dropped, so that equal
+operators are equal dicts; `combine` and `compose` act on these.
 """
 
 from __future__ import annotations
@@ -197,6 +200,41 @@ def nullspace_sparse(rows, ncols, field):
             full[c] = v[j]
         out.append(full)
     return out
+
+
+def _pruned(op):
+    """The column map op without zero coefficients and empty columns."""
+    out = {}
+    for col, terms in op.items():
+        terms = {row: v for row, v in terms.items() if v}
+        if terms:
+            out[col] = terms
+    return out
+
+
+def combine(coeffs, ops):
+    """sum c * op over the pairs, for column maps."""
+    out = {}
+    for c, op in zip(coeffs, ops):
+        if not c:
+            continue
+        for col, terms in op.items():
+            acc = out.setdefault(col, {})
+            for row, v in terms.items():
+                acc[row] = acc[row] + c * v if row in acc else c * v
+    return _pruned(out)
+
+
+def compose(a, b):
+    """The column map of a after b: each term of a column of b is
+    replaced by the matching column of a."""
+    out = {}
+    for col, terms in b.items():
+        acc = out[col] = {}
+        for k, v in terms.items():
+            for row, w in a.get(k, {}).items():
+                acc[row] = acc[row] + w * v if row in acc else w * v
+    return _pruned(out)
 
 
 def column_space_basis(vectors, field):

@@ -142,13 +142,26 @@ def test_tensor_and_opposite():
 
 def test_involution_fixes_only_scalars():
     q = quaternion(Fraction(2), Fraction(-3), F)
-    inv = [list(r) for r in q.involution]
+    signs = q.involution
     ident = linalg.identity(4, F)
-    diff = [[inv[i][j] - ident[i][j] for j in range(4)] for i in range(4)]
+    diff = [[(signs[i] if i == j else F.zero()) - ident[i][j] for j in range(4)] for i in range(4)]
     assert len(linalg.nullspace(diff, 4, F)) == 1
     # anti-automorphism of order 2
-    sq = linalg.matmul(inv, inv, F)
-    assert sq == ident
+    assert all(s * s == F.one() for s in signs)
+
+
+def test_tensor_involution_is_anti_automorphism():
+    rng = random.Random(33)
+    for field in (F, GF(7)):
+        for _ in range(4):
+            a, b, c, d = (field.random_nonzero(rng) for _ in range(4))
+            amb = tensor(quaternion(a, b, field), quaternion(c, d, field))
+            sigma = amb.apply_involution
+            for _ in range(10):
+                x = [field.from_int(rng.randint(-3, 3)) for _ in range(16)]
+                y = [field.from_int(rng.randint(-3, 3)) for _ in range(16)]
+                assert sigma(amb.mul(x, y)) == amb.mul(sigma(y), sigma(x))
+                assert sigma(sigma(x)) == x
 
 
 def test_split_quaternions():

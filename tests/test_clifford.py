@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cliffinv import jsonio, linalg
+from cliffinv import clifford, jsonio, linalg
 from cliffinv.algebras import AlgebraMorphism, StructureAlgebra, associativity_witness, center, central_idempotents, find_quaternion_basis, is_split_quaternion
 from cliffinv.brauer import class_of_algebra
 from cliffinv.clifford import (
@@ -97,23 +97,27 @@ def test_associativity_certified_small_ranks():
         assert associativity_witness(EvenClifford(form).algebra) is None
 
 
+def _rand_row(rng, masks, field=F):
+    """A seeded {mask: coef} element on the given monomials."""
+    row = {m: field.from_int(rng.randint(-3, 3)) for m in masks}
+    return {m: c for m, c in row.items() if c}
+
+
 def test_bimodule_left_action_example():
     a, b = Fraction(3), Fraction(7)
     bim = clifford_bimodule(DiagonalForm((a, b), F))
-    x = [F.zero()] * 2
-    x[bim.even.index[0b11]] = F.one()
-    out = bim.left_act(x, bim.embed_vector(0))
-    assert out[bim.index[0b10]] == -a
-    assert not out[bim.index[0b01]]
+    out = bim.even.mul({0b11: F.one()}, bim.embed_vector(0))
+    assert out[0b10] == -a
+    assert not out.get(0b01)
 
 
 def test_bimodule_mult_on_generators():
     a, b = Fraction(3), Fraction(7)
     bim = clifford_bimodule(DiagonalForm((a, b), F))
-    m = bim.mult(bim.embed_vector(0), bim.embed_vector(0))
-    assert m[bim.even.index[0]] == a  # m(i(v), i(v)) = q(v)
-    m12 = bim.mult(bim.embed_vector(0), bim.embed_vector(1))
-    assert m12[bim.even.index[0b11]] == F.one()
+    m = bim.even.mul(bim.embed_vector(0), bim.embed_vector(0))
+    assert m[0] == a  # m(i(v), i(v)) = q(v)
+    m12 = bim.even.mul(bim.embed_vector(0), bim.embed_vector(1))
+    assert m12[0b11] == F.one()
 
 
 def test_bimodule_mult_random_values():
@@ -123,12 +127,10 @@ def test_bimodule_mult_random_values():
         bim = clifford_bimodule(form)
         n = form.rank
         coords = [F.from_int(rng.randint(-5, 5)) for _ in range(n)]
-        vec = [F.zero()] * bim.dim
-        for i, c in enumerate(coords):
-            vec[bim.index[1 << i]] = c
+        vec = {1 << i: c for i, c in enumerate(coords) if c}
         q_val = sum((a * c * c for a, c in zip(form.entries, coords)), F.zero())
-        m = bim.mult(vec, vec)
-        assert m[bim.even.index[0]] == q_val
+        m = bim.even.mul(vec, vec)
+        assert m.get(0, F.zero()) == q_val
 
 
 def test_bimodule_balanced():
@@ -137,10 +139,10 @@ def test_bimodule_balanced():
         form = random_regular_diagonal(rng, F, rng.randint(2, 4))
         bim = clifford_bimodule(form)
         ec = bim.even
-        x = [F.from_int(rng.randint(-3, 3)) for _ in range(bim.dim)]
-        y = [F.from_int(rng.randint(-3, 3)) for _ in range(bim.dim)]
-        c = [F.from_int(rng.randint(-3, 3)) for _ in range(ec.dim)]
-        assert bim.mult(bim.right_act(x, c), y) == bim.mult(x, bim.left_act(c, y))
+        x = _rand_row(rng, bim.masks)
+        y = _rand_row(rng, bim.masks)
+        c = _rand_row(rng, ec.masks)
+        assert ec.mul(ec.mul(x, c), y) == ec.mul(x, ec.mul(c, y))
 
 
 def test_bimodule_generator_actions_invertible():
@@ -148,9 +150,13 @@ def test_bimodule_generator_actions_invertible():
     for _ in range(10):
         form = random_regular_diagonal(rng, F, rng.randint(2, 4))
         bim = clifford_bimodule(form)
-        for g in bim.even.generators():
-            cols = [bim.left_act(g, e) for e in linalg.identity(bim.dim, F)]
-            assert linalg.det(cols, F)  # the transpose of the action matrix
+        ec = bim.even
+        for i in range(ec.n):
+            for j in range(i + 1, ec.n):
+                g = ec.embed_pair(i, j)
+                cols = [ec.mul(g, {t: F.one()}) for t in bim.masks]
+                # the transpose of the action matrix
+                assert linalg.det([[col.get(m, F.zero()) for m in bim.masks] for col in cols], F)
 
 
 def test_semilinear_center_action():
@@ -159,62 +165,60 @@ def test_semilinear_center_action():
         form = random_regular_diagonal(rng, F, n)
         ec = EvenClifford(form)
         bim = CliffordBimodule(ec)
-        z = [F.zero()] * ec.dim
-        z[ec.index[ec.top_mask()]] = F.one()
-        iota_z = [-c for c in z]  # the nontrivial centre automorphism negates z
-        for t in range(bim.dim):
-            x = [F.zero()] * bim.dim
-            x[t] = F.one()
-            assert bim.right_act(x, z) == bim.left_act(iota_z, x)
+        z = {ec.top_mask(): F.one()}
+        iota_z = {ec.top_mask(): -F.one()}  # the nontrivial centre automorphism negates z
+        for t in bim.masks:
+            x = {t: F.one()}
+            assert ec.mul(x, z) == ec.mul(iota_z, x)
 
 
 def canonical_involution(ec):
-    """Matrix of the word-reversal involution on the monomial basis."""
-    zero, one = ec.field.zero(), ec.field.one()
-    mat = [[zero] * ec.dim for _ in range(ec.dim)]
-    for i, m in enumerate(ec.masks):
-        k = m.bit_count()
-        mat[i][i] = one if (k * (k - 1) // 2) % 2 == 0 else -one
-    return mat
+    """Signs of the word-reversal involution on the monomial basis, by mask."""
+    one = ec.field.one()
+    signs = {m: (m.bit_count() * (m.bit_count() - 1) // 2) % 2 for m in ec.masks}
+    return {m: -one if odd else one for m, odd in signs.items()}
+
+
+def _apply_signs(tau, x):
+    return {m: tau[m] * c for m, c in x.items()}
 
 
 def test_canonical_involution():
     a, b = Fraction(2), Fraction(3)
     ec = even_clifford(DiagonalForm((a, b), F))
     tau = canonical_involution(ec)
-    assert tau[ec.index[0b11]][ec.index[0b11]] == -1
+    assert tau[0b11] == -1
     rng = random.Random(20)
     for _ in range(5):
         form = random_regular_diagonal(rng, F, rng.randint(2, 5))
         ec = EvenClifford(form)
         tau = canonical_involution(ec)
-        tmat = [list(r) for r in tau]
-        assert linalg.matmul(tmat, tmat, F) == linalg.identity(ec.dim, F)
+        assert all(s * s == F.one() for s in tau.values())
         # anti-automorphism on random pairs
         for _ in range(20):
-            x = [F.from_int(rng.randint(-3, 3)) for _ in range(ec.dim)]
-            y = [F.from_int(rng.randint(-3, 3)) for _ in range(ec.dim)]
-            lhs = linalg.matvec(tmat, ec.algebra.mul(x, y), F)
-            rhs = ec.algebra.mul(linalg.matvec(tmat, y, F), linalg.matvec(tmat, x, F))
+            x = _rand_row(rng, ec.masks)
+            y = _rand_row(rng, ec.masks)
+            lhs = _apply_signs(tau, ec.mul(x, y))
+            rhs = ec.mul(_apply_signs(tau, y), _apply_signs(tau, x))
             assert lhs == rhs
         # generators transpose: tau(i(v (x) w)) = i(w (x) v)
         n = form.rank
         for i in range(n):
             for j in range(n):
-                assert linalg.matvec(tmat, ec.embed_pair(i, j), F) == ec.embed_pair(j, i)
+                assert _apply_signs(tau, ec.embed_pair(i, j)) == ec.embed_pair(j, i)
 
 
 def test_involution_type_on_idempotents():
     # n = 2 mod 4 with trivial discriminant: tau swaps the idempotents
     sc = split_components(diag(1, -1))
     ec = even_clifford(diag(1, -1))
-    tau = [list(r) for r in canonical_involution(ec)]
-    assert linalg.matvec(tau, sc.idempotent_plus, F) == sc.idempotent_minus
+    tau = canonical_involution(ec)
+    assert [tau[m] * v for m, v in zip(ec.masks, sc.idempotent_plus)] == sc.idempotent_minus
     # n = 0 mod 4: tau fixes them
     sc4 = split_components(diag(1, 1, 1, 1))
     ec4 = even_clifford(diag(1, 1, 1, 1))
-    tau4 = [list(r) for r in canonical_involution(ec4)]
-    assert linalg.matvec(tau4, sc4.idempotent_plus, F) == sc4.idempotent_plus
+    tau4 = canonical_involution(ec4)
+    assert [tau4[m] * v for m, v in zip(ec4.masks, sc4.idempotent_plus)] == sc4.idempotent_plus
 
 
 def test_center_dimensions_by_parity():
@@ -235,8 +239,11 @@ def test_discriminant_algebra():
     a, b, c, d = frac(2, 3, 5, 7)
     da4 = discriminant_algebra(DiagonalForm((a, b, c, d), F))
     assert da4.delta == a * b * c * d
+    assert discriminant_algebra(EvenClifford(DiagonalForm((a, b, c, d), F))) == da4
     with pytest.raises(ValueError):
         discriminant_algebra(diag(1, 1, 1))
+    with pytest.raises(ValueError):
+        discriminant_algebra(EvenClifford(diag(1, 1, 1)))
 
 
 def test_split_components_examples():
@@ -361,31 +368,77 @@ def test_hyperbolic_model_small_ranks():
 def test_exterior_operator_identities():
     rng = random.Random(26)
     for r in (1, 2, 3):
-        masks, contract, wedge = exterior_operators(r, F)
+        contract, wedge = exterior_operators(r, F)
         dim = 1 << r
         tvec = [F.from_int(rng.randint(-3, 3)) for _ in range(r)]
         vvec = [F.from_int(rng.randint(-3, 3)) for _ in range(r)]
-
-        def combine(ops, coeffs):
-            acc = [[F.zero()] * dim for _ in range(dim)]
-            for c, op in zip(coeffs, ops):
-                for i in range(dim):
-                    for j in range(dim):
-                        if op[i][j]:
-                            acc[i][j] = acc[i][j] + c * op[i][j]
-            return acc
-
-        dt = combine(contract, tvec)
-        lv = combine(wedge, vvec)
-        zero = [[F.zero()] * dim for _ in range(dim)]
-        assert linalg.matmul(dt, dt, F) == zero
-        assert linalg.matmul(lv, lv, F) == zero
-        s = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(dt, lv)]
+        dt = linalg.combine(tvec, contract)
+        lv = linalg.combine(vvec, wedge)
+        assert linalg.compose(dt, dt) == {}
+        assert linalg.compose(lv, lv) == {}
+        s = linalg.combine([F.one(), F.one()], [dt, lv])
         pairing = sum((tc * vc for tc, vc in zip(tvec, vvec)), F.zero())
-        sq = linalg.matmul(s, s, F)
-        for i in range(dim):
-            for j in range(dim):
-                assert sq[i][j] == (pairing if i == j else F.zero())
+        sq = linalg.compose(s, s)
+        assert sq == ({i: {i: pairing} for i in range(dim)} if pairing else {})
+
+
+def test_flipped_wedge_sign_fails_certification(monkeypatch):
+    real = clifford.exterior_operators
+
+    def flipped(r, field):
+        contract, wedge = real(r, field)
+        col = next(iter(wedge[0]))
+        ((row, c),) = wedge[0][col].items()
+        wedge[0][col] = {row: -c}
+        return contract, wedge
+
+    monkeypatch.setattr(clifford, "exterior_operators", flipped)
+    with pytest.raises(CliffinvError):
+        hyperbolic_model(2)
+
+
+def test_equivariance_certification_fires():
+    # the operators of a correct model, then one odd operator negated
+    diag_form, pmat = diagonalize(hyperbolic(2))
+    ec = EvenClifford(diag_form)
+    bim = CliffordBimodule(ec)
+    contract, wedge = exterior_operators(2, F)
+    gens = [linalg.combine([row[k] for row in pmat], contract + wedge) for k in range(4)]
+    ops = clifford._operator_products(gens, 2, F)
+    clifford._certify_phi1_equivariance(ec, bim, ops)
+    ops[0b1] = linalg.combine([-F.one()], [ops[0b1]])
+    with pytest.raises(CliffinvError, match="equivariance"):
+        clifford._certify_phi1_equivariance(ec, bim, ops)
+
+
+def _reference_mul(x, y, entries, field):
+    out = {}
+    for s, a in x.items():
+        for t, b in y.items():
+            c, m = _reference_mul_masks(s, t, entries, field)
+            out[m] = out.get(m, field.zero()) + a * b * c
+    return {m: c for m, c in out.items() if c}
+
+
+def test_mul_matches_reference():
+    rng = random.Random(32)
+    for field in (F, GF(3), GF(5), GF(7), GF(11)):
+        for n in range(1, 8):
+            form = random_regular_diagonal(rng, field, n)
+            ec = EvenClifford(form)
+            even, odd = ec.masks, CliffordBimodule(ec).masks
+            for xs, ys in ((even, even), (even, odd), (odd, even), (odd, odd)):
+                for _ in range(3):
+                    x = _rand_row(rng, rng.sample(xs, min(len(xs), 5)), field)
+                    y = _rand_row(rng, rng.sample(ys, min(len(ys), 5)), field)
+                    assert ec.mul(x, y) == _reference_mul(x, y, form.entries, field)
+            # even times even against the structure table, through ec.index
+            x, y = _rand_row(rng, even, field), _rand_row(rng, even, field)
+            dense = [[field.zero()] * ec.dim for _ in range(3)]
+            for vec, row in zip(dense, (x, y, ec.mul(x, y))):
+                for m, c in row.items():
+                    vec[ec.index[m]] = c
+            assert ec.algebra.mul(dense[0], dense[1]) == dense[2]
 
 
 def test_sum_isomorphism_rank_one_pair():
