@@ -3,10 +3,13 @@
 Basis monomials e_S, the product of the e_i (i in S) in increasing
 order, are indexed by bitmasks: even subsets span the even algebra, odd
 subsets the bimodule.  A Clifford element, even or odd, is a {mask: coef}
-dict, and `EvenClifford.mul` multiplies any two.  An operator on the
+dict, and `EvenClifford.mul` multiplies any two; the bases and
+idempotents of `split_components` are such rows.  An operator on the
 exterior algebra of the hyperbolic model is a column map
 {mask: {mask: coef}}, composed and combined by `linalg.compose` and
-`linalg.combine`.  Monomial products take one of two paths.
+`linalg.combine`, and the model is certified on these operators alone:
+parity, independence and one product law.  Monomial products take one
+of two paths.
 
 On a diagonal form <a_1, ..., a_n>, e_S e_T = (-1)^sigma(S, T)
 a_(S and T) e_(S xor T): a twisted group algebra of (Z/2)^n with one pair
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
-from .algebras import AlgebraMorphism, StructureAlgebra, center, matrix_algebra
+from .algebras import AlgebraMorphism, StructureAlgebra, twisted_center
 from .errors import CliffinvError, DegenerateFormError
 from .forms import DiagonalForm, QuadraticForm, diagonalize, hyperbolic, signed_det
 from .scalars import QQ
@@ -240,7 +243,7 @@ def discriminant_algebra(form_or_ec) -> DiscriminantAlgebra:
     c, m = ec.mul_masks(ec.top_mask(), ec.top_mask())
     if m != 0 or c != delta:
         raise CliffinvError("centre generator square disagrees with the discriminant")
-    cen = center(ec.algebra, ec.generators())
+    cen = twisted_center(ec.algebra)  # the table of an EvenClifford is twisted
     if len(cen) != 2:
         raise CliffinvError("centre of an even-rank even Clifford algebra must have dim 2")
     return DiscriminantAlgebra(form.field, delta, bool(form.field.is_square(delta)))
@@ -248,12 +251,15 @@ def discriminant_algebra(form_or_ec) -> DiscriminantAlgebra:
 
 @dataclass
 class SplitComponents:
+    """The two factors, with their bases and idempotents as {mask: coef}
+    rows of the even Clifford algebra."""
+
     plus: StructureAlgebra
     minus: StructureAlgebra
     plus_basis: list
     minus_basis: list
-    idempotent_plus: list
-    idempotent_minus: list
+    idempotent_plus: dict
+    idempotent_minus: dict
 
 
 def split_components(form_or_ec) -> SplitComponents:
@@ -288,11 +294,8 @@ def split_components(form_or_ec) -> SplitComponents:
         top_coeff = half / r
         basis = []
         for s in firsts:
-            vec = [field.zero()] * ec.dim
-            vec[ec.index[s]] = half
             c, m = ec.mul_masks(top, s)
-            vec[ec.index[m]] = top_coeff * c
-            basis.append(vec)
+            basis.append({s: half, m: top_coeff * c})
         table = []
         for s in firsts:
             plane = []
@@ -307,7 +310,7 @@ def split_components(form_or_ec) -> SplitComponents:
         comps.append(StructureAlgebra(field, labels, table, unit))
         bases.append(basis)
     # e e_(empty set) is the idempotent itself
-    plus_idem, minus_idem = list(bases[0][0]), list(bases[1][0])
+    plus_idem, minus_idem = dict(bases[0][0]), dict(bases[1][0])
     return SplitComponents(comps[0], comps[1], bases[0], bases[1], plus_idem, minus_idem)
 
 
@@ -367,20 +370,6 @@ def exterior_operators(r: int, field):
     return contract, wedge
 
 
-def product_algebra(a: StructureAlgebra, b: StructureAlgebra) -> StructureAlgebra:
-    """Direct product A x B with componentwise multiplication."""
-    if a.field != b.field:
-        raise ValueError("product needs a common base field")
-    field = a.field
-    table = [list(plane) + [()] * b.dim for plane in a.table]
-    table += [
-        [()] * a.dim + [[(a.dim + k, c) for k, c in row] for row in plane] for plane in b.table
-    ]
-    labels = tuple(f"L.{x}" for x in a.labels) + tuple(f"R.{x}" for x in b.labels)
-    unit = list(a.unit) + list(b.unit)
-    return StructureAlgebra(field, labels, table, unit)
-
-
 @dataclass
 class HyperbolicModel:
     rank: int
@@ -388,9 +377,11 @@ class HyperbolicModel:
     form: QuadraticForm
     even: EvenClifford
     bimodule: CliffordBimodule
-    phi0: AlgebraMorphism
-    phi1_matrix: list
-    target: StructureAlgebra
+    ops: list  # ops[S], the operator of e_S on the exterior algebra
+
+    def phi0(self, x):
+        """The operator of the even element x, given as {mask: coef}."""
+        return linalg.combine(list(x.values()), [self.ops[m] for m in x])
 
 
 def hyperbolic_model(r: int) -> HyperbolicModel:
@@ -401,9 +392,17 @@ def hyperbolic_model(r: int) -> HyperbolicModel:
     The generator t_i + v_j acts by contraction plus left wedging, so
     squares match the hyperbolic pairing.  Each diagonal generator is
     then a signed monomial map, and so is the operator of each e_S
-    (`_operator_products`); phi0 and phi1 are read off these operators.
-    The assembled map is certified to be a bijective algebra
-    homomorphism before being returned.
+    (`_operator_products`).  phi0 and phi1 send e_S to op(e_S) for S
+    even and odd, and are certified on the operators alone:
+    - op(e_S) keeps the exterior parity for |S| even and flips it for
+      |S| odd, so phi0 lands in End(L0) x End(L1) and phi1 in the two Hom
+      blocks, each of dimension 2^(2r-1), the number of masks of a parity;
+    - the even operators are independent, and so are the odd ones, so
+      phi0 and phi1 are bijective;
+    - op(e_S) op(e_T) = c op(e_(S xor T)) where e_S e_T = c e_(S xor T),
+      for every ordered pair with S or T even: phi0 is multiplicative and
+      phi1 equivariant on both sides.  At S empty, with phi0 onto, this
+      makes op(e_empty) the identity, so phi0 keeps the unit.
     """
     field = QQ
     if r < 1 or r > 4:
@@ -427,31 +426,23 @@ def hyperbolic_model(r: int) -> HyperbolicModel:
                 raise CliffinvError("operators fail to anticommute")
 
     ops = _operator_products(gens, r, field)
-
-    # each parity block in the order of `_masks_by_parity`; an operator is
-    # flattened as its block on even sources, then its block on odd sources
-    mdim = 1 << (r - 1)
-    block = mdim * mdim
-    pos = {m: i for p in (0, 1) for i, m in enumerate(_masks_by_parity(r, p))}
-
-    def flat(s):
-        out = [field.zero()] * (2 * block)
-        for col, terms in ops[s].items():
-            for row, c in terms.items():
-                if (row.bit_count() + col.bit_count() + s.bit_count()) % 2:
-                    raise CliffinvError("operator mixes parity blocks")
-                out[col.bit_count() % 2 * block + pos[row] * mdim + pos[col]] = c
-        return out
-
-    target = product_algebra(matrix_algebra(mdim, field), matrix_algebra(mdim, field))
-    phi0 = AlgebraMorphism(ec.algebra, target, tuple(zip(*map(flat, ec.masks))))
-    if not phi0.is_isomorphism():
-        raise CliffinvError("hyperbolic model map failed certification")
-    phi1_matrix = [list(row) for row in zip(*map(flat, bim.masks))]
-    if linalg.rank(phi1_matrix, field) != bim.dim:
-        raise CliffinvError("odd-part map is not bijective")
-    _certify_phi1_equivariance(ec, bim, ops)
-    return HyperbolicModel(r, field, h, ec, bim, phi0, phi1_matrix, target)
+    for s, op in enumerate(ops):
+        for col, terms in op.items():
+            if any((row.bit_count() + col.bit_count() + s.bit_count()) % 2 for row in terms):
+                raise CliffinvError("operator mixes parity blocks")
+    for name, masks in (("phi0", ec.masks), ("phi1", bim.masks)):
+        if not linalg.independent([ops[s] for s in masks], field):
+            raise CliffinvError(f"{name} is not bijective")
+    for s in range(1 << n):
+        for t in range(1 << n):
+            if s.bit_count() % 2 and t.bit_count() % 2:
+                continue
+            c, m = ec.mul_masks(s, t)
+            if linalg.compose(ops[s], ops[t]) != linalg.combine([c], [ops[m]]):
+                raise CliffinvError(
+                    f"operators fail the product law at {_mask_label(s)}, {_mask_label(t)}"
+                )
+    return HyperbolicModel(r, field, h, ec, bim, ops)
 
 
 def _operator_products(gens, r, field):
@@ -462,18 +453,6 @@ def _operator_products(gens, r, field):
         top = s.bit_length() - 1
         ops.append(linalg.compose(ops[s ^ (1 << top)], gens[top]))
     return ops
-
-
-def _certify_phi1_equivariance(ec: EvenClifford, bim: CliffordBimodule, ops):
-    """phi1 of the module actions must match operator composition:
-    op(e_S) op(e_T) = c op(e_(S xor T)) where e_S e_T = c e_(S xor T),
-    for S even and T odd (left action) and S odd and T even (right)."""
-    for e in ec.masks:
-        for o in bim.masks:
-            for s, t, side in ((e, o, "left"), (o, e, "right")):
-                c, m = ec.mul_masks(s, t)
-                if linalg.compose(ops[s], ops[t]) != linalg.combine([c], [ops[m]]):
-                    raise CliffinvError(f"odd map fails {side} equivariance")
 
 
 # ---------------------------------------------------------------------------
@@ -534,24 +513,15 @@ def sum_isomorphism(q1: DiagonalForm, q2: DiagonalForm) -> SumIsomorphism:
     ) + tuple(f"{_mask_label(s)}(x){_mask_label(t)}'" for s, t in block1)
     target = StructureAlgebra(field, labels, table, unit)
 
-    def gen_image(i, j):
-        """Image of the generator e_i e_j (i < j) of the big algebra."""
-        v = [zero] * dim
-        if j < n1:
-            v[pos[((1 << i) | (1 << j), 0)]] = field.one()
-        elif i >= n1:
-            v[pos[(0, (1 << (i - n1)) | (1 << (j - n1)))]] = field.one()
-        else:
-            v[pos[(1 << i, 1 << (j - n1))]] = field.one()
-        return v
-
-    cols = []
-    for m in ec.masks:
+    # e_a e_b (a < b) goes to the pair of its bits in q1 and in q2, and e_S
+    # to the product of the images of its consecutive pairs of bits
+    low, one, cols = (1 << n1) - 1, field.one(), {}
+    for col, m in enumerate(ec.masks):
         idxs = [b for b in range(n1 + n2) if m >> b & 1]
-        img = list(unit)
+        img = {pos[0, 0]: one}
         for a, b in zip(idxs[0::2], idxs[1::2]):
-            img = target.mul(img, gen_image(a, b))
-        cols.append(img)
-    matrix = tuple(tuple(cols[j][i] for j in range(ec.dim)) for i in range(dim))
-    morphism = AlgebraMorphism(ec.algebra, target, matrix)
+            g = (1 << a) | (1 << b)
+            img = target.mul_rows(img.items(), ((pos[g & low, g >> n1], one),))
+        cols[col] = img
+    morphism = AlgebraMorphism(ec.algebra, target, cols)
     return SumIsomorphism(morphism, target, e1, e2)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebras import StructureAlgebra, find_quaternion_basis
+from .algebras import StructureAlgebra, find_quaternion_basis, trace_form
 from .clifford import RingMap, _mask_label, _masks_by_parity, _mul_masks_gram, tables_commute
 from .errors import CliffinvError, ClosureViolation, SearchExhausted
 from .forms import QuadraticForm, diagonalize
@@ -703,27 +703,13 @@ def order_reduction_semisimple(co: EvenCliffordOrder, p: int) -> bool:
         if n.numerator % p == 0 or n.denominator % p == 0:
             raise ValueError(f"{p} meets a coefficient ideal; not a good prime")
     alg = co.algebra
-    dim = alg.dim
     target = GF(p)
     # reduction can kill a coefficient; the constructor drops the zeros
     table = [[[(k, rm.apply(c)) for k, c in row] for row in plane] for plane in alg.table]
     red = StructureAlgebra(target, alg.labels, table, [rm.apply(u) for u in alg.unit])
     if not red.validate_unit():
         return False
-    # trace form of the regular representation: tr(L_i L_j)
-    lmats = [red.left_mult_matrix(red.basis_vec(i)) for i in range(dim)]
-    gram = []
-    for li in lmats:
-        row = []
-        for lj in lmats:
-            tr = target.zero()
-            for s in range(dim):
-                for t in range(dim):
-                    if li[s][t] and lj[t][s]:
-                        tr = tr + li[s][t] * lj[t][s]
-            row.append(tr)
-        gram.append(row)
-    return bool(linalg.det(gram, target))
+    return bool(linalg.det(trace_form(red), target))
 
 
 def bounded_isotropy_search(entries, field):

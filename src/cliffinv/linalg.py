@@ -3,9 +3,11 @@
 Elements only need +, -, *, /, unary -, and truthiness for a zero test,
 so the same routines serve Fractions, prime fields, quadratic fields and
 rational function fields.  Matrices are lists of lists, row major.
-An operator on a monomial basis is a column map {col: {row: coeff}},
-with zero coefficients and empty columns dropped, so that equal
-operators are equal dicts; `combine` and `compose` act on these.
+A linear map, an operator on a monomial basis or an algebra morphism,
+is a column map {col: {row: coeff}}, with zero coefficients and empty
+columns dropped, so that equal maps are equal dicts; `combine` and
+`compose` act on these, and `kernel` solves one through
+`nullspace_sparse`, so a signed permutation needs no elimination.
 """
 
 from __future__ import annotations
@@ -200,6 +202,26 @@ def nullspace_sparse(rows, ncols, field):
             full[c] = v[j]
         out.append(full)
     return out
+
+
+def kernel(op, ncols, field):
+    """Basis of the kernel of the column map op on columns 0..ncols-1.
+
+    The rows of op, {row: {col: coeff}}, go to `nullspace_sparse`.
+    """
+    rows = {}
+    for col, terms in op.items():
+        for row, v in terms.items():
+            rows.setdefault(row, {})[col] = v
+    return nullspace_sparse(rows.values(), ncols, field)
+
+
+def independent(ops, field):
+    """Are the column maps linearly independent?  Each is read as the
+    vector of its entries, keyed (row, col)."""
+    entries = {i: {(row, col): v for col, terms in op.items() for row, v in terms.items()}
+               for i, op in enumerate(ops)}
+    return not kernel(entries, len(ops), field)
 
 
 def _pruned(op):

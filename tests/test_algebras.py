@@ -7,6 +7,7 @@ import pytest
 
 from cliffinv import linalg
 from cliffinv.algebras import (
+    AlgebraMorphism,
     StructureAlgebra,
     _ladder_pair,
     associativity_witness,
@@ -205,13 +206,18 @@ def test_find_quaternion_basis_recovers_class():
         assert linalg.rank([list(r) for r in basis], F) == 4
 
 
-def _conjugated(q):
-    """The table of a four-dimensional q transported along a random basis change."""
+def _basis_change():
+    """A seeded invertible 4 x 4 rational matrix."""
     rng = random.Random(4)
     while True:
         m = [[Fraction(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)]
         if linalg.det(m, F):
-            break
+            return m
+
+
+def _conjugated(q):
+    """The table of a four-dimensional q transported along `_basis_change`."""
+    m = _basis_change()
     minv = linalg.inverse(m, F)
     # new basis f_i = sum_j m[j][i] e_j; table in the new coordinates
     def to_new(vec):
@@ -239,6 +245,22 @@ def _permuted(q):
     ]
     unit = [q.unit[perm[i]] for i in range(4)]
     return StructureAlgebra(F, tuple(q.labels[i] for i in perm), table, unit)
+
+
+def test_multi_term_columns_are_multiplicative():
+    # q onto its conjugated table sends e_j to its coordinates in the new
+    # basis: columns of several terms, so every pair takes the mul_rows path
+    q = quaternion(Fraction(2), Fraction(-3), F)
+    minv = linalg.inverse(_basis_change(), F)
+    cols = {j: dict(sparse_row([row[j] for row in minv])) for j in range(4)}
+    assert max(map(len, cols.values())) > 1
+    iso = AlgebraMorphism(q, _conjugated(q), cols)
+    assert iso.preserves_unit() and iso.is_bijective() and iso.is_multiplicative()
+    x = [Fraction(3), Fraction(-2, 5), Fraction(7), Fraction(1, 3)]
+    assert iso.apply(x) == linalg.matvec(minv, x, F)
+    bad = {**cols, 1: {k: c + c for k, c in cols[1].items()}}
+    assert not AlgebraMorphism(q, iso.target, bad).is_multiplicative()
+    assert not AlgebraMorphism(q, iso.target, {**cols, 1: cols[2]}).is_bijective()
 
 
 def test_find_quaternion_basis_on_conjugated_table():

@@ -37,6 +37,9 @@ def test_tracer_hooks_resolve_and_record():
     with tracer.installed():
         q = DiagonalForm(tuple(Fraction(x) for x in (1, 2, 3, 6)), QQ)
         ec = EvenClifford(q)
+        # the sum map multiplies sparse rows, so the dense product is driven here
+        g = ec.generators()[0]
+        assert ec.algebra.mul(ec.unit_coords(), g) == g
         # through the modules: the tracer rebinds module attributes
         algebras.center(ec.algebra, ec.generators())
         clifford.split_components(ec)

@@ -213,12 +213,12 @@ def test_involution_type_on_idempotents():
     sc = split_components(diag(1, -1))
     ec = even_clifford(diag(1, -1))
     tau = canonical_involution(ec)
-    assert [tau[m] * v for m, v in zip(ec.masks, sc.idempotent_plus)] == sc.idempotent_minus
+    assert _apply_signs(tau, sc.idempotent_plus) == sc.idempotent_minus
     # n = 0 mod 4: tau fixes them
     sc4 = split_components(diag(1, 1, 1, 1))
     ec4 = even_clifford(diag(1, 1, 1, 1))
     tau4 = canonical_involution(ec4)
-    assert [tau4[m] * v for m, v in zip(ec4.masks, sc4.idempotent_plus)] == sc4.idempotent_plus
+    assert _apply_signs(tau4, sc4.idempotent_plus) == sc4.idempotent_plus
 
 
 def test_center_dimensions_by_parity():
@@ -284,12 +284,19 @@ def test_split_components_tables_frozen():
         sc = split_components(form)
         assert _digest(jsonio.algebra_to_json(sc.plus)) == plus
         assert _digest(jsonio.algebra_to_json(sc.minus)) == minus
-        f = form.field
-        assert _digest([[f.elt_to_str(x) for x in v] for v in sc.plus_basis]) == plus_basis
+        f, ec = form.field, EvenClifford(form)
+        dense = []
+        for row in sc.plus_basis:  # each row as a coordinate vector through ec.index
+            vec = [f.zero()] * ec.dim
+            for m, c in row.items():
+                vec[ec.index[m]] = c
+            dense.append(vec)
+        assert _digest([[f.elt_to_str(x) for x in v] for v in dense]) == plus_basis
         assert sc.idempotent_plus == sc.plus_basis[0]
         assert sc.idempotent_minus == sc.minus_basis[0]
-        unit = EvenClifford(form).unit_coords()
-        assert [u + v for u, v in zip(sc.idempotent_plus, sc.idempotent_minus)] == unit
+        plus_idem, minus_idem = sc.idempotent_plus, sc.idempotent_minus
+        total = {m: plus_idem.get(m, f.zero()) + minus_idem.get(m, f.zero()) for m in plus_idem | minus_idem}
+        assert {m: c for m, c in total.items() if c} == {0: f.one()}  # the unit
 
 
 def test_gram_product_matches_diagonal_product():
@@ -359,8 +366,18 @@ def test_hyperbolic_model_small_ranks():
     ids = central_idempotents(hm1.even.algebra, hm1.even.generators())
     assert len(ids) == 4  # split etale quadratic centre
     hm2 = hyperbolic_model(2)
-    assert hm2.target.dim == 8  # M2 x M2
-    assert hm2.phi0.is_isomorphism()
+    # phi0 is an isomorphism onto M2 x M2: each image keeps the exterior
+    # parity, the 8 images are independent, and phi0 keeps unit and products
+    ec, one = hm2.even, F.one()
+    imgs = {s: hm2.phi0({s: one}) for s in ec.masks}
+    assert ec.dim == 8  # M2 x M2
+    for op in imgs.values():
+        assert not any((row ^ col).bit_count() % 2 for col, terms in op.items() for row in terms)
+    assert linalg.independent(list(imgs.values()), F)
+    assert imgs[0] == {m: {m: one} for m in range(4)}
+    for s in ec.masks:
+        for t in ec.masks:
+            assert hm2.phi0(ec.mul({s: one}, {t: one})) == linalg.compose(imgs[s], imgs[t])
     with pytest.raises(ValueError):
         hyperbolic_model(5)
 
@@ -397,18 +414,40 @@ def test_flipped_wedge_sign_fails_certification(monkeypatch):
         hyperbolic_model(2)
 
 
-def test_equivariance_certification_fires():
-    # the operators of a correct model, then one odd operator negated
-    diag_form, pmat = diagonalize(hyperbolic(2))
-    ec = EvenClifford(diag_form)
-    bim = CliffordBimodule(ec)
-    contract, wedge = exterior_operators(2, F)
-    gens = [linalg.combine([row[k] for row in pmat], contract + wedge) for k in range(4)]
-    ops = clifford._operator_products(gens, 2, F)
-    clifford._certify_phi1_equivariance(ec, bim, ops)
-    ops[0b1] = linalg.combine([-F.one()], [ops[0b1]])
-    with pytest.raises(CliffinvError, match="equivariance"):
-        clifford._certify_phi1_equivariance(ec, bim, ops)
+def _replace_operator(monkeypatch, mask, replace):
+    """Make hyperbolic_model see op(e_mask) replaced by replace(ops)."""
+    real = clifford._operator_products
+
+    def patched(gens, r, field):
+        ops = real(gens, r, field)
+        ops[mask] = replace(ops)
+        return ops
+
+    monkeypatch.setattr(clifford, "_operator_products", patched)
+
+
+def test_equivariance_certification_fires(monkeypatch):
+    # the operators of a correct model pass; with one odd operator negated,
+    # the product law fails on an (odd, even) pair
+    hyperbolic_model(2)
+    _replace_operator(monkeypatch, 0b1, lambda ops: linalg.combine([-F.one()], [ops[0b1]]))
+    with pytest.raises(CliffinvError, match="product law at e1, e12"):
+        hyperbolic_model(2)
+
+
+@pytest.mark.parametrize(
+    "mask, replace, match",
+    [
+        (0b11, lambda ops: linalg.combine([-F.one()], [ops[0b11]]), "product law"),
+        (0b101, lambda ops: ops[0b11], "phi0 is not bijective"),
+        (0b11, lambda ops: ops[0b1], "mixes parity"),
+    ],
+    ids=["negated-even", "dependent", "parity-mixing"],
+)
+def test_perturbed_operators_fail_certification(monkeypatch, mask, replace, match):
+    _replace_operator(monkeypatch, mask, replace)
+    with pytest.raises(CliffinvError, match=match):
+        hyperbolic_model(2)
 
 
 def _reference_mul(x, y, entries, field):
@@ -473,18 +512,16 @@ def test_perturbed_sum_isomorphism_is_not_multiplicative():
     q2 = random_regular_diagonal(rng, F, 3)
     good = sum_isomorphism(q1, q2).morphism
     assert good.is_multiplicative()
-    rows = [list(r) for r in good.matrix]
     # the image of e1 e2 picks up an extra coordinate
     col = good.source.labels.index("e12")
-    row = next(i for i, r in enumerate(rows) if not r[col])
-    rows[row][col] = F.one()
-    bad = AlgebraMorphism(good.source, good.target, tuple(tuple(r) for r in rows))
+    row = next(k for k in range(good.target.dim) if k not in good.cols[col])
+    bad = AlgebraMorphism(good.source, good.target, {**good.cols, col: {**good.cols[col], row: F.one()}})
     assert not bad.is_multiplicative()
 
 
 def _with_columns(m, cols):
     """The morphism m with the given columns."""
-    return AlgebraMorphism(m.source, m.target, tuple(zip(*cols)))
+    return AlgebraMorphism(m.source, m.target, dict(enumerate(cols)))
 
 
 def test_one_term_perturbations_are_not_multiplicative():
@@ -496,26 +533,27 @@ def test_one_term_perturbations_are_not_multiplicative():
             k = rng.randrange(1, rank)
             good = sum_isomorphism(DiagonalForm(q.entries[:k], field), DiagonalForm(q.entries[k:], field)).morphism
             assert good.is_multiplicative()
-            cols = [list(c) for c in zip(*good.matrix)]
-            assert all(sum(map(bool, c)) == 1 for c in cols)
+            cols = [good.cols[j] for j in range(good.source.dim)]
+            assert all(len(c) == 1 for c in cols)
             dim = len(cols)
             for scale in (-field.one(), field.from_int(2)):
                 j = rng.randrange(1, dim)
-                bad = cols[:j] + [[scale * x for x in cols[j]]] + cols[j + 1:]
+                bad = cols[:j] + [{k: scale * x for k, x in cols[j].items()}] + cols[j + 1:]
                 # at rank 2, C0 is quadratic etale and e12 -> -e12 an automorphism
                 automorphism = dim == 2 and scale * scale == field.one()
                 assert _with_columns(good, bad).is_multiplicative() == automorphism
             i, j = dim - 2, dim - 1
             swapped = cols[:i] + [cols[j], cols[i]] + cols[j + 1:]
             assert not _with_columns(good, swapped).is_multiplicative()
-    assert hyperbolic_model(2).phi0.is_multiplicative()  # columns of several terms
+            assert _with_columns(good, swapped).is_bijective()
+            assert not _with_columns(good, cols[:i] + [cols[j], cols[j]]).is_bijective()
     # on the group algebra of (Z/2)^3 every coefficient is 1, so swapping
     # e_1 and e_2, no group automorphism, fails on the targets alone
     one, zero = F.one(), F.zero()
     table = [[((i ^ j, one),) for j in range(8)] for i in range(8)]
     group = StructureAlgebra(F, [str(i) for i in range(8)], table, [one] + [zero] * 7)
     perm = [0, 2, 1, 3, 4, 5, 6, 7]
-    swap = AlgebraMorphism(group, group, tuple(tuple(one if perm[j] == i else zero for j in range(8)) for i in range(8)))
+    swap = AlgebraMorphism(group, group, {j: {perm[j]: one} for j in range(8)})
     assert swap.preserves_unit() and swap.is_bijective() and not swap.is_multiplicative()
 
 

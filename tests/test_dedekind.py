@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cliffinv import jsonio
-from cliffinv.algebras import associativity_witness, central_idempotents
+from cliffinv.algebras import StructureAlgebra, associativity_witness, central_idempotents, trace_form
 from cliffinv.clifford import split_components
 from cliffinv.dedekind import (
     FracIdeal,
@@ -28,7 +28,7 @@ from cliffinv.dedekind import (
 )
 from cliffinv.errors import CliffinvError
 from cliffinv.forms import diagonalize
-from cliffinv.scalars import QuadElement
+from cliffinv.scalars import GF, QuadElement
 
 
 def order5():
@@ -342,3 +342,23 @@ def test_order_reductions_semisimple():
     co = even_clifford_order(hyperbolic_ideal_form(o, [one, one], p2))
     for p in (3, 7, 23, 29, 41, 43, 47):
         assert order_reduction_semisimple(co, p)
+
+
+def test_trace_form_matches_left_multiplication():
+    # tr(L_i L_j) read off the reduced table of the rank-4 order equals the
+    # trace of the product of the dense left multiplication matrices
+    o = order5()
+    one = o.one_ideal()
+    alg = even_clifford_order(hyperbolic_ideal_form(o, [one, one], p2_of(o))).algebra
+    for p in (3, 7, 23):
+        rm, fp = split_reduction(o, p), GF(p)
+        table = [[[(k, rm.apply(c)) for k, c in row] for row in plane] for plane in alg.table]
+        red = StructureAlgebra(fp, alg.labels, table, [rm.apply(u) for u in alg.unit])
+        lmats = [red.left_mult_matrix(red.basis_vec(i)) for i in range(red.dim)]
+        span = range(red.dim)
+        want = [
+            [sum((li[s][t] * lj[t][s] for s in span for t in span), fp.zero()) for lj in lmats]
+            for li in lmats
+        ]
+        assert trace_form(red) == want
+        assert any(want[i][j] for i in span for j in span if i != j)  # not only a diagonal
