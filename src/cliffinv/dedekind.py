@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -28,6 +27,7 @@ from .algebras import StructureAlgebra, find_quaternion_basis, trace_form
 from .clifford import RingMap, _mask_label, _masks_by_parity, _mul_masks_gram, tables_commute
 from .errors import CliffinvError, ClosureViolation, SearchExhausted
 from .forms import QuadraticForm, diagonalize
+from .records import record
 from .scalars import (
     GF,
     QuadElement,
@@ -433,7 +433,7 @@ def _rep_key(ideal: FracIdeal):
 # Ideal-valued forms
 
 
-@dataclass
+@record
 class IdealValuedForm:
     coeff_ideals: tuple
     gram: tuple  # half-polarised, entries in Q(sqrt d)
@@ -581,7 +581,7 @@ def normalize_to_representative(q: IdealValuedForm, reps):
     raise CliffinvError("value ideal matches no representative; label bug")
 
 
-@dataclass
+@record
 class DedekindWittElement:
     """Total container: class-group-mod-squares label -> normalised form."""
 
@@ -608,7 +608,7 @@ def total_witt_element(order: QuadOrder, assignments: dict) -> DedekindWittEleme
 # Even Clifford orders
 
 
-@dataclass
+@record
 class EvenCliffordOrder:
     algebra: StructureAlgebra  # generic fibre in the pseudo-basis
     coeff_ideals: list  # one ideal per even-subset basis element

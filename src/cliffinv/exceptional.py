@@ -6,7 +6,6 @@ trips between forms and algebra classes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -16,26 +15,27 @@ from .clifford import split_components
 from .errors import CliffinvError, UnsupportedBase
 from .forms import DiagonalForm, signed_discriminant
 from .invariants import clifford_invariant_class, construct_preimage, e2_of_form
+from .records import record
 from .scalars import QQ, PrimeField, RationalField
 
 NORM_SAMPLES = 20
 NORM_SEED = 0
 
 
-@dataclass
+@record
 class NormFormData:
     a: object
     b: object
     form: DiagonalForm
 
 
-@dataclass
+@record
 class AlbertFormData:
     params: tuple
     form: DiagonalForm
 
 
-@dataclass
+@record
 class PfaffianSpaceData:
     ambient: StructureAlgebra  # the degree-4 algebra acting on itself
     psi: dict  # involutory endomorphism of the underlying 16-space, a column map

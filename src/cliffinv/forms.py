@@ -16,13 +16,13 @@ classes (s, P) (see scalars), which an Entries tuple computes once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
 from . import linalg
 from .errors import CliffinvError, DegenerateFormError, SearchExhausted, UnsupportedBase
+from .records import record
 from .scalars import (
     GF,
     QQ,
@@ -47,7 +47,7 @@ from .scalars import (
 TRIVIAL_LABEL = "trivial"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DiagonalForm:
     """<a_1, ..., a_n> with all entries nonzero, kept as Entries."""
 
@@ -73,7 +73,7 @@ class DiagonalForm:
         return QuadraticForm(gram, self.field, value_label)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuadraticForm:
     """Symmetric Gram matrix plus the label of the value line."""
 
@@ -99,7 +99,7 @@ class QuadraticForm:
         return linalg.det([list(r) for r in self.gram], self.field)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Alignment:
     """A square-class twist; over a field just a nonzero scale factor."""
 
@@ -110,7 +110,7 @@ class Alignment:
             raise ValueError("alignment scale must be nonzero")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class WittClass:
     """Anisotropic kernel entries plus the split-off hyperbolic count."""
 

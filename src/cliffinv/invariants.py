@@ -18,7 +18,6 @@ for e2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .brauer import BrauerClass2, class_of_algebra, quaternion_from_class
@@ -34,6 +33,7 @@ from .forms import (
     signed_discriminant,
     witt_decompose,
 )
+from .records import record
 from .scalars import (
     QQ,
     PrimeField,
@@ -49,7 +49,7 @@ from .scalars import (
 TRIVIAL_LABEL = "trivial"
 
 
-@dataclass
+@record
 class TotalWittElement:
     """Witt classes indexed by value-line representatives.
 

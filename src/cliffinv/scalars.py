@@ -6,13 +6,18 @@ element constructors with the decision procedures the rest of the
 package needs: squareness tests, canonical square roots, square-class
 normal forms, and serialisation.
 
-Integer factorisation is bounded trial division (default bound 10**6,
-override with the QF_FACTOR_BOUND environment variable); anything worse
-raises FactorBoundExceeded rather than stalling.  A square class over Q
-is carried as (s, P), s signed squarefree and P its primes, as Q*/Q*^2 =
-{+-1} x (+)_p Z/2.  The last 128 factorisations are memoised by (|n|,
-bound): the same integers recur across forms, in the quaternion
-parameters class_of_quaternion factors, and in the d of each order.
+Integer factorisation is trial division up to a bound (default 10**6,
+override with the QF_FACTOR_BOUND environment variable) that stops as
+soon as deterministic Miller-Rabin certifies the cofactor prime.  A
+cofactor with no factor up to the bound is kept when it is a certified
+prime or the square of one.  Any other raises FactorBoundExceeded rather
+than stalling, and so does every such cofactor of _MR_EXACT_BELOW (about
+3.3 * 10**24) or more, where Miller-Rabin certifies nothing and sympy is
+never asked.  A square class over Q is carried as (s, P), s signed
+squarefree and P its primes, as Q*/Q*^2 = {+-1} x (+)_p Z/2.  The last
+128 factorisations are memoised by (|n|, bound): the same integers recur
+across forms, in the quaternion parameters class_of_quaternion factors,
+and in the d of each order.
 """
 
 from __future__ import annotations
@@ -35,10 +40,29 @@ def factor_bound() -> int:
 
 
 def factor_integer(n: int, bound: int | None = None) -> dict[int, int]:
-    """Prime factorisation of |n| by trial division, as {prime: exponent}."""
+    """Prime factorisation of |n|, as {prime: exponent}.
+
+    Trial division up to bound (default factor_bound()), stopping early
+    once is_prime certifies the cofactor.  A cofactor with no factor up to
+    bound is kept when it is a certified prime or the square of one; any
+    other raises FactorBoundExceeded.  Certification is deterministic
+    Miller-Rabin, so a cofactor of _MR_EXACT_BELOW or more is never
+    certified and raises unless trial division brings it below.
+    """
     if n == 0:
         raise ValueError("cannot factor 0")
     return dict(_trial_division(abs(n), bound or factor_bound()))
+
+
+# Trial division asks is_prime about its cofactor only from q =
+# _CERTIFY_FROM on: below that, trial division is cheaper than a
+# Miller-Rabin test, and a cofactor under _CERTIFY_FROM**2 is done by then.
+_CERTIFY_FROM = 100
+
+
+def _certified_prime(n: int) -> bool:
+    """is_prime(n), by Miller-Rabin alone: False from _MR_EXACT_BELOW on."""
+    return n < _MR_EXACT_BELOW and is_prime(n)
 
 
 @lru_cache(maxsize=128)
@@ -50,17 +74,28 @@ def _trial_division(n: int, bound: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     q = 5
+    untested = True  # is_prime has not seen this cofactor
     while q * q <= n and q <= bound:
+        if untested and q >= _CERTIFY_FROM:
+            if _certified_prime(n):
+                out[n] = 1
+                return out
+            untested = False
         for p in (q, q + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
+                untested = True
         q += 6
     if n > 1:
-        if n <= bound * bound:
-            out[n] = out.get(n, 0) + 1
+        # n has no prime factor up to bound: at most bound**2, it is prime
+        if n <= bound * bound or (untested and _certified_prime(n)):
+            out[n] = 1
         else:
-            raise FactorBoundExceeded(n, bound)
+            r = math.isqrt(n)
+            if r * r != n or not _certified_prime(r):
+                raise FactorBoundExceeded(n, bound)
+            out[r] = 2
     return out
 
 

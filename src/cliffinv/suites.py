@@ -14,12 +14,13 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cache
 
+from .records import record
 
-@dataclass
+
+@record
 class VerificationReport:
     suite: str
     seed: int

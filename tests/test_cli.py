@@ -76,7 +76,7 @@ def test_cli_suite_exit_codes(capsys):
 
 def test_cli_factor_bound_exit(capsys, monkeypatch):
     monkeypatch.setenv("QF_FACTOR_BOUND", "10")
-    assert main(["br", "class", "-a", "1000003", "-b", "7"]) == 3
+    assert main(["br", "class", "-a", "100160063", "-b", "7"]) == 3
 
 
 def test_cli_bare_fp_entries(capsys):

@@ -378,8 +378,9 @@ def test_hyperbolic_model_small_ranks():
     for s in ec.masks:
         for t in ec.masks:
             assert hm2.phi0(ec.mul({s: one}, {t: one})) == linalg.compose(imgs[s], imgs[t])
-    with pytest.raises(ValueError):
-        hyperbolic_model(5)
+    for r in (4, 5):
+        with pytest.raises(ValueError, match="between 1 and 3"):
+            hyperbolic_model(r)
 
 
 def test_exterior_operator_identities():

@@ -41,3 +41,32 @@ def test_core_paths_do_not_import_sympy():
         [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# A cofactor of _MR_EXACT_BELOW or more is beyond deterministic Miller-Rabin:
+# trial division gives up on it without asking sympy's isprime.
+FACTOR_SCRIPT = """
+import sys
+
+from cliffinv.errors import FactorBoundExceeded
+from cliffinv.scalars import _MR_EXACT_BELOW, factor_integer
+
+n = (10**12 + 39) * (10**13 + 37)
+assert n > _MR_EXACT_BELOW
+try:
+    factor_integer(n, bound=10**3)
+except FactorBoundExceeded as e:
+    assert e.n == n
+else:
+    raise AssertionError("factored a cofactor beyond Miller-Rabin")
+print("sympy" in sys.modules)
+"""
+
+
+def test_factoring_beyond_miller_rabin_does_not_import_sympy():
+    src = str(Path(cliffinv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", FACTOR_SCRIPT], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from cliffinv import invariants
-from cliffinv.brauer import BrauerClass2, class_of_algebra, class_of_quaternion
-from cliffinv.errors import CliffinvError
+from cliffinv.brauer import BrauerClass2, class_of_algebra, class_of_quaternion, quaternion_from_class
+from cliffinv.errors import CliffinvError, FactorBoundExceeded
 from cliffinv.forms import Alignment, DiagonalForm, diagonalize, hyperbolic, orthogonal_sum, twist
 from cliffinv.invariants import (
     TotalWittElement,
@@ -71,6 +71,24 @@ def test_e2_examples():
     assert e2_of_form(diag(1, 1, -3, -3)).to_json()["ramified"] == ["2", "3"]
     # the product of the entries, 9 * 1000003^2, is beyond the factor bound
     assert e2_of_form(diag(1, -1000003, -3, 3000009)).to_json()["ramified"] == ["2", "1000003"]
+
+
+def test_e2_with_a_squared_prime_above_the_factor_bound():
+    # class_of_quaternion factors a split-table parameter divisible by
+    # 1000003^2; _e2_checked compares with the symbol dictionary
+    q = diag(-1000003, 3000009, 5, -15)
+    c = e2_of_form(q)
+    assert c == BrauerClass2.from_strs(["2", "3", "5", "1000003"])
+    assert c == clifford_invariant_class(q.entries)
+
+
+def test_two_primes_above_the_factor_bound_still_raise():
+    # 1000003 * 1000033 = 1000036000099 has no factor up to 10^6 and is
+    # neither prime nor a square: that needs a factor-refining method
+    with pytest.raises(FactorBoundExceeded):
+        quaternion_from_class(BrauerClass2.from_strs(["1000003", "1000033"]))
+    with pytest.raises(FactorBoundExceeded):
+        e2_of_form(diag(1, -1000003, -1000033, 1000036000099))
 
 
 def test_e2_requires_i2():

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -223,7 +224,8 @@ def test_square_class_quadratic_field_unsupported():
 
 def test_factor_bound():
     with pytest.raises(FactorBoundExceeded):
-        factor_integer(10**13 + 37, bound=10**3)
+        factor_integer(1009 * 1013, bound=10**3)
+    assert factor_integer(10**13 + 37, bound=10**3) == {10**13 + 37: 1}
     f = factor_integer(360)
     assert f == {2: 3, 3: 2, 5: 1}
     f[2], f[7] = 99, 1  # the memoised factorisation is not handed out
@@ -232,12 +234,76 @@ def test_factor_bound():
 
 
 def test_factor_bound_applies_after_a_memoised_factorisation(monkeypatch):
-    assert factor_integer(1000003) == {1000003: 1}
+    assert factor_integer(100160063) == {10007: 1, 10009: 1}
     monkeypatch.setenv("QF_FACTOR_BOUND", "10")
     with pytest.raises(FactorBoundExceeded):
-        factor_integer(1000003)
+        factor_integer(100160063)
     monkeypatch.delenv("QF_FACTOR_BOUND")
-    assert factor_integer(1000003) == {1000003: 1}
+    assert factor_integer(100160063) == {10007: 1, 10009: 1}
+
+
+def _reference_trial_division(n, bound):
+    """The trial division factor_integer ran before it certified cofactors:
+    it gives up on every cofactor above bound**2, prime or not."""
+    out = {}
+    for p in (2, 3):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    q = 5
+    while q * q <= n and q <= bound:
+        for p in (q, q + 2):
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        q += 6
+    if n > 1:
+        if n <= bound * bound:
+            out[n] = out.get(n, 0) + 1
+        else:
+            raise FactorBoundExceeded(n, bound)
+    return out
+
+
+def _primes_above(m, k):
+    out = []
+    while len(out) < k:
+        m += 1
+        if is_prime(m):
+            out.append(m)
+    return out
+
+
+def test_certified_cofactors_match_the_reference():
+    rng = random.Random(19)
+    outcomes = Counter()
+    for bound in (10, 10**3, 10**6):
+        p1, p2, p3 = _primes_above(bound, 3)
+        samples = [rng.randint(2**35, 2**40) for _ in range(30)]  # product-formula size
+        samples += [rng.randint(1, 1300) for _ in range(30)]  # witt-q entries and discriminants
+        samples += [p1 * p2, p2 * p3, 6 * p1 * p3, p1 * p1, 35 * p2 * p2, p1**3, (p1 * p2) ** 2]
+        for n in samples:
+            try:
+                want = _reference_trial_division(n, bound)
+            except FactorBoundExceeded as e:
+                try:
+                    got = factor_integer(n, bound)
+                except FactorBoundExceeded as mine:
+                    assert (mine.n, mine.bound) == (e.n, e.bound)
+                    outcomes["still raises"] += 1
+                else:
+                    assert all(is_prime(p) for p in got), (n, bound, got)
+                    assert math.prod(p**k for p, k in got.items()) == n
+                    outcomes["now factored"] += 1
+            else:
+                assert list(factor_integer(n, bound).items()) == list(want.items())
+                outcomes["same"] += 1
+    assert set(outcomes) == {"same", "still raises", "now factored"}, outcomes
+
+
+def test_product_formula_on_primes_above_bound_squared():
+    # both 40-bit primes, above bound**2 = 10**12
+    assert product_formula_check(1016501061517, 1099315886569)
 
 
 def test_is_prime():
