@@ -13,7 +13,8 @@ Theory, Ch. 5; Buchmann-Vollmer, Binary Quadratic Forms).
 Integrality of a form means q lands in the value ideal on the pseudo
 lattice: the values g_ii a_i^2 on the diagonal and the polar values
 2 g_ij a_i a_j off it lie in L, and regularity is the pseudo
-determinant identity det(2G) (prod a_i)^2 = L^n.
+determinant identity det(2G) (prod a_i)^2 = L^n.  A containment I c in J
+is tested on c times the two HNF generators of I, with no HNF of I c.
 """
 
 from __future__ import annotations
@@ -187,9 +188,7 @@ class FracIdeal:
         return inv
 
     def __pow__(self, e: int) -> "FracIdeal":
-        if e == 0:
-            return self.order.one_ideal()
-        base = self if e > 0 else self.inverse()
+        base = self if e >= 0 else self.inverse()
         out = self.order.one_ideal()
         for _ in range(abs(e)):
             out = out * base
@@ -213,8 +212,11 @@ class FracIdeal:
     def contains(self, x: QuadElement) -> bool:
         return not x or self._contains(*self.order.coords(x))
 
-    def contains_ideal(self, other: "FracIdeal") -> bool:
-        return all(self._contains(u, v, other.den) for u, v in other._basis())
+    def contains_ideal(self, other: "FracIdeal", x: QuadElement | None = None) -> bool:
+        """Is other, times x if given, inside?  Tested on x times its Z-basis."""
+        u, v, e = (1, 0, 1) if x is None else self.order.coords(x)
+        mul = self.order._mul
+        return all(self._contains(*mul(g, (u, v)), other.den * e) for g in other._basis())
 
     def is_integral(self) -> bool:
         return self.den == 1
@@ -455,8 +457,7 @@ class IdealValuedForm:
                 if not g:
                     continue
                 val = g if i == j else two * g
-                lhs = (self.coeff_ideals[i] * self.coeff_ideals[j]).scale(val)
-                if not self.value.contains_ideal(lhs):
+                if not self.value.contains_ideal(self.coeff_ideals[i] * self.coeff_ideals[j], val):
                     raise CliffinvError(f"form value at ({i},{j}) escapes the value ideal")
         det2 = linalg.det(
             [[two * x for x in row] for row in self.gram], order.field
@@ -621,8 +622,9 @@ def even_clifford_order(q: IdealValuedForm) -> EvenCliffordOrder:
     The pseudo-basis monomials keep the original indices, and the table
     comes from the Gram matrix by the monomial rules of
     `clifford._mul_masks_gram`.  Coefficient ideals are
-    prod(a_i, i in S) L^(-|S|/2).  Products of pseudo generators are
-    checked to land inside the asserted coefficients.
+    prod(a_i, i in S) L^(-|S|/2).  Closure: each coefficient c of e_U in
+    e_S e_T is tested as c g in a_U on the two HNF generators g of a_S a_T,
+    which is formed once per pair {S, T}.
     """
     if q.rank > 6:
         raise ValueError("rank capped at 6 for Clifford orders")
@@ -635,22 +637,28 @@ def even_clifford_order(q: IdealValuedForm) -> EvenCliffordOrder:
         [[(index[u], c) for u, c in _mul_masks_gram(s, t, q.gram, k).items()] for t in masks]
         for s in masks
     ]
+    linv = q.value.inverse()
+    powers = [order.one_ideal()]  # L^(-h), h = 0 .. n/2
+    for _ in range(n // 2):
+        powers.append(powers[-1] * linv)
     ideals = []
     for m in masks:
         ideal = order.one_ideal()
         for i in range(n):
             if m >> i & 1:
                 ideal = ideal * q.coeff_ideals[i]
-        ideals.append(ideal * (q.value.inverse() ** (m.bit_count() // 2)))
+        ideals.append(ideal * powers[m.bit_count() // 2])
     dim = len(masks)
     labels = tuple(_mask_label(m) for m in masks)
     alg = StructureAlgebra(k, labels, table, [k.one()] + [k.zero()] * (dim - 1))
     # closure: coefficient of e_U in e_S e_T times a_S a_T inside a_U
+    products = {}  # a_S a_T, once per unordered pair
     for i in range(dim):
         for j in range(dim):
+            if alg.table[i][j] and (key := (min(i, j), max(i, j))) not in products:
+                products[key] = ideals[i] * ideals[j]
             for u, cuv in alg.table[i][j]:
-                lhs = (ideals[i] * ideals[j]).scale(cuv)
-                if not ideals[u].contains_ideal(lhs):
+                if not ideals[u].contains_ideal(products[key], cuv):
                     raise ClosureViolation(
                         f"product {labels[i]} * {labels[j]} escapes at {labels[u]}"
                     )

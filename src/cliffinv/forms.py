@@ -146,7 +146,7 @@ def _as_diagonal(q) -> DiagonalForm:
 
 
 def diagonalize(q: QuadraticForm):
-    """Diagonalise by congruence: returns (form, P) with P^T G P diagonal."""
+    """Diagonalise by congruence, skipping zero entries: (form, P), P^T G P diagonal."""
     if isinstance(q, DiagonalForm):
         n = q.rank
         return q, linalg.identity(n, q.field)
@@ -158,11 +158,13 @@ def diagonalize(q: QuadraticForm):
 
     def add_col(dst, src, c):
         for i in range(n):
-            cols[dst][i] = cols[dst][i] + c * cols[src][i]
-        for i in range(n):
-            g[i][dst] = g[i][dst] + c * g[i][src]
+            if cols[src][i]:
+                cols[dst][i] = cols[dst][i] + c * cols[src][i]
+            if g[i][src]:
+                g[i][dst] = g[i][dst] + c * g[i][src]
         for j in range(n):
-            g[dst][j] = g[dst][j] + c * g[src][j]
+            if g[src][j]:
+                g[dst][j] = g[dst][j] + c * g[src][j]
 
     def swap_col(i, j):
         cols[i], cols[j] = cols[j], cols[i]

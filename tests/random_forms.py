@@ -1,6 +1,7 @@
-"""Seeded random regular forms for the tests."""
+"""Seeded random regular forms, and the ideal-valued forms of arith, for the tests."""
 
 from cliffinv import linalg
+from cliffinv.dedekind import FracIdeal, QuadOrder, hyperbolic_ideal_form
 from cliffinv.forms import DiagonalForm, QuadraticForm
 
 
@@ -25,3 +26,18 @@ def random_regular_gram(rng, field, rank: int) -> QuadraticForm:
                     acc = acc + p[k][i] * diag.entries[k] * p[k][j]
             g[i][j] = acc
     return QuadraticForm(tuple(tuple(r) for r in g), field)
+
+
+def arith_ideals(order: QuadOrder):
+    """O, p2, p2^-1 and p3 of Z[sqrt(-5)], the coefficient ideals of arith."""
+    k = order.field
+    p2 = FracIdeal.from_generators(order, [k.from_int(2), order.element(1, 1)])
+    p3 = FracIdeal.from_generators(order, [k.from_int(3), order.element(-1, 1)])
+    return order.one_ideal(), p2, p2.inverse(), p3
+
+
+def arith_forms():
+    """The 32 rank-4 hyperbolic forms of arith: 16 coefficient pairs, value O or p2."""
+    o = QuadOrder(-5)
+    ideals = arith_ideals(o)
+    return [hyperbolic_ideal_form(o, [a, b], v) for a in ideals for b in ideals for v in ideals[:2]]

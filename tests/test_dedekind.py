@@ -1,12 +1,13 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from cliffinv import jsonio
+from cliffinv import dedekind, jsonio
 from cliffinv.algebras import StructureAlgebra, associativity_witness, central_idempotents, trace_form
-from cliffinv.clifford import split_components
+from cliffinv.clifford import _mask_label, _masks_by_parity, split_components
 from cliffinv.dedekind import (
     FracIdeal,
     IdealValuedForm,
@@ -26,9 +27,11 @@ from cliffinv.dedekind import (
     total_witt_element,
     twist_by_alignment,
 )
-from cliffinv.errors import CliffinvError
+from cliffinv.errors import CliffinvError, ClosureViolation
 from cliffinv.forms import diagonalize
 from cliffinv.scalars import GF, QuadElement
+
+from random_forms import arith_forms, arith_ideals
 
 
 def order5():
@@ -362,3 +365,149 @@ def test_trace_form_matches_left_multiplication():
         ]
         assert trace_form(red) == want
         assert any(want[i][j] for i in span for j in span if i != j)  # not only a diagonal
+
+
+# ---------------------------------------------------------------------------
+# Closure of even Clifford orders against the per-term route
+
+OTHER_ORDERS = (-3, 5, -15, 10, -1, 2, 13, -23, 34, 3, -6)
+
+
+def _tables_frozen_forms():
+    """The nine forms of test_even_clifford_order_tables_frozen, in its order."""
+    o = order5()
+    one, p2, k = o.one_ideal(), p2_of(o), o.field
+    half = k.one() / k.from_int(2)
+    xy = IdealValuedForm((one, one), ((k.one(), half), (half, k.zero())), one)
+    out, q = [], xy
+    for n in (2, 4, 6):
+        if n > 2:
+            q = ideal_orthogonal_sum(q, xy)
+        h = hyperbolic_ideal_form(o, [one] * (n // 2), p2)
+        out += [h, q, twist_by_alignment(h, p2, o.element(1, 1))]
+    return out
+
+
+def _other_order_forms():
+    """Hyperbolic forms over QuadOrder(d) on the first prime ideal above 2, 3, 5 or 7."""
+    for d in OTHER_ORDERS:
+        o = QuadOrder(d)
+        pid = next(P for p in (2, 3, 5, 7) for P in prime_ideals_above(o, p))
+        yield hyperbolic_ideal_form(o, [o.one_ideal(), pid], pid)
+        yield hyperbolic_ideal_form(o, [pid], o.one_ideal())
+
+
+def _reference_closure(q):
+    """Coefficient ideals of the even Clifford order of q, with L^-1 inverted
+    per mask and the closure checked term by term: a_S a_T scaled by the
+    constant, normalised to HNF, then tested for containment in a_U."""
+    order, k, n = q.order, q.order.field, q.rank
+    masks = _masks_by_parity(n, 0)
+    index = {m: i for i, m in enumerate(masks)}
+    table = [
+        [[(index[u], c) for u, c in dedekind._mul_masks_gram(s, t, q.gram, k).items()] for t in masks]
+        for s in masks
+    ]
+    ideals = []
+    for m in masks:
+        ideal = order.one_ideal()
+        for i in range(n):
+            if m >> i & 1:
+                ideal = ideal * q.coeff_ideals[i]
+        ideals.append(ideal * (q.value.inverse() ** (m.bit_count() // 2)))
+    labels = tuple(_mask_label(m) for m in masks)
+    alg = StructureAlgebra(k, labels, table, [k.one()] + [k.zero()] * (len(masks) - 1))
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for u, cuv in alg.table[i][j]:
+                lhs = (ideals[i] * ideals[j]).scale(cuv)
+                if not ideals[u].contains_ideal(lhs):
+                    raise ClosureViolation(f"product {labels[i]} * {labels[j]} escapes at {labels[u]}")
+    return ideals
+
+
+def test_closure_matches_the_per_term_route():
+    o = order5()
+    ideals = arith_ideals(o)
+    sums = [
+        ideal_orthogonal_sum(hyperbolic_ideal_form(o, [a], v), hyperbolic_ideal_form(o, [b], v))
+        for a in ideals
+        for b in ideals
+        for v in ideals[:2]
+    ]
+    forms = arith_forms() + _tables_frozen_forms() + sums + list(_other_order_forms())
+    assert len(forms) == 32 + 9 + 32 + 2 * len(OTHER_ORDERS)
+    assert any(x.b for q in forms[32:41] for row in q.gram for x in row)  # a sqrt(-5) part
+    for q in forms:
+        assert even_clifford_order(q).coeff_ideals == _reference_closure(q)
+
+
+def test_closure_violation_on_both_routes(monkeypatch):
+    # one structure constant, of e_top * e_top at its least mask, divided by 101
+    real = dedekind._mul_masks_gram
+    hits = []
+
+    def mutated(s, t, gram, field):
+        terms = real(s, t, gram, field)
+        if s == t == (1 << len(gram)) - 1 and terms:
+            u = min(terms)
+            terms[u] = terms[u] / field.from_int(101)
+            hits.append(u)
+        return terms
+
+    o = order5()
+    p2 = p2_of(o)
+    forms = [
+        hyperbolic_ideal_form(o, [o.one_ideal(), p2], p2),
+        hyperbolic_ideal_form(o, [p2], o.one_ideal()),
+        _tables_frozen_forms()[5],
+        *_other_order_forms(),
+    ]
+    monkeypatch.setattr(dedekind, "_mul_masks_gram", mutated)
+    for q in forms:
+        hits.clear()
+        with pytest.raises(ClosureViolation) as new:
+            even_clifford_order(q)
+        assert hits
+        with pytest.raises(ClosureViolation) as ref:
+            _reference_closure(q)
+        assert str(new.value) == str(ref.value)
+
+
+def test_even_clifford_order_lattice_work(monkeypatch):
+    # HNF reductions in one rank-4 order: 134 with L^-1 inverted per mask and
+    # a product plus a scaled product normalised per table term; 54 with the
+    # powers of L^-1 formed once and one product per pair of basis elements
+    o = order5()
+    p2 = p2_of(o)
+    q = hyperbolic_ideal_form(o, [o.one_ideal(), p2], p2)
+    real = dedekind._hnf_from_rows
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(dedekind, "_hnf_from_rows", counted)
+    even_clifford_order(q)
+    assert len(calls) == 54
+
+
+def test_even_clifford_order_coeff_ideals_frozen():
+    # sha256 of the JSON list of coefficient ideal labels of the nine forms
+    # of test_even_clifford_order_tables_frozen, recorded when each power of
+    # L^-1 was formed per mask
+    digests = [
+        "28104813836a3168aa07bade46ba50d8e0c38310840d27c402cd5c9e75b1374e",
+        "28104813836a3168aa07bade46ba50d8e0c38310840d27c402cd5c9e75b1374e",
+        "7ab02008c8681cd1cd65766af5e6801f91001069df1f98aa1800d82d95c1194b",
+        "f6034bffe95cc801d46df0f12419259dad32fa046cdcf2f83943d37592037e86",
+        "2a99c466a20193044c862c7c9a5838481bfb2a590ad9c3dcfbec678d5f8b3cf8",
+        "d44e05140b1286aaea3623dabd3d45341e7330c14013236b5759cc3e09e81938",
+        "94726d583482718c14da0ddf77fc5ac1649e70ce28ded600b343c18029b51bea",
+        "254a682f88687250516f7fc9c47df5384aaa2cac5cc288b31821e6cdd1a13110",
+        "5eec897f905f5b2ffbc23e741bf6cdd0502b91ea027d0e39a04ec5ded873a4a2",
+    ]
+    for form, digest in zip(_tables_frozen_forms(), digests, strict=True):
+        labels = [c.label() for c in even_clifford_order(form).coeff_ideals]
+        assert hashlib.sha256(json.dumps(labels).encode()).hexdigest() == digest

@@ -38,7 +38,7 @@ from cliffinv.scalars import (
     support_places,
 )
 
-from random_forms import random_regular_diagonal, random_regular_gram
+from random_forms import arith_forms, arith_ideals, random_regular_diagonal, random_regular_gram
 
 F = QQ
 
@@ -466,3 +466,59 @@ def test_orthogonal_sum_carries_the_summands_classes():
         s = orthogonal_sum(q1, q2)
         assert ("squarefree" in vars(s.entries)) == (k % 3 != 0)
         assert s.entries.squarefree == _squarefree_entries(tuple(s.entries))
+
+
+def _reference_diagonalize(q):
+    """diagonalize with dense column operations, zero entries included."""
+    field, n = q.field, q.rank
+    g = [list(r) for r in q.gram]
+    p = linalg.identity(n, field)
+    cols = [[p[i][j] for i in range(n)] for j in range(n)]
+
+    def add_col(dst, src, c):
+        for i in range(n):
+            cols[dst][i] = cols[dst][i] + c * cols[src][i]
+        for i in range(n):
+            g[i][dst] = g[i][dst] + c * g[i][src]
+        for j in range(n):
+            g[dst][j] = g[dst][j] + c * g[src][j]
+
+    def swap_col(i, j):
+        cols[i], cols[j] = cols[j], cols[i]
+        for r in g:
+            r[i], r[j] = r[j], r[i]
+        g[i], g[j] = g[j], g[i]
+
+    for k in range(n):
+        if not g[k][k]:
+            pivot = next((j for j in range(k + 1, n) if g[j][j]), None)
+            if pivot is not None:
+                swap_col(k, pivot)
+            else:
+                add_col(k, next(j for j in range(k + 1, n) if g[k][j]), field.one())
+        for j in range(k + 1, n):
+            if g[k][j]:
+                add_col(j, k, -(g[k][j] / g[k][k]))
+    return tuple(g[i][i] for i in range(n)), [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+def test_diagonalize_skipping_zeros_matches_the_dense_reference():
+    from cliffinv.dedekind import QuadOrder, twist_by_alignment
+
+    rng = random.Random(2011)
+    forms = [
+        random_regular_gram(rng, field, n)
+        for field in (F, GF(3), GF(11))
+        for n in range(2, 8)
+        for _ in range(4)
+    ]
+    p2 = arith_ideals(QuadOrder(-5))[1]
+    for h in arith_forms():
+        forms += [h.generic_form(), twist_by_alignment(h, p2, h.order.element(1, 1)).generic_form()]
+    assert len(forms) == 3 * 6 * 4 + 64
+    for q in forms:
+        d, p = diagonalize(q)
+        entries, pmat = _reference_diagonalize(q)
+        assert d.entries == entries and p == pmat
+        assert [str(x) for x in d.entries] == [str(x) for x in entries]
+        assert [[str(x) for x in row] for row in p] == [[str(x) for x in row] for row in pmat]
