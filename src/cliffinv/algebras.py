@@ -91,16 +91,8 @@ class StructureAlgebra:
                     out[k] = out[k] + c * t if k in out else c * t
         return {k: c for k, c in out.items() if c}
 
-    def scalar_mul(self, c, x):
-        return [c * v for v in x]
-
     def add(self, x, y):
         return [a + b for a, b in zip(x, y)]
-
-    def left_mult_matrix(self, x):
-        """Matrix of y -> x*y on the basis."""
-        cols = [self.mul(x, self.basis_vec(j)) for j in range(self.dim)]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
     def apply_involution(self, x):
         if self.involution is None:

@@ -2,8 +2,6 @@
 
 One binary, subcommands grouped by module.  Exit codes: 0 success,
 1 verification failure, 2 usage error, 3 resource bound exceeded.
-The QF_FACTOR_BOUND environment variable overrides the trial-division
-bound used everywhere.
 """
 
 from __future__ import annotations
@@ -264,9 +262,9 @@ def _cmd_ded(args):
 def _cmd_suite(args):
     from .suites import run_suite
 
-    rep = run_suite(args.name, seed=args.seed, parallelism=args.parallelism)
+    rep = run_suite(args.name, seed=args.seed)
     if args.json:
-        sys.stdout.write(jsonio.canonical_dumps(rep.to_json(include_wall_time=False)))
+        sys.stdout.write(jsonio.canonical_dumps(rep.to_json()))
     else:
         status = "ok" if rep.ok else f"{len(rep.failures)} FAILURES"
         print(f"suite {rep.suite}: {rep.cases} cases, {status} ({rep.wall_time:.1f}s, seed {rep.seed})")
@@ -356,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("suite", help="run a named verification suite")
     st.add_argument("name")
     st.add_argument("--seed", type=int, default=0)
-    st.add_argument("--parallelism", type=int, default=1)
     st.add_argument("--json", action="store_true")
     st.set_defaults(fn=_cmd_suite)
 

@@ -28,6 +28,7 @@ from .algebras import StructureAlgebra, find_quaternion_basis, trace_form
 from .clifford import RingMap, _mask_label, _masks_by_parity, _mul_masks_gram, tables_commute
 from .errors import CliffinvError, ClosureViolation, SearchExhausted
 from .forms import QuadraticForm, diagonalize
+from .invariants import TotalWittElement
 from .records import record
 from .scalars import (
     GF,
@@ -582,18 +583,8 @@ def normalize_to_representative(q: IdealValuedForm, reps):
     raise CliffinvError("value ideal matches no representative; label bug")
 
 
-@record
-class DedekindWittElement:
-    """Total container: class-group-mod-squares label -> normalised form."""
-
-    order: QuadOrder
-    components: dict
-
-    def e0(self) -> int:
-        return sum(q.rank for q in self.components.values()) % 2
-
-
-def total_witt_element(order: QuadOrder, assignments: dict) -> DedekindWittElement:
+def total_witt_element(order: QuadOrder, assignments: dict) -> TotalWittElement:
+    """The total Witt element labelled by Cl/2, each form normalised to its representative."""
     reps = class_group_mod_squares(order)
     by_label = {}
     for _, q in assignments.items():
@@ -602,7 +593,7 @@ def total_witt_element(order: QuadOrder, assignments: dict) -> DedekindWittEleme
         if label in by_label:
             raise CliffinvError("two components on one label; sum them first")
         by_label[label] = normal
-    return DedekindWittElement(order, by_label)
+    return TotalWittElement(by_label)
 
 
 # ---------------------------------------------------------------------------

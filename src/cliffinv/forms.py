@@ -421,22 +421,18 @@ def _fp_zero(entries, field):
                 v = [zero] * n
                 v[i], v[j] = one, r
                 return v
-    # rank >= 3: solve a x^2 + b y^2 + c = 0 with the third slot at 1
-    p = field.p
+    # rank >= 3: solve a x^2 + b y^2 + c = 0 with the third slot at 1.  The
+    # sets {a x^2} and {-c - b y^2} each hold (p + 1) / 2 residues, so they
+    # meet, and about every other y gives a square -(b y^2 + c) / a.
     a, b, c = entries[0], entries[1], entries[2]
-    lhs = {}
-    for x in range(p):
-        fx = a * field.from_int(x) * field.from_int(x)
-        lhs.setdefault(fx.v, x)
-    for y in range(p):
-        w = -(b * field.from_int(y) * field.from_int(y) + c)
-        if w.v in lhs:
+    for y in range(field.p):
+        fy = field.from_int(y)
+        x = field.sqrt(-(b * fy * fy + c) / a)
+        if x is not None:
             v = [zero] * n
-            v[0] = field.from_int(lhs[w.v])
-            v[1] = field.from_int(y)
-            v[2] = one
+            v[0], v[1], v[2] = x, fy, one
             return v
-    raise SearchExhausted("isotropic vector mod p", p)
+    raise SearchExhausted("isotropic vector mod p", field.p)
 
 
 # Bound on |t| / d in the search for the auxiliary value of _split_plane.

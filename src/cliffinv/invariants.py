@@ -24,6 +24,7 @@ from .brauer import BrauerClass2, class_of_algebra, quaternion_from_class
 from .clifford import discriminant_algebra, split_components
 from .errors import CliffinvError, UnsupportedBase
 from .forms import (
+    TRIVIAL_LABEL,
     DiagonalForm,
     Entries,
     WittClass,
@@ -46,47 +47,48 @@ from .scalars import (
     places_of,
 )
 
-TRIVIAL_LABEL = "trivial"
-
-
 @record
 class TotalWittElement:
     """Witt classes indexed by value-line representatives.
 
-    Over a field there is a single label "trivial"; the Dedekind layer
-    supplies class-group representatives.  Absent labels mean zero.
+    Over a field there is the single label TRIVIAL_LABEL and each
+    component is a WittClass.  Over a quadratic order the labels are the
+    classes of Cl/2 and each component is an IdealValuedForm normalised
+    to its representative (dedekind.total_witt_element).  Absent labels
+    mean zero.
     """
 
     components: dict
 
     @classmethod
-    def from_form(cls, q, label: str = TRIVIAL_LABEL) -> "TotalWittElement":
-        return cls({label: witt_decompose(q)})
-
-    @classmethod
-    def from_forms(cls, assignments: dict) -> "TotalWittElement":
-        return cls({label: witt_decompose(q) for label, q in assignments.items()})
-
-    def witt_classes(self):
-        return list(self.components.values())
+    def from_form(cls, q) -> "TotalWittElement":
+        return cls({TRIVIAL_LABEL: witt_decompose(q)})
 
 
 def _components(w):
     if isinstance(w, TotalWittElement):
-        return w.witt_classes()
+        return list(w.components.values())
     if isinstance(w, WittClass):
         return [w]
     return [witt_decompose(w)]
 
 
+def _witt_classes(w):
+    """The components of w; e1 and e2 are computed on Witt classes over a field only."""
+    comps = _components(w)
+    if not all(isinstance(c, WittClass) for c in comps):
+        raise UnsupportedBase("e1 and e2 of ideal-valued forms are not computed")
+    return comps
+
+
 def e0(w) -> int:
     """Total rank modulo 2."""
-    return sum(len(c.kernel) for c in _components(w)) % 2
+    return sum(c.rank for c in _components(w)) % 2
 
 
 def e1(w) -> SquareClass:
     """Product of the signed discriminants; needs e0 = 0 componentwise."""
-    comps = _components(w)
+    comps = _witt_classes(w)
     field = comps[0].field
     for c in comps:
         if len(c.kernel) % 2:
@@ -185,7 +187,7 @@ def e2(w) -> BrauerClass2:
     structurally.
     """
     total = BrauerClass2.trivial()
-    for c in _components(w):
+    for c in _witt_classes(w):
         total = total + _e2_checked(c, c.kernel)
     return total
 

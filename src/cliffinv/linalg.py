@@ -18,25 +18,6 @@ def identity(n, field):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def matmul(a, b, field):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    zero = field.zero()
-    out = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if not c:
-                continue
-            bt = b[t]
-            for j in range(m):
-                if bt[j]:
-                    oi[j] = oi[j] + c * bt[j]
-    return out
-
-
 def matvec(a, v, field):
     zero = field.zero()
     out = []
@@ -115,15 +96,6 @@ def det(a, field):
                 f = m[i][c] / piv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return acc * sign
-
-
-def inverse(a, field):
-    n = len(a)
-    rows = [list(r) + row_id for r, row_id in zip(a, identity(n, field))]
-    pivots, rk = _eliminate(rows, n, field)
-    if rk != n:
-        raise ZeroDivisionError("matrix not invertible")
-    return [rows[pivots[c]][n:] for c in range(n)]
 
 
 def solve(a, b, field):

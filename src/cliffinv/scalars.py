@@ -6,24 +6,22 @@ element constructors with the decision procedures the rest of the
 package needs: squareness tests, canonical square roots, square-class
 normal forms, and serialisation.
 
-Integer factorisation is trial division up to a bound (default 10**6,
-override with the QF_FACTOR_BOUND environment variable) that stops as
-soon as deterministic Miller-Rabin certifies the cofactor prime.  A
-cofactor with no factor up to the bound is kept when it is a certified
-prime or the square of one.  Any other raises FactorBoundExceeded rather
-than stalling, and so does every such cofactor of _MR_EXACT_BELOW (about
-3.3 * 10**24) or more, where Miller-Rabin certifies nothing and sympy is
-never asked.  A square class over Q is carried as (s, P), s signed
-squarefree and P its primes, as Q*/Q*^2 = {+-1} x (+)_p Z/2.  The last
-128 factorisations are memoised by (|n|, bound): the same integers recur
-across forms, in the quaternion parameters class_of_quaternion factors,
-and in the d of each order.
+Integer factorisation is trial division up to a bound (default 10**6)
+that stops as soon as deterministic Miller-Rabin certifies the cofactor
+prime.  A cofactor with no factor up to the bound is kept when it is a
+certified prime or the square of one.  Any other raises
+FactorBoundExceeded rather than stalling, and so does every such
+cofactor of _MR_EXACT_BELOW (about 3.3 * 10**24) or more, where
+Miller-Rabin certifies nothing and sympy is never asked.  A square class
+over Q is carried as (s, P), s signed squarefree and P its primes, as
+Q*/Q*^2 = {+-1} x (+)_p Z/2.  The last 128 factorisations are memoised
+by (|n|, bound): the same integers recur across forms, in the quaternion
+parameters class_of_quaternion factors, and in the d of each order.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -34,24 +32,19 @@ from .polys import Poly
 DEFAULT_FACTOR_BOUND = 10**6
 
 
-def factor_bound() -> int:
-    env = os.environ.get("QF_FACTOR_BOUND")
-    return int(env) if env else DEFAULT_FACTOR_BOUND
-
-
-def factor_integer(n: int, bound: int | None = None) -> dict[int, int]:
+def factor_integer(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
     """Prime factorisation of |n|, as {prime: exponent}.
 
-    Trial division up to bound (default factor_bound()), stopping early
-    once is_prime certifies the cofactor.  A cofactor with no factor up to
-    bound is kept when it is a certified prime or the square of one; any
-    other raises FactorBoundExceeded.  Certification is deterministic
+    Trial division up to bound, stopping early once is_prime certifies
+    the cofactor.  A cofactor with no factor up to bound is kept when it
+    is a certified prime or the square of one; any other raises
+    FactorBoundExceeded.  Certification is deterministic
     Miller-Rabin, so a cofactor of _MR_EXACT_BELOW or more is never
     certified and raises unless trial division brings it below.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    return dict(_trial_division(abs(n), bound or factor_bound()))
+    return dict(_trial_division(abs(n), bound))
 
 
 # Trial division asks is_prime about its cofactor only from q =

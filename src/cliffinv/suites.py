@@ -4,9 +4,7 @@ Every suite is a pair (generator, runner): the generator expands a seed
 into a list of plain-data case payloads, the runner executes one case
 and returns None or a failure witness string.  Reports are therefore
 reproducible bit for bit from (suite, seed); wall time is measured but
-excluded from the canonical serialisation.  Parallel runs fan cases to
-a process pool and merge results in case order, so the report does not
-depend on scheduling.
+excluded from the canonical serialisation.
 """
 
 from __future__ import annotations
@@ -32,16 +30,13 @@ class VerificationReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def to_json(self, include_wall_time: bool = False) -> dict:
-        d = {
+    def to_json(self) -> dict:
+        return {
             "suite": self.suite,
             "seed": self.seed,
             "cases": self.cases,
             "failures": self.failures,
         }
-        if include_wall_time:
-            d["wall_time"] = self.wall_time
-        return d
 
     def canonical(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
@@ -616,27 +611,20 @@ def _run_dedekind(payload):
 # --- harness -----------------------------------------------------------
 
 
-def _run_one(args):
-    name, payload = args
+def _run_one(runner, payload):
     try:
-        return _RUNNERS[name](payload)
+        return runner(payload)
     except Exception as e:  # a crash is a failure witness, not a crash of the suite
         return f"{type(e).__name__}: {e}"
 
 
-def run_suite(name: str, seed: int = 0, parallelism: int = 1) -> VerificationReport:
+def run_suite(name: str, seed: int = 0) -> VerificationReport:
     """Run a named suite; deterministic for fixed (name, seed)."""
     if name not in _GENERATORS:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(suite_names())}")
     payloads = _GENERATORS[name](seed)
     t0 = time.perf_counter()
-    if parallelism > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_run_one, [(name, p) for p in payloads]))
-    else:
-        results = [_run_one((name, p)) for p in payloads]
+    results = [_run_one(_RUNNERS[name], p) for p in payloads]
     failures = [
         {"case": i, "witness": w} for i, w in enumerate(results) if w is not None
     ]

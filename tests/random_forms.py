@@ -1,4 +1,5 @@
-"""Seeded random regular forms, and the ideal-valued forms of arith, for the tests."""
+"""Seeded random regular forms, the ideal-valued forms of arith, and dense
+matrix references, for the tests."""
 
 from cliffinv import linalg
 from cliffinv.dedekind import FracIdeal, QuadOrder, hyperbolic_ideal_form
@@ -41,3 +42,23 @@ def arith_forms():
     o = QuadOrder(-5)
     ideals = arith_ideals(o)
     return [hyperbolic_ideal_form(o, [a, b], v) for a in ideals for b in ideals for v in ideals[:2]]
+
+
+def matmul(a, b, field):
+    """The dense product a b of row-major matrices."""
+    return [
+        [sum((x * y for x, y in zip(row, col) if x and y), field.zero()) for col in zip(*b)]
+        for row in a
+    ]
+
+
+def inverse(a, field):
+    """The inverse of an invertible square matrix, one solved column at a time."""
+    cols = [linalg.solve(a, e, field) for e in linalg.identity(len(a), field)]
+    return [list(row) for row in zip(*cols)]
+
+
+def left_mult_matrix(alg, x):
+    """The matrix of y -> x y on the basis of a StructureAlgebra."""
+    cols = [alg.mul(x, alg.basis_vec(j)) for j in range(alg.dim)]
+    return [list(row) for row in zip(*cols)]

@@ -38,7 +38,7 @@ from cliffinv.scalars import (
     support_places,
 )
 
-from random_forms import arith_forms, arith_ideals, random_regular_diagonal, random_regular_gram
+from random_forms import arith_forms, arith_ideals, matmul, random_regular_diagonal, random_regular_gram
 
 F = QQ
 
@@ -55,7 +55,7 @@ def test_diagonalize_standard_plane():
     assert witt_decompose(d).index == 1
     # congruence identity: P^T G P equals the diagonal of the entries
     pt = [[p[i][j] for i in range(2)] for j in range(2)]
-    g = linalg.matmul(pt, linalg.matmul([list(r) for r in q.gram], p, F), F)
+    g = matmul(pt, matmul([list(r) for r in q.gram], p, F), F)
     assert g[0][0] == d.entries[0] and g[1][1] == d.entries[1]
     assert not g[0][1] and not g[1][0]
 
@@ -80,7 +80,7 @@ def test_diagonalize_random_congruence():
         d, p = diagonalize(q)
         n = q.rank
         pt = [[p[i][j] for i in range(n)] for j in range(n)]
-        g = linalg.matmul(pt, linalg.matmul([list(r) for r in q.gram], p, field), field)
+        g = matmul(pt, matmul([list(r) for r in q.gram], p, field), field)
         for i in range(n):
             for j in range(n):
                 assert g[i][j] == (d.entries[i] if i == j else field.zero())
@@ -149,6 +149,16 @@ def test_isotropic_vector_certificates():
         for a, x in zip(q.entries, v):
             val = val + a * x * x
         assert not val and any(x for x in v)
+
+
+def test_isotropic_vector_over_a_large_prime_field():
+    # -1 is a non-square mod p = 3 mod 4, so no pair of <1, 1, 1> is a
+    # hyperbolic plane and the ternary search runs: a few square roots, where
+    # a table of the squares mod p would hold p / 2 entries
+    p = 1000000007
+    f = GF(p)
+    v = isotropic_vector(DiagonalForm((f.one(),) * 3, f))
+    assert not sum((x * x for x in v), f.zero()) and any(v)
 
 
 def test_witt_decompose_examples():

@@ -1,8 +1,12 @@
-"""sympy is imported lazily, only where polynomials are factored.
+"""What importing and running the package pulls in.
 
-A module-level `import sympy` adds about 32 MB of peak RSS to every run,
+sympy is imported lazily, only where polynomials are factored.  A
+module-level `import sympy` adds about 32 MB of peak RSS to every run,
 so the Witt, Clifford, Brauer and Dedekind paths must not load it.  The
 check runs in a fresh interpreter, where no other test has imported it.
+
+No module reads the environment: every bound is a constant or an
+argument, so a run depends on its inputs alone.
 """
 
 import os
@@ -70,3 +74,14 @@ def test_factoring_beyond_miller_rabin_does_not_import_sympy():
         [sys.executable, "-c", FACTOR_SCRIPT], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_package_reads_no_environment_variables():
+    pkg = Path(cliffinv.__file__).resolve().parent
+    hits = [
+        f"{path.name}:{n}"
+        for path in sorted(pkg.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "os.environ" in line or "getenv" in line
+    ]
+    assert hits == []

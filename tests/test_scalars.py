@@ -233,12 +233,10 @@ def test_factor_bound():
     assert squarefree_part(-360) == -10
 
 
-def test_factor_bound_applies_after_a_memoised_factorisation(monkeypatch):
+def test_factor_bound_applies_after_a_memoised_factorisation():
     assert factor_integer(100160063) == {10007: 1, 10009: 1}
-    monkeypatch.setenv("QF_FACTOR_BOUND", "10")
     with pytest.raises(FactorBoundExceeded):
-        factor_integer(100160063)
-    monkeypatch.delenv("QF_FACTOR_BOUND")
+        factor_integer(100160063, bound=10)
     assert factor_integer(100160063) == {10007: 1, 10009: 1}
 
 
