@@ -37,7 +37,6 @@ from . import linalg
 from .errors import CliffinvError, SearchExhausted, UnsupportedBase
 from .forms import DiagonalForm, is_isotropic
 from .records import record
-from .scalars import PrimeField, RationalField
 
 MAX_DIM = 64
 
@@ -495,10 +494,6 @@ def _ladder_pair(a: StructureAlgebra):
 def is_split_quaternion(a: StructureAlgebra) -> bool:
     """True iff the norm form <1, -a, -b, ab> is isotropic."""
     field = a.field
-    if isinstance(field, PrimeField):
-        return True  # norm form has rank 4 >= 3 over a finite field
-    if not isinstance(field, RationalField):
-        raise UnsupportedBase("splitness decision over Q and F_p only")
     x, y, _ = find_quaternion_basis(a)
     norm = DiagonalForm((field.one(), -x, -y, x * y), field)
     return is_isotropic(norm)

@@ -25,11 +25,7 @@ def _parse_base(s: str):
 
 
 def _parse_entries(s: str, field):
-    out = []
-    for tok in s.split(","):
-        tok = tok.strip()
-        out.append(field.elt_from_str(tok) if field is not QQ else Fraction(tok))
-    return tuple(out)
+    return tuple(field.elt_from_str(tok.strip()) for tok in s.split(","))
 
 
 def _load_form(args):
@@ -75,9 +71,7 @@ def _cmd_alg(args):
 
     if args.op == "quaternion":
         field = _parse_base(args.base)
-        a = quaternion(field.elt_from_str(args.a) if field is not QQ else Fraction(args.a),
-                        field.elt_from_str(args.b) if field is not QQ else Fraction(args.b),
-                        field)
+        a = quaternion(field.elt_from_str(args.a), field.elt_from_str(args.b), field)
         _emit(args, a, jsonio.render_table(a))
         return 0
     with open(args.file) as fh:

@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from . import linalg
-from .algebras import StructureAlgebra, find_quaternion_basis, trace_form
+from .algebras import StructureAlgebra, trace_form
 from .clifford import RingMap, _mask_label, _masks_by_parity, _mul_masks_gram, tables_commute
 from .errors import CliffinvError, ClosureViolation, SearchExhausted
 from .forms import QuadraticForm, diagonalize
@@ -40,9 +40,8 @@ from .scalars import (
     squarefree_part,
 )
 
-# bounds of the typed errors SearchExhausted and FactorBoundExceeded
+# the bound of the typed error SearchExhausted from class_group_mod_squares
 MAX_CLASSES = 64
-ALIGNMENT_FACTOR_BOUND = 10**5
 
 
 class QuadOrder:
@@ -538,9 +537,7 @@ def ideal_sqrt_alignment(target: FracIdeal, current: FracIdeal):
     order = target.order
     j = target * current.inverse()
     num = j.norm()
-    support = set(factor_integer(num.numerator, ALIGNMENT_FACTOR_BOUND)) | set(
-        factor_integer(num.denominator, ALIGNMENT_FACTOR_BOUND)
-    )
+    support = set(factor_integer(num.numerator)) | set(factor_integer(num.denominator))
     n_ideal = order.one_ideal()
     for p in sorted(support):
         for pid in prime_ideals_above(order, p):
@@ -583,11 +580,12 @@ def normalize_to_representative(q: IdealValuedForm, reps):
     raise CliffinvError("value ideal matches no representative; label bug")
 
 
-def total_witt_element(order: QuadOrder, assignments: dict) -> TotalWittElement:
-    """The total Witt element labelled by Cl/2, each form normalised to its representative."""
+def total_witt_element(order: QuadOrder, forms) -> TotalWittElement:
+    """The total Witt element of a sequence of ideal-valued forms, labelled
+    by Cl/2 through their value ideals, each normalised to its representative."""
     reps = class_group_mod_squares(order)
     by_label = {}
-    for _, q in assignments.items():
+    for q in forms:
         rep, normal = normalize_to_representative(q, reps)
         label = rep.label()
         if label in by_label:
@@ -657,7 +655,7 @@ def even_clifford_order(q: IdealValuedForm) -> EvenCliffordOrder:
 
 
 # ---------------------------------------------------------------------------
-# Reductions and best-effort generic checks
+# Reductions
 
 
 def split_reduction(order: QuadOrder, p: int) -> RingMap:
@@ -709,43 +707,3 @@ def order_reduction_semisimple(co: EvenCliffordOrder, p: int) -> bool:
     if not red.validate_unit():
         return False
     return bool(linalg.det(trace_form(red), target))
-
-
-def bounded_isotropy_search(entries, field):
-    """Best-effort isotropic vector over Q(sqrt d): box enumeration only.
-
-    Returns a witness vector or None; None means "not found", not a
-    proof of anisotropy.
-    """
-    from itertools import product as iproduct
-
-    n = len(entries)
-    small = [QuadElement(x, y, field.d) for x in range(-2, 3) for y in range(-2, 3)]
-    small = [s for s in small if s]
-    box = [field.zero()] + small
-    for vec in iproduct(range(len(box)), repeat=n):
-        if not any(vec):
-            continue
-        val = field.zero()
-        for idx, a in zip(vec, entries):
-            x = box[idx]
-            if x:
-                val = val + a * x * x
-        if not val:
-            return [box[idx] for idx in vec]
-    return None
-
-
-def generic_component_status(alg: StructureAlgebra):
-    """Best-effort split detection for a dim-4 generic-fibre component.
-
-    Returns ("split", witness) when the norm form of an extracted
-    quaternion basis has a small isotropic vector, else ("unknown", None).
-    """
-    field = alg.field
-    alpha, beta, _ = find_quaternion_basis(alg)
-    entries = (field.one(), -alpha, -beta, alpha * beta)
-    vec = bounded_isotropy_search(entries, field)
-    if vec is not None:
-        return "split", vec
-    return "unknown", None

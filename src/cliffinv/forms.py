@@ -363,9 +363,7 @@ def is_isotropic(q) -> bool:
         return field.is_square(-entries[0] * entries[1])
     if isinstance(field, RationalField):
         return _isotropic_sf(entries.squarefree[0])
-    raise UnsupportedBase(
-        f"isotropy over {field!r} is not decided here; bounded searches live in dedekind"
-    )
+    raise UnsupportedBase(f"isotropy over {field!r} is not decided here")
 
 
 def isotropic_vector(q):

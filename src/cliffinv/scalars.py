@@ -333,13 +333,9 @@ def hilbert_symbol(a, b, v: Place) -> int:
 
 
 def support_places(*values) -> list[Place]:
-    """2, infinity, and every odd prime dividing one of the rationals."""
-    primes = {2}
-    for x in map(Fraction, values):
-        primes.update(factor_integer(x.numerator))
-        if x.denominator != 1:
-            primes.update(factor_integer(x.denominator))
-    return [Place.finite(p) for p in sorted(primes)] + [INFINITY]
+    """2, infinity and the primes dividing some nonzero rational value to an odd
+    power: at any other p every Hilbert symbol and Hasse invariant of them is 1."""
+    return places_of(map(rational_class, values))
 
 
 def places_of(classes) -> list[Place]:
@@ -370,6 +366,7 @@ class RationalField:
 
     char = 0
     name = "Q"
+    trivial_rep = 1  # payload of a square class: the signed squarefree integer
 
     def zero(self):
         return _ZERO
@@ -385,6 +382,18 @@ class RationalField:
 
     def sqrt(self, x):
         return rational_sqrt(Fraction(x))
+
+    def square_class(self, a) -> "SquareClass":
+        return SquareClass(self, rational_class(a)[0])
+
+    rep_mul = staticmethod(squarefree_mul)
+    rep_value = from_int
+    from_sympy = from_int  # Fraction reads sympy's Rational as a numbers.Rational
+
+    def sympy_poly(self, coeffs):
+        import sympy
+
+        return sympy.Poly([sympy.Rational(c) for c in coeffs], sympy.Symbol("x"), domain="QQ")
 
     def random_nonzero(self, rng, lo=-9, hi=9):
         while True:
@@ -490,6 +499,8 @@ class FpElement:
 class PrimeField:
     """F_p for an odd prime p (2 stays invertible everywhere)."""
 
+    trivial_rep = 1  # payload of a square class: 1 or the least positive nonresidue
+
     def __init__(self, p: int):
         if p == 2 or not is_prime(p):
             raise ValueError(f"modulus must be an odd prime, got {p}")
@@ -518,6 +529,24 @@ class PrimeField:
         while legendre(n, self.p) != -1:
             n += 1
         return FpElement(n, self.p)
+
+    def square_class(self, a: FpElement) -> "SquareClass":
+        if not a:
+            raise ValueError("0 has no square class")
+        return SquareClass(self, 1 if legendre(a.v, self.p) == 1 else self.nonresidue().v)
+
+    def rep_mul(self, r: int, s: int) -> int:
+        return 1 if r == s else self.nonresidue().v
+
+    rep_value = from_int
+
+    def sympy_poly(self, coeffs):
+        import sympy
+
+        return sympy.Poly([c.v for c in coeffs], sympy.Symbol("x"), modulus=self.p)
+
+    def from_sympy(self, c) -> FpElement:
+        return FpElement(int(c), self.p)
 
     def random_nonzero(self, rng, lo=None, hi=None):
         return FpElement(rng.randint(1, self.p - 1), self.p)
@@ -717,6 +746,11 @@ class QuadraticNumberField:
     def is_square(self, x: QuadElement) -> bool:
         return self.sqrt(x) is not None
 
+    def square_class(self, a):
+        raise UnsupportedBase(
+            "no canonical square-class form over quadratic fields; compare with is_square"
+        )
+
     def random_nonzero(self, rng, lo=-9, hi=9):
         while True:
             x = QuadElement(rng.randint(lo, hi), rng.randint(-2, 2), self.d)
@@ -857,6 +891,7 @@ class RationalFunctionField:
         self.base = base
         self.char = base.char
         self.name = f"{base.name}(t)"
+        self.trivial_rep = (base.trivial_rep, Poly.const(base.one(), base))
 
     def zero(self):
         return RatFunc(Poly((), self.base), Poly.const(self.base.one(), self.base))
@@ -877,9 +912,28 @@ class RationalFunctionField:
         return RatFunc(p, Poly.const(self.base.one(), self.base))
 
     def is_square(self, x: RatFunc) -> bool:
-        if not x:
-            return True
-        return square_class(x, self).is_trivial
+        # num and den are coprime and den monic: x is a square iff both are
+        return not x or self.sqrt(x) is not None
+
+    def square_class(self, a: RatFunc) -> "SquareClass":
+        if not a:
+            raise ValueError("0 has no square class")
+        const, factors = factor_poly(a.num * a.den)
+        _, g = self.trivial_rep
+        for f, e in factors:
+            if e % 2:
+                g = g * f
+        return SquareClass(self, (self.base.square_class(const).rep, g))
+
+    def rep_mul(self, r, s):
+        (c1, g1), (c2, g2) = r, s
+        h = g1.gcd(g2)
+        g = ((g1 * g2) // (h * h)).monic() if h.degree > 0 else (g1 * g2).monic()
+        return self.base.rep_mul(c1, c2), g
+
+    def rep_value(self, r) -> RatFunc:
+        c, g = r
+        return self.from_int(c) * self.from_poly(g)
 
     def sqrt(self, x: RatFunc):
         gn = poly_sqrt(x.num)
@@ -949,12 +1003,7 @@ def poly_sqrt(f: Poly) -> Poly | None:
     field = f.field
     if f.degree % 2:
         return None
-    if isinstance(field, RationalField):
-        lead_rt = rational_sqrt(f.leading())
-    elif isinstance(field, PrimeField):
-        lead_rt = field.sqrt(f.leading())
-    else:
-        raise UnsupportedBase("polynomial sqrt over Q or F_p coefficients only")
+    lead_rt = field.sqrt(f.leading())
     if lead_rt is None or not lead_rt:
         return None
     m = f.degree // 2
@@ -980,42 +1029,22 @@ def poly_sqrt(f: Poly) -> Poly | None:
 
 def factor_poly(p: Poly):
     """Factor p into (constant, [(monic irreducible Poly, exponent), ...])."""
-    import sympy
-
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     base = p.field
-    x = sympy.Symbol("x")
-    if isinstance(base, RationalField):
-        sp = sympy.Poly([sympy.Rational(c) for c in reversed(p.coeffs)], x, domain="QQ")
-        const, factors = sp.factor_list()
-        const = Fraction(const.p, const.q)
-        out = []
-        for f, e in factors:
-            coeffs = [Fraction(c.p, c.q) for c in reversed(f.all_coeffs())]
-            fp = Poly(coeffs, base)
-            lead = fp.leading()
-            if lead != base.one():
-                const *= lead**e
-                fp = fp.monic()
-            out.append((fp, e))
-        return const, out
-    if isinstance(base, PrimeField):
-        q = base.p
-        sp = sympy.Poly([c.v for c in reversed(p.coeffs)], x, modulus=q)
-        const, factors = sp.factor_list()
-        const_e = FpElement(int(const) % q, q)
-        out = []
-        for f, e in factors:
-            coeffs = [FpElement(int(c) % q, q) for c in reversed(f.all_coeffs())]
-            fp = Poly(coeffs, base)
-            lead = fp.leading()
-            if lead != base.one():
-                const_e = const_e * lead**e
-                fp = fp.monic()
-            out.append((fp, e))
-        return const_e, out
-    raise UnsupportedBase("factorisation over Q or F_p coefficients only")
+    if not hasattr(base, "sympy_poly"):
+        raise UnsupportedBase("factorisation over Q or F_p coefficients only")
+    const, factors = base.sympy_poly(p.coeffs[::-1]).factor_list()
+    const = base.from_sympy(const)
+    out = []
+    for f, e in factors:
+        fp = Poly([base.from_sympy(c) for c in reversed(f.all_coeffs())], base)
+        lead = fp.leading()
+        if lead != base.one():
+            const = const * lead**e
+            fp = fp.monic()
+        out.append((fp, e))
+    return const, out
 
 
 def poly_is_irreducible(p: Poly) -> bool:
@@ -1034,7 +1063,8 @@ class SquareClass:
 
     Over Q the payload is a signed squarefree integer; over F_p it is 1
     or the least positive nonresidue; over F(t) it is a pair (content
-    class payload, monic squarefree Poly).
+    class payload, monic squarefree Poly).  The field builds payloads
+    (square_class), multiplies them (rep_mul) and evaluates them (rep_value).
     """
 
     __slots__ = ("field", "rep")
@@ -1045,29 +1075,12 @@ class SquareClass:
 
     @property
     def is_trivial(self) -> bool:
-        if isinstance(self.field, (RationalField, PrimeField)):
-            return self.rep == 1
-        c, g = self.rep
-        return c == 1 and g.degree == 0
+        return self.rep == self.field.trivial_rep
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
         if self.field != other.field:
             raise ValueError("square classes over different fields")
-        f = self.field
-        if isinstance(f, RationalField):
-            return SquareClass(f, squarefree_mul(self.rep, other.rep))
-        if isinstance(f, PrimeField):
-            rep = 1 if self.rep == other.rep else f.nonresidue().v
-            return SquareClass(f, rep)
-        (c1, g1), (c2, g2) = self.rep, other.rep
-        base = f.base
-        if isinstance(base, RationalField):
-            c = squarefree_mul(c1, c2)
-        else:
-            c = 1 if c1 == c2 else base.nonresidue().v
-        h = g1.gcd(g2)
-        g = ((g1 * g2) // (h * h)).monic() if h.degree > 0 else (g1 * g2).monic()
-        return SquareClass(f, (c, g))
+        return SquareClass(self.field, self.field.rep_mul(self.rep, other.rep))
 
     def __eq__(self, other):
         return (
@@ -1077,61 +1090,27 @@ class SquareClass:
         )
 
     def __hash__(self):
-        return hash((self.field, self.rep if not isinstance(self.rep, tuple) else self.rep))
+        return hash((self.field, self.rep))
 
     def value(self):
         """A scalar in the field representing this class."""
-        f = self.field
-        if isinstance(f, RationalField):
-            return Fraction(self.rep)
-        if isinstance(f, PrimeField):
-            return FpElement(self.rep, f.p)
-        c, g = self.rep
-        return f.from_int(c) * f.from_poly(g)
+        return self.field.rep_value(self.rep)
 
     def __repr__(self):
-        if isinstance(self.field, (RationalField, PrimeField)):
-            return f"SquareClass({self.rep})"
-        c, g = self.rep
-        return f"SquareClass({c} * {g!r})"
+        if isinstance(self.rep, tuple):
+            c, g = self.rep
+            return f"SquareClass({c} * {g!r})"
+        return f"SquareClass({self.rep})"
 
 
 def square_class(a, field=None) -> SquareClass:
-    """Canonical square class of a nonzero scalar.
+    """Canonical square class of a nonzero scalar, from its field.
 
     The field is inferred from the element type when not given.
     Quadratic number fields have no canonical representative here; use
     the field's is_square for square-class comparisons instead.
     """
-    if field is None:
-        field = _infer_field(a)
-    if isinstance(field, RationalField):
-        return SquareClass(field, rational_class(a)[0])
-    if isinstance(field, PrimeField):
-        if not a:
-            raise ValueError("0 has no square class")
-        rep = 1 if legendre(a.v, field.p) == 1 else field.nonresidue().v
-        return SquareClass(field, rep)
-    if isinstance(field, RationalFunctionField):
-        if not a:
-            raise ValueError("0 has no square class")
-        prod = a.num * a.den
-        const, factors = factor_poly(prod)
-        base = field.base
-        g = Poly.const(base.one(), base)
-        for f, e in factors:
-            if e % 2:
-                g = g * f
-        if isinstance(base, RationalField):
-            c = squarefree_part(const.numerator * const.denominator)
-        else:
-            c = 1 if base.is_square(const) else base.nonresidue().v
-        return SquareClass(field, (c, g))
-    if isinstance(field, QuadraticNumberField):
-        raise UnsupportedBase(
-            "no canonical square-class form over quadratic fields; compare with is_square"
-        )
-    raise UnsupportedBase(f"square classes over {field!r} unsupported")
+    return (field or _infer_field(a)).square_class(a)
 
 
 def _infer_field(a):

@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 from cliffinv import dedekind, jsonio
-from cliffinv.algebras import StructureAlgebra, associativity_witness, central_idempotents, trace_form
+from cliffinv.algebras import (
+    StructureAlgebra,
+    associativity_witness,
+    central_idempotents,
+    find_quaternion_basis,
+    trace_form,
+)
 from cliffinv.clifford import _mask_label, _masks_by_parity, split_components
 from cliffinv.dedekind import (
     FracIdeal,
@@ -14,7 +20,6 @@ from cliffinv.dedekind import (
     QuadOrder,
     class_group_mod_squares,
     even_clifford_order,
-    generic_component_status,
     hyperbolic_ideal_form,
     ideal_orthogonal_sum,
     ideal_sqrt_alignment,
@@ -228,10 +233,15 @@ def test_even_clifford_order_rank4():
     assert co.algebra.dim == 8
     diag, _ = diagonalize(h4.generic_form())
     sc = split_components(diag)
-    status, witness = generic_component_status(sc.plus)
-    assert status == "split"
-    val = o.field.zero()
-    entries = None  # witness checked inside generic_component_status
+    # the component is split: alpha = r^2 is a square, so the norm form
+    # <1, -alpha, -beta, alpha beta> has the zero (r, 1, 0, 0)
+    k = o.field
+    alpha, beta, _ = find_quaternion_basis(sc.plus)
+    assert alpha == k.one() / k.from_int(4)
+    assert k.is_square(alpha)
+    norm = (k.one(), -alpha, -beta, alpha * beta)
+    zero_vec = (k.sqrt(alpha), k.one(), k.zero(), k.zero())
+    assert not sum((a * x * x for a, x in zip(norm, zero_vec)), k.zero())
 
 
 def test_even_clifford_order_tables_frozen():
@@ -282,14 +292,10 @@ def test_normalization_and_total_element():
     h3 = hyperbolic_ideal_form(o, [one], p2**3)
     rep, normal = normalize_to_representative(h3, reps)
     assert rep == p2 and normal.value == p2
-    tw = total_witt_element(o, {"a": hyperbolic_ideal_form(o, [one], p2)})
+    tw = total_witt_element(o, [hyperbolic_ideal_form(o, [one], p2)])
     assert e0(tw) == 0
     tw2 = total_witt_element(
-        o,
-        {
-            "a": hyperbolic_ideal_form(o, [one], p2),
-            "b": hyperbolic_ideal_form(o, [one], one),
-        },
+        o, [hyperbolic_ideal_form(o, [one], p2), hyperbolic_ideal_form(o, [one], one)]
     )
     assert e0(tw2) == 0 and sorted(tw2.components) == ["(2,1+1w)", "O"]
     # the Dedekind layer computes no discriminant or Brauer class yet

@@ -9,6 +9,7 @@ No module reads the environment: every bound is a constant or an
 argument, so a run depends on its inputs alone.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -85,3 +86,48 @@ def test_package_reads_no_environment_variables():
         if "os.environ" in line or "getenv" in line
     ]
     assert hits == []
+
+
+# The scalar layer asks each field object for its square classes, square
+# roots and sympy conversions; a type test on a field class picks a route the
+# field should own.  Only equality and RationalFunctionField's input check
+# may test a field's class.
+FIELD_CLASSES = {"RationalField", "PrimeField", "QuadraticNumberField", "RationalFunctionField"}
+FIELD_TYPE_TESTS_ALLOWED = {
+    ("RationalField", "__eq__"),
+    ("PrimeField", "__eq__"),
+    ("QuadraticNumberField", "__eq__"),
+    ("RationalFunctionField", "__eq__"),
+    ("RationalFunctionField", "__init__"),
+}
+
+
+def _field_type_tests(tree):
+    """(class, function, line) of each isinstance call naming a field class."""
+    hits = []
+
+    def visit(node, cls, fn):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)} & FIELD_CLASSES
+        ):
+            hits.append((cls, fn, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, fn)
+
+    visit(tree, None, None)
+    return hits
+
+
+def test_scalars_routes_by_field_methods_not_field_types():
+    path = Path(cliffinv.__file__).resolve().parent / "scalars.py"
+    hits = _field_type_tests(ast.parse(path.read_text()))
+    assert [h for h in hits if h[:2] not in FIELD_TYPE_TESTS_ALLOWED] == []
+    assert {h[:2] for h in hits} == FIELD_TYPE_TESTS_ALLOWED  # the walk sees the allowed ones

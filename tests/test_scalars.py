@@ -20,6 +20,7 @@ from cliffinv.scalars import (
     QuadraticNumberField,
     RationalFunctionField,
     factor_integer,
+    factor_poly,
     hilbert_symbol,
     is_prime,
     legendre,
@@ -408,6 +409,42 @@ def test_square_class_function_field_over_fp():
     assert c == 1 and g.degree == 0
     c3, g3 = square_class(t * ff.from_int(2)).rep
     assert g3 == Poly.from_int_coeffs([0, 1], GF(5))
+
+
+def _rebuilt(const, factors, field):
+    out = Poly.const(const, field)
+    for f, e in factors:
+        assert f.leading() == field.one(), f  # every factor is monic
+        for _ in range(e):
+            out = out * f
+    return out
+
+
+def test_square_class_group_laws_and_factor_poly():
+    # Seeded values over every field with canonical square classes: classes
+    # multiply like their scalars, a class is the class of its value and has
+    # order 2, a square is exactly a scalar of trivial class, and factor_poly
+    # gives back its input as const * prod f^e.
+    rng = random.Random(23)
+    fields = [QQ, *map(GF, (3, 5, 7, 11, 13)), RationalFunctionField(QQ), RationalFunctionField(GF(5))]
+    for field in fields:
+        function_field = isinstance(field, RationalFunctionField)
+        coeffs = field.base if function_field else field
+        for _ in range(25):
+            a, b = field.random_nonzero(rng), field.random_nonzero(rng)
+            if function_field:
+                a, b = a / field.random_nonzero(rng), b * b / field.random_nonzero(rng)
+            ca, cb = square_class(a, field), square_class(b, field)
+            assert ca * cb == square_class(a * b, field), (field, a, b)
+            assert square_class(ca.value(), field) == ca, (field, a)
+            assert (ca * ca).is_trivial and (ca * cb * cb) == ca
+            for x in (a, b, a * a, a * a * b):
+                assert field.is_square(x) == square_class(x, field).is_trivial, (field, x)
+            polys = [a.num, a.den, (a * b).num] if function_field else [
+                Poly([coeffs.random_nonzero(rng) for _ in range(rng.randint(1, 6))], coeffs)
+            ]
+            for p in polys:
+                assert _rebuilt(*factor_poly(p), coeffs) == p, (field, p)
 
 
 def test_poly_sqrt():
