@@ -362,6 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):  # argparse takes a value like -1,2 for an option
+        if argv[i] in ("--entries", "--left", "--right", "-a", "-b"):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -5,10 +5,13 @@ take values in a fractional ideal, bases are pseudo-bases with
 coefficient ideals, and the class group modulo squares indexes the
 total Witt container.  Ideals are integer HNF lattices in the basis
 (1, omega), omega^2 = t omega - n, and all ideal arithmetic is on
-integer coordinates.  Principality and the class group come from the
-binary quadratic forms of disc(O) = t^2 - 4n, reduced for D < 0 and
-cycled for D > 0 (Cohen, A Course in Computational Algebraic Number
-Theory, Ch. 5; Buchmann-Vollmer, Binary Quadratic Forms).
+integer coordinates.  Principality comes from the binary quadratic
+forms of disc(O) = t^2 - 4n, reduced for D < 0 and cycled for D > 0
+(Cohen, A Course in Computational Algebraic Number Theory, Ch. 5).
+Cl/Cl^2 is labelled by the genus characters (N I, D)_p, p | D, and a
+class of trivial label is a square, with a root read off a rational
+point of a conic (Gauss, Disquisitiones arts. 229-287; Cox, Primes of
+the Form x^2 + ny^2, 2-3).
 
 Integrality of a form means q lands in the value ideal on the pseudo
 lattice: the values g_ii a_i^2 on the diagonal and the polar values
@@ -26,22 +29,22 @@ from fractions import Fraction
 from . import linalg
 from .algebras import StructureAlgebra, trace_form
 from .clifford import RingMap, _mask_label, _masks_by_parity, _mul_masks_gram, tables_commute
-from .errors import CliffinvError, ClosureViolation, SearchExhausted
-from .forms import QuadraticForm, diagonalize
+from .errors import CliffinvError, ClosureViolation
+from .forms import DiagonalForm, QuadraticForm, diagonalize, isotropic_vector
 from .invariants import TotalWittElement
 from .records import record
 from .scalars import (
     GF,
+    QQ,
+    Place,
     QuadElement,
     QuadraticNumberField,
     factor_integer,
+    hilbert_symbol,
     is_prime,
     sqrt_mod_p,
     squarefree_part,
 )
-
-# the bound of the typed error SearchExhausted from class_group_mod_squares
-MAX_CLASSES = 64
 
 
 class QuadOrder:
@@ -357,78 +360,74 @@ def prime_ideals_above(order: QuadOrder, p: int):
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     t, n = order.omega_trace, order.omega_norm
-    # no root: p is inert and the ideal (p) stays prime
-    return [FracIdeal(order, 1, p, -r, 1) for r in range(p) if (r * r - t * r + n) % p == 0]
+    if p == 2:
+        roots = {r for r in (0, 1) if (r * r - t * r + n) % 2 == 0}
+    else:  # r = (t +- sqrt D)/2; no root: p is inert and the ideal (p) stays prime
+        s = sqrt_mod_p(order.disc, p)
+        roots = set() if s is None else {(t + s) * (p + 1) // 2 % p, (t - s) * (p + 1) // 2 % p}
+    return [FracIdeal(order, 1, p, -r, 1) for r in sorted(roots)]
 
 
-def _reduced_forms(order: QuadOrder):
-    """Forms of disc(O) with |b| <= a <= c (D < 0), or the reduced forms (D > 0)."""
-    disc = order.disc
-    out = []
-    if disc < 0:
-        a = 1
-        while 3 * a * a <= -disc:
-            for b in range(-a + (a + disc) % 2, a + 1, 2):  # b = D mod 2
-                c, rem = divmod(b * b - disc, 4 * a)
-                if not rem and c >= a:
-                    out.append((a, b, c))
-            a += 1
-        return out
-    root = math.isqrt(disc)
-    for b in range(2 - disc % 2, root + 1, 2):
-        m = (disc - b * b) // 4
-        for a in range((root - b) // 2 + 1, (root + b) // 2 + 1):
-            if m % a == 0:
-                out += [(a, b, -m // a), (-a, b, m // a)]
-    return out
+def _genus(order: QuadOrder):
+    """The places p | D = disc(O), ascending, and the label of -1 (0 for D < 0)."""
+    places = [Place(p) for p in sorted(factor_integer(order.disc))]
+    return places, _characters(-1, order.disc, places) if order.disc > 0 else 0
+
+
+def _characters(x, disc: int, places) -> int:
+    """Bitmask of the places v at which the Hilbert symbol (x, disc)_v is -1."""
+    return sum(1 << i for i, v in enumerate(places) if hilbert_symbol(x, disc, v) == -1)
+
+
+def genus_label(ideal: FracIdeal) -> int:
+    """The coset of the ideal in Cl(O)/Cl(O)^2: the bitmask of its genus
+    characters (N I, D)_p, p | D.  For D > 0 the class group is the wide
+    one, and (sqrt D) has the label of -1, so its lowest bit is cleared."""
+    places, minus = _genus(ideal.order)
+    label = _characters(ideal.norm(), ideal.order.disc, places)
+    return label ^ minus if label & minus & -minus else label
 
 
 def class_group_mod_squares(order: QuadOrder):
     """Representatives of Cl(O)/Cl(O)^2, sorted by (norm, label).
 
-    The reps of the (wide) class group are read off the forms of
-    disc(O): for D < 0 each class is one form with |b| <= a <= c, up to
-    the sign of b when |b| = a or a = c; for D > 0 a class is the cycle
-    of a reduced form (a, b, c) together with the cycle of (-a, b, -c),
-    which differ by an element of negative norm.  The ideal of a form
-    is Z |a| + Z ((b - t)/2 + omega).  Squares are quotiented out with
-    ideal products, each reduced to find its class.  The representative
-    of a coset is the least (norm, label) ideal of a form of the coset.
+    There are 2^(r-1) cosets, r the number of primes of D, and half as
+    many when D > 0 and -1 has a nontrivial label.  The representative of
+    a coset is the least (norm, label) primitive ideal Z a + Z (b + omega)
+    with its genus label; every class holds one of norm below sqrt|D|.
     """
-    forms = _reduced_forms(order)
-    t = order.omega_trace
-    class_of = {}
-    reps = []
-    for f in forms:
-        if f in class_of:
-            continue
-        a, b, c = f
-        if order.disc < 0:
-            members = {f, (a, -b, c)} if b == 0 or abs(b) == a or a == c else {f}
-        else:
-            members = {g for h in (f, (-a, b, -c)) for g, _ in _cycle(order, h)}
-        for g in members:
-            class_of[g] = len(reps)
-        ideals = (FracIdeal(order, 1, abs(g[0]), (g[1] - t) // 2, 1) for g in members)
-        reps.append(min(ideals, key=_rep_key))
-    if len(reps) > MAX_CLASSES:
-        raise SearchExhausted("class group enumeration", MAX_CLASSES)
-
-    def class_index(ideal):
-        return class_of[_reduce(order, _primitive_form(ideal)[0])[0]]
-
-    squares = {class_index(r * r) for r in reps}
-    chosen = []
-    covered = set()
-    for k in sorted(range(len(reps)), key=lambda k: _rep_key(reps[k])):
-        if k not in covered:
-            chosen.append(reps[k])
-            covered |= {class_index(reps[k] * reps[s]) for s in squares}
-    return chosen
+    places, minus = _genus(order)
+    count = 1 << (len(places) - 1 - bool(minus))
+    t, n = order.omega_trace, order.omega_norm
+    reps = {}
+    for a in range(1, math.isqrt(abs(order.disc)) + 1):
+        ideals = [FracIdeal(order, 1, a, b, 1) for b in range(a) if (b * b + t * b + n) % a == 0]
+        if ideals:
+            reps.setdefault(genus_label(ideals[0]), min(ideals, key=FracIdeal.label))
+        if len(reps) == count:
+            return list(reps.values())
+    raise CliffinvError(f"only {len(reps)} of {count} genus labels below sqrt|D|")
 
 
-def _rep_key(ideal: FracIdeal):
-    return ideal.norm(), ideal.label()
+def _class_sqrt(ideal: FracIdeal) -> FracIdeal:
+    """J with J^2 narrowly equivalent to an ideal of trivial genus label.
+
+    With (A, B, C) the form of its primitive part, a zero of
+    X^2 - D y^2 - 4A z^2 gives A x^2 + B xy + C y^2 = z^2, X = 2Ax + By.
+    Completed to SL2(Z), coprime (x, y) take the form to (z^2, B', C'),
+    the square of (z, B', z C') as gcd(z, B') = 1 for fundamental D.
+    """
+    (a, b, c), _ = _primitive_form(ideal)
+    conic = DiagonalForm(tuple(QQ.from_int(e) for e in (1, -ideal.order.disc, -4 * a)), QQ)
+    big_x, y, _ = isotropic_vector(conic)
+    ratio = (big_x - b * y) / (2 * a * y) if y else Fraction(1)  # x/y, or (x, y) = (1, 0)
+    x, y = ratio.numerator, (ratio.denominator if y else 0)
+    z = math.isqrt(value := a * x * x + b * x * y + c * y * y)
+    if z * z != value:
+        raise CliffinvError("conic point does not represent a square")
+    _, v, u = _xgcd(x, y)  # v x + u y = 1, so [[x, -u], [y, v]] is in SL2(Z)
+    big_b = -2 * a * x * u + b * (x * v - u * y) + 2 * c * y * v
+    return FracIdeal(ideal.order, 1, z, (big_b - ideal.order.omega_trace) // 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -531,53 +530,31 @@ def twist_by_alignment(q: IdealValuedForm, n_ideal: FracIdeal, phi: QuadElement)
 def ideal_sqrt_alignment(target: FracIdeal, current: FracIdeal):
     """(N, phi) with N^2 current (phi) = target, or None.
 
-    Splits the quotient ideal into primes, halves even valuations into
-    N, and asks the leftover to be principal.
-    """
+    j = target current^-1 must have genus label 0, or for D > 0 the label
+    of -1, when j (sqrt d) has label 0; then N is a root of that class."""
     order = target.order
     j = target * current.inverse()
-    num = j.norm()
-    support = set(factor_integer(num.numerator)) | set(factor_integer(num.denominator))
-    n_ideal = order.one_ideal()
-    for p in sorted(support):
-        for pid in prime_ideals_above(order, p):
-            e = _ideal_valuation(j, pid)
-            half = e // 2 if e >= 0 else -((-e + 1) // 2)  # floor(e/2)
-            if half:
-                n_ideal = n_ideal * pid**half
-    rem = j * (n_ideal * n_ideal).inverse()
-    gen = principal_generator(rem)
-    if gen is None:
+    places, minus = _genus(order)
+    label = _characters(j.norm(), order.disc, places)
+    if label not in (0, minus):
         return None
+    n_ideal = _class_sqrt(j.scale(QuadElement(0, 1, order.d)) if label else j)
+    gen = principal_generator(j * (n_ideal * n_ideal).inverse())
+    if gen is None:
+        raise CliffinvError("j N^-2 is not principal; genus label bug")
     return n_ideal, gen
 
 
-def _ideal_valuation(ideal: FracIdeal, prime: FracIdeal) -> int:
-    """v_P(I) = v_P(den I) - v_P((den)), both ideals integral."""
-    pinv = prime.inverse()
-
-    def integral_valuation(cur):
-        e = 0
-        while (cur := cur * pinv).is_integral():
-            e += 1
-        return e
-
-    order, den = ideal.order, ideal.den
-    scaled = FracIdeal(order, 1, ideal.a, ideal.b, ideal.c)
-    return integral_valuation(scaled) - integral_valuation(FracIdeal(order, 1, den, 0, den))
-
-
 def normalize_to_representative(q: IdealValuedForm, reps):
-    """Twist q so its value ideal is the listed representative."""
-    for rep in reps:
-        al = ideal_sqrt_alignment(rep, q.value)
-        if al is not None:
-            n_ideal, phi = al
-            out = twist_by_alignment(q, n_ideal, phi)
-            if out.value != rep:
-                raise CliffinvError("alignment did not land on the representative")
-            return rep, out
-    raise CliffinvError("value ideal matches no representative; label bug")
+    """Twist q so its value ideal is the listed representative of its genus label."""
+    label = genus_label(q.value)
+    rep = next((r for r in reps if genus_label(r) == label), None)
+    if rep is None:
+        raise CliffinvError("value ideal matches no representative; label bug")
+    out = twist_by_alignment(q, *ideal_sqrt_alignment(rep, q.value))
+    if out.value != rep:
+        raise CliffinvError("alignment did not land on the representative")
+    return rep, out
 
 
 def total_witt_element(order: QuadOrder, forms) -> TotalWittElement:

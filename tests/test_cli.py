@@ -98,6 +98,31 @@ def test_cli_usage_error():
 
 
 @pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (["qf", "disc", "--entries", "-1,2"], ["qf", "disc", "--entries=-1,2"]),
+        (["br", "class", "-a", "-1/2", "-b", "3"], ["br", "class", "-a=-1/2", "-b=3"]),
+        (
+            ["cliff", "sum-check", "--left", "-1,2", "--right", "-3,5"],
+            ["cliff", "sum-check", "--left=-1,2", "--right=-3,5"],
+        ),
+    ],
+)
+def test_cli_values_starting_with_minus(capsys, spaced, joined):
+    assert main(spaced) == 0
+    out = capsys.readouterr().out
+    assert main(joined) == 0
+    assert capsys.readouterr().out == out
+    if spaced[1] == "disc":
+        assert out == "signed discriminant: SquareClass(2)\n"
+
+
+def test_cli_class_group_beyond_enumeration(capsys):
+    assert main(["ded", "clgrp", "-d", "-10007"]) == 0
+    assert capsys.readouterr().out == "Cl/2 representatives: O\n"
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (["exc", "norm", "1", "2", "3"], "norm takes 2 parameters"),

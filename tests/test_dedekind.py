@@ -1,7 +1,10 @@
 import hashlib
 import json
+import math
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -20,6 +23,7 @@ from cliffinv.dedekind import (
     QuadOrder,
     class_group_mod_squares,
     even_clifford_order,
+    genus_label,
     hyperbolic_ideal_form,
     ideal_orthogonal_sum,
     ideal_sqrt_alignment,
@@ -35,7 +39,7 @@ from cliffinv.dedekind import (
 from cliffinv.errors import CliffinvError, ClosureViolation, UnsupportedBase
 from cliffinv.forms import diagonalize
 from cliffinv.invariants import e0, e1, e2
-from cliffinv.scalars import GF, QuadElement
+from cliffinv.scalars import GF, QuadElement, squarefree_part
 
 from random_forms import arith_forms, arith_ideals, left_mult_matrix
 
@@ -136,6 +140,115 @@ def test_real_generator_of_negative_norm():
     g = principal_generator(ideal)
     assert g is not None and g.norm() == -2 and ideal.contains(g)
     assert principal_generator(prime_ideals_above(QuadOrder(10), 2)[0]) is None
+
+
+def _squarefree_orders(bound):
+    return [QuadOrder(d) for d in range(-bound, bound + 1) if d not in (0, 1) and squarefree_part(d) == d]
+
+
+def _reference_reduced_forms(order):
+    """Forms of disc(O) with |b| <= a <= c (D < 0), or the reduced forms (D > 0)."""
+    disc = order.disc
+    out = []
+    if disc < 0:
+        a = 1
+        while 3 * a * a <= -disc:
+            for b in range(-a + (a + disc) % 2, a + 1, 2):  # b = D mod 2
+                c, rem = divmod(b * b - disc, 4 * a)
+                if not rem and c >= a:
+                    out.append((a, b, c))
+            a += 1
+        return out
+    root = math.isqrt(disc)
+    for b in range(2 - disc % 2, root + 1, 2):
+        m = (disc - b * b) // 4
+        for a in range((root - b) // 2 + 1, (root + b) // 2 + 1):
+            if m % a == 0:
+                out += [(a, b, -m // a), (-a, b, m // a)]
+    return out
+
+
+def _reference_class_group_mod_squares(order):
+    """Cl/Cl^2 by enumerating the class group: the classes are read off the
+    reduced forms (for D > 0 the cycles of (a, b, c) and (-a, b, -c)
+    together), squares are quotiented out by ideal products reduced to
+    their classes, and the representative of a coset is the least
+    (norm, label) ideal of a form of the coset."""
+    t = order.omega_trace
+    key = lambda ideal: (ideal.norm(), ideal.label())  # noqa: E731
+    class_of, reps = {}, []
+    for f in _reference_reduced_forms(order):
+        if f in class_of:
+            continue
+        a, b, c = f
+        if order.disc < 0:
+            members = {f, (a, -b, c)} if b == 0 or abs(b) == a or a == c else {f}
+        else:
+            members = {g for h in (f, (-a, b, -c)) for g, _ in dedekind._cycle(order, h)}
+        for g in members:
+            class_of[g] = len(reps)
+        reps.append(min((FracIdeal(order, 1, abs(g[0]), (g[1] - t) // 2, 1) for g in members), key=key))
+
+    def class_index(ideal):
+        return class_of[dedekind._reduce(order, dedekind._primitive_form(ideal)[0])[0]]
+
+    squares = {class_index(r * r) for r in reps}
+    chosen, covered = [], set()
+    for k in sorted(range(len(reps)), key=lambda k: key(reps[k])):
+        if k not in covered:
+            chosen.append(reps[k])
+            covered |= {class_index(reps[k] * reps[s]) for s in squares}
+    return chosen
+
+
+def test_genus_representatives_match_class_enumeration():
+    orders = _squarefree_orders(600)
+    assert len(orders) == 731
+    for o in orders:
+        reps = class_group_mod_squares(o)
+        assert [r.label() for r in reps] == [r.label() for r in _reference_class_group_mod_squares(o)], o
+        assert len({genus_label(r) for r in reps}) == len(reps), o
+
+
+def test_alignment_onto_genus_representatives():
+    # P, P^2 and P Q for the prime ideals above p <= 13 land on the
+    # representative with their genus label, whatever the shape of Cl(O)
+    for o in _squarefree_orders(200):
+        rep_of = {genus_label(r): r for r in class_group_mod_squares(o)}
+        primes = [P for p in (2, 3, 5, 7, 11, 13) for P in prime_ideals_above(o, p)]
+        values = primes + [P * P for P in primes] + [P * Q for P, Q in combinations(primes, 2)]
+        for v in values:
+            rep = rep_of[genus_label(v)]
+            n_ideal, phi = ideal_sqrt_alignment(rep, v)
+            assert (n_ideal * n_ideal * v).scale(phi) == rep, (o, v)
+
+
+def test_normalization_beyond_elementary_class_groups():
+    # Cl(-23) = Z/3, Cl(-14) = Z/4, Cl(-65) = Z/2 x Z/4, Cl(79) = Z/3
+    for d in (-23, -14, -65, 79):
+        o = QuadOrder(d)
+        reps = class_group_mod_squares(o)
+        for P in prime_ideals_above(o, 2) + prime_ideals_above(o, 3):
+            rep, normal = normalize_to_representative(hyperbolic_ideal_form(o, [o.one_ideal()], P), reps)
+            assert normal.value == rep and genus_label(rep) == genus_label(P)
+            tw = total_witt_element(o, [hyperbolic_ideal_form(o, [P], P)])
+            assert list(tw.components) == [rep.label()]
+
+
+def test_class_group_mod_squares_large_discriminants():
+    assert [r.label() for r in class_group_mod_squares(QuadOrder(-10007))] == ["O"]
+    assert [r.label() for r in class_group_mod_squares(QuadOrder(-10**6 - 3))] == ["O"]
+    reps = class_group_mod_squares(QuadOrder(-30030))
+    assert len(reps) == 32 and len({genus_label(r) for r in reps}) == 32
+
+
+def test_prime_ideals_above_large_prime():
+    o = QuadOrder(-1)
+    start = time.perf_counter()
+    primes = prime_ideals_above(o, 1000000009)
+    assert time.perf_counter() - start < 1
+    assert len(primes) == 2 and all(P.norm() == 1000000009 for P in primes)
+    assert primes[0] != primes[1] and primes[0].conjugate() == primes[1]
 
 
 def _integral_ideals(order, bound):
