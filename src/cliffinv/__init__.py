@@ -21,7 +21,6 @@ from .clifford import (
     sum_isomorphism,
 )
 from .forms import (
-    Alignment,
     DiagonalForm,
     QuadraticForm,
     WittClass,
@@ -47,7 +46,6 @@ from .scalars import GF, QQ, Place, hilbert_symbol, legendre, product_formula_ch
 __version__ = "0.1.0"
 
 __all__ = [
-    "Alignment",
     "BrauerClass2",
     "CliffordBimodule",
     "DiagonalForm",

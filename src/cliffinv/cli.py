@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -286,8 +287,18 @@ def _cmd_convert(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every token that starts with a dash and a digit, such as -1/2
+    or -1,2, as a value; no option looks like that.  Subparsers are of the
+    same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="cliffinv", description=__doc__)
+    p = _Parser(prog="cliffinv", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def add_form_args(sp):
@@ -362,10 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    for i in reversed(range(len(argv) - 1)):  # argparse takes a value like -1,2 for an option
-        if argv[i] in ("--entries", "--left", "--right", "-a", "-b"):
-            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

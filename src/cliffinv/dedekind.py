@@ -1,9 +1,12 @@
 """Ideal-valued quadratic forms over maximal quadratic orders.
 
-This is the layer where value lines are genuinely nontrivial: forms
-take values in a fractional ideal, bases are pseudo-bases with
-coefficient ideals, and the class group modulo squares indexes the
-total Witt container.  Ideals are integer HNF lattices in the basis
+This is the layer where value lines are genuinely nontrivial.  A form is
+its generic fibre plus ideals (Bichsel and Knus, Quadratic forms with
+values in line bundles, 1994): a forms.QuadraticForm over K = Q(sqrt d),
+one coefficient ideal per vector of a pseudo-basis, and a value ideal
+L.  Gram matrices are built, summed and scaled by the forms layer alone;
+this module adds the ideals.  The class group modulo squares indexes
+the total Witt container.  Ideals are integer HNF lattices in the basis
 (1, omega), omega^2 = t omega - n, and all ideal arithmetic is on
 integer coordinates.  Principality comes from the binary quadratic
 forms of disc(O) = t^2 - 4n, reduced for D < 0 and cycled for D > 0
@@ -30,7 +33,7 @@ from . import linalg
 from .algebras import StructureAlgebra, trace_form
 from .clifford import RingMap, _mask_label, _masks_by_parity, _mul_masks_gram, tables_commute
 from .errors import CliffinvError, ClosureViolation
-from .forms import DiagonalForm, QuadraticForm, diagonalize, isotropic_vector
+from .forms import DiagonalForm, QuadraticForm, diagonalize, hyperbolic, isotropic_vector, orthogonal_sum, twist
 from .invariants import TotalWittElement
 from .records import record
 from .scalars import (
@@ -220,9 +223,6 @@ class FracIdeal:
         u, v, e = (1, 0, 1) if x is None else self.order.coords(x)
         mul = self.order._mul
         return all(self._contains(*mul(g, (u, v)), other.den * e) for g in other._basis())
-
-    def is_integral(self) -> bool:
-        return self.den == 1
 
     def __eq__(self, other):
         return (
@@ -437,30 +437,25 @@ def _class_sqrt(ideal: FracIdeal) -> FracIdeal:
 @record
 class IdealValuedForm:
     coeff_ideals: tuple
-    gram: tuple  # half-polarised, entries in Q(sqrt d)
+    form: QuadraticForm  # the generic fibre over K = Q(sqrt d)
     value: FracIdeal
 
     def __post_init__(self):
         order = self.value.order
         n = len(self.coeff_ideals)
-        if len(self.gram) != n:
+        if self.form.rank != n:
             raise ValueError("Gram size mismatch")
-        for i in range(n):
-            for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
-                    raise ValueError("Gram must be symmetric")
+        gram = self.form.gram
         two = order.field.from_int(2)
         for i in range(n):
             for j in range(i, n):
-                g = self.gram[i][j]
+                g = gram[i][j]
                 if not g:
                     continue
                 val = g if i == j else two * g
                 if not self.value.contains_ideal(self.coeff_ideals[i] * self.coeff_ideals[j], val):
                     raise CliffinvError(f"form value at ({i},{j}) escapes the value ideal")
-        det2 = linalg.det(
-            [[two * x for x in row] for row in self.gram], order.field
-        )
+        det2 = self.form.det() * 2**n
         if not det2:
             raise CliffinvError("form is not regular")
         prod = order.one_ideal()
@@ -472,59 +467,34 @@ class IdealValuedForm:
 
     @property
     def rank(self) -> int:
-        return len(self.coeff_ideals)
+        return self.form.rank
 
     @property
     def order(self) -> QuadOrder:
         return self.value.order
-
-    def generic_form(self) -> QuadraticForm:
-        return QuadraticForm(self.gram, self.order.field)
 
 
 def ideal_orthogonal_sum(q1: IdealValuedForm, q2: IdealValuedForm) -> IdealValuedForm:
     """Block sum; the value ideals must agree on the nose."""
     if q1.value != q2.value:
         raise ValueError("orthogonal sum needs a common value ideal")
-    k = q1.order.field
-    z = k.zero()
-    n, m = q1.rank, q2.rank
-    gram = []
-    for i in range(n):
-        gram.append(tuple(q1.gram[i]) + (z,) * m)
-    for i in range(m):
-        gram.append((z,) * n + tuple(q2.gram[i]))
-    return IdealValuedForm(
-        q1.coeff_ideals + q2.coeff_ideals, tuple(gram), q1.value
-    )
+    return IdealValuedForm(q1.coeff_ideals + q2.coeff_ideals, orthogonal_sum(q1.form, q2.form), q1.value)
 
 
 def hyperbolic_ideal_form(order: QuadOrder, coefficient_ideals, value: FracIdeal) -> IdealValuedForm:
     """Pairing t + v -> t(v) on Hom(P, L) + P for a pseudo-lattice P."""
-    r = len(coefficient_ideals)
-    if r < 1:
-        raise ValueError("rank must be >= 1")
-    k = order.field
-    z = k.zero()
-    half = k.one() / k.from_int(2)
-    n = 2 * r
-    gram = [[z] * n for _ in range(n)]
-    for i in range(r):
-        gram[i][r + i] = half
-        gram[r + i][i] = half
+    form = hyperbolic(len(coefficient_ideals), order.field)
     coeffs = tuple(value * a.inverse() for a in coefficient_ideals) + tuple(coefficient_ideals)
-    return IdealValuedForm(coeffs, tuple(tuple(row) for row in gram), value)
+    return IdealValuedForm(coeffs, form, value)
 
 
 def twist_by_alignment(q: IdealValuedForm, n_ideal: FracIdeal, phi: QuadElement) -> IdealValuedForm:
     """Transport along the alignment (N, phi): coefficients pick up N,
     the Gram scales by phi, and the value becomes N^2 L (phi)."""
-    if not phi:
-        raise ValueError("alignment scale must be nonzero")
+    form = twist(q.form, phi)
     new_value = (n_ideal * n_ideal * q.value).scale(phi)
-    gram = tuple(tuple(phi * x for x in row) for row in q.gram)
     coeffs = tuple(a * n_ideal for a in q.coeff_ideals)
-    return IdealValuedForm(coeffs, gram, new_value)
+    return IdealValuedForm(coeffs, form, new_value)
 
 
 def ideal_sqrt_alignment(target: FracIdeal, current: FracIdeal):
@@ -600,7 +570,7 @@ def even_clifford_order(q: IdealValuedForm) -> EvenCliffordOrder:
     masks = _masks_by_parity(n, 0)
     index = {m: i for i, m in enumerate(masks)}
     table = [
-        [[(index[u], c) for u, c in _mul_masks_gram(s, t, q.gram, k).items()] for t in masks]
+        [[(index[u], c) for u, c in _mul_masks_gram(s, t, q.form.gram, k).items()] for t in masks]
         for s in masks
     ]
     linv = q.value.inverse()
@@ -660,7 +630,7 @@ def reduction_commutes(q: IdealValuedForm, p: int) -> bool:
     """Even Clifford construction commutes with reduction mod a good split p."""
     order = q.order
     rm = split_reduction(order, p)
-    diag, _ = diagonalize(q.generic_form())
+    diag, _ = diagonalize(q.form)
     return tables_commute(diag, rm)
 
 

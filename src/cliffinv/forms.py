@@ -64,13 +64,13 @@ class DiagonalForm:
     def rank(self) -> int:
         return len(self.entries)
 
-    def to_quadratic(self, value_label: str = TRIVIAL_LABEL) -> "QuadraticForm":
+    def to_quadratic(self) -> "QuadraticForm":
         z = self.field.zero()
         n = self.rank
         gram = tuple(
             tuple(self.entries[i] if i == j else z for j in range(n)) for i in range(n)
         )
-        return QuadraticForm(gram, self.field, value_label)
+        return QuadraticForm(gram, self.field)
 
 
 @record(frozen=True)
@@ -97,17 +97,6 @@ class QuadraticForm:
 
     def det(self):
         return linalg.det([list(r) for r in self.gram], self.field)
-
-
-@record(frozen=True)
-class Alignment:
-    """A square-class twist; over a field just a nonzero scale factor."""
-
-    scale: object
-
-    def __post_init__(self):
-        if not self.scale:
-            raise ValueError("alignment scale must be nonzero")
 
 
 @record(frozen=True)
@@ -231,9 +220,8 @@ def hyperbolic(r: int, field=QQ) -> QuadraticForm:
     return QuadraticForm(tuple(tuple(row) for row in gram), field)
 
 
-def twist(q, alignment) -> QuadraticForm | DiagonalForm:
-    """Scale the form by the alignment's rank-one factor."""
-    n = alignment.scale if isinstance(alignment, Alignment) else alignment
+def twist(q, n) -> QuadraticForm | DiagonalForm:
+    """Scale the form by the nonzero scalar n."""
     if not n:
         raise ValueError("twist by zero")
     if isinstance(q, DiagonalForm):

@@ -232,23 +232,7 @@ def compose(a, b):
 
 
 def column_space_basis(vectors, field):
-    """Subset of the given vectors forming a basis of their span."""
-    chosen = []
-    rows = []
-    pivots = {}
-    ncols = len(vectors[0]) if vectors else 0
-    for v in vectors:
-        row = list(v)
-        for c, r in pivots.items():
-            if row[c]:
-                f = row[c]
-                row = [x - f * y for x, y in zip(row, rows[r])]
-        pc = next((c for c in range(ncols) if row[c]), None)
-        if pc is None:
-            continue
-        inv = field.one() / row[pc]
-        row = [x * inv for x in row]
-        pivots[pc] = len(rows)
-        rows.append(row)
-        chosen.append(v)
-    return chosen
+    """The vectors outside the span of those before them, a basis of the
+    span: the pivot columns of the matrix whose columns are the vectors."""
+    pivots, _ = _eliminate([list(row) for row in zip(*vectors)], len(vectors), field)
+    return [vectors[c] for c in pivots]

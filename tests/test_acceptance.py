@@ -56,6 +56,10 @@ FROZEN_REPORTS = {
     # recorded before the hyperbolic model was certified on its operators alone
     "hyperbolic-model": "e02c9e1bcfb326a42cabbee1a233204b19a353cd8b181c9c71c57abe5353667f",
     "metabolic-splitting": "62a2acde1c155ca7943b96f428864f64fcf83089366840acf7d02a8d07fbbc96",
+    # recorded before an ideal-valued form kept its generic fibre as a QuadraticForm
+    "dedekind-layer": "ca51b6b5051f017b0056dbd783b19afc7e190d598bcef364f875371fa63befca",
+    # recorded before column_space_basis read the pivot columns of one elimination
+    "pfaffian-roundtrip": "5755cdf4ac02f6d4084ca22ec4d746dafdafd0d5f32eb7fd2aa3657767b37e29",
 }
 
 

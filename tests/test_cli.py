@@ -117,6 +117,14 @@ def test_cli_values_starting_with_minus(capsys, spaced, joined):
         assert out == "signed discriminant: SquareClass(2)\n"
 
 
+@pytest.mark.parametrize("cmd", [["exc", "norm"], ["alg", "quaternion"]])
+def test_cli_positional_values_starting_with_minus(capsys, cmd):
+    assert main(cmd + ["--", "-1/2", "3"]) == 0
+    out = capsys.readouterr().out
+    assert main(cmd + ["-1/2", "3"]) == 0
+    assert out and capsys.readouterr().out == out
+
+
 def test_cli_class_group_beyond_enumeration(capsys):
     assert main(["ded", "clgrp", "-d", "-10007"]) == 0
     assert capsys.readouterr().out == "Cl/2 representatives: O\n"

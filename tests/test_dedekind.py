@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from cliffinv import dedekind, jsonio
+from cliffinv import dedekind, forms, jsonio
 from cliffinv.algebras import (
     StructureAlgebra,
     associativity_witness,
@@ -37,7 +37,7 @@ from cliffinv.dedekind import (
     twist_by_alignment,
 )
 from cliffinv.errors import CliffinvError, ClosureViolation, UnsupportedBase
-from cliffinv.forms import diagonalize
+from cliffinv.forms import QuadraticForm, diagonalize
 from cliffinv.invariants import e0, e1, e2
 from cliffinv.scalars import GF, QuadElement, squarefree_part
 
@@ -291,7 +291,7 @@ def test_hyperbolic_ideal_form():
     h = hyperbolic_ideal_form(o, [one], p2)
     assert h.rank == 2
     assert h.coeff_ideals == (p2, one)
-    assert h.gram[0][1] == o.field.one() / o.field.from_int(2)
+    assert h.form.gram[0][1] == o.field.one() / o.field.from_int(2)
     # determinant identity holds by construction (validated in __init__)
 
 
@@ -306,9 +306,43 @@ def test_integrality_enforced():
     with pytest.raises(CliffinvError):
         IdealValuedForm(
             (one, one),
-            ((k.one(), k.zero()), (k.zero(), -k.one())),
+            QuadraticForm(((k.one(), k.zero()), (k.zero(), -k.one())), k),
             one,
         )
+
+
+def test_malformed_gram_rejected():
+    o = order5()
+    one, k = o.one_ideal(), o.field
+    with pytest.raises(ValueError, match="symmetric"):
+        IdealValuedForm((one, one), QuadraticForm(((k.one(), k.one()), (k.zero(), k.one())), k), one)
+    with pytest.raises(ValueError, match="size"):
+        IdealValuedForm((one,), forms.hyperbolic(1, k), one)
+    with pytest.raises(ValueError, match="size"):
+        IdealValuedForm((one, one, one), forms.hyperbolic(1, k), one)
+    # the constructors pass on the forms layer's checks
+    with pytest.raises(ValueError):
+        hyperbolic_ideal_form(o, [], one)
+    with pytest.raises(ValueError):
+        twist_by_alignment(hyperbolic_ideal_form(o, [one], one), one, k.zero())
+
+
+@pytest.mark.parametrize("d", [-5, 10, -23, 13])
+def test_constructors_act_on_the_generic_fibre(d):
+    o = QuadOrder(d)
+    one, k = o.one_ideal(), o.field
+    pid = next(P for p in (2, 3, 5, 7) for P in prime_ideals_above(o, p))
+    for coeffs in ([one], [pid], [one, pid], [pid, pid.inverse(), one]):
+        for value in (one, pid):
+            h = hyperbolic_ideal_form(o, coeffs, value)
+            assert h.form == forms.hyperbolic(len(coeffs), k)
+            s = ideal_orthogonal_sum(h, hyperbolic_ideal_form(o, [pid], value))
+            assert s.form == forms.orthogonal_sum(h.form, forms.hyperbolic(1, k))
+            assert s.coeff_ideals[: h.rank] == h.coeff_ideals and s.value == value
+            phi = o.element(1, 1)
+            t = twist_by_alignment(h, pid, phi)
+            assert t.form == forms.twist(h.form, phi)
+            assert t.value == (pid * pid * value).scale(phi)
 
 
 def test_twists():
@@ -323,7 +357,7 @@ def test_twists():
     back = twist_by_alignment(
         twist_by_alignment(h, p2, k.from_int(3)), p2.inverse(), k.one() / k.from_int(3)
     )
-    assert back.value == h.value and back.gram == h.gram and back.coeff_ideals == h.coeff_ideals
+    assert back.value == h.value and back.form == h.form and back.coeff_ideals == h.coeff_ideals
 
 
 def test_even_clifford_order_rank2():
@@ -344,7 +378,7 @@ def test_even_clifford_order_rank4():
     h4 = hyperbolic_ideal_form(o, [one, one], p2)
     co = even_clifford_order(h4)
     assert co.algebra.dim == 8
-    diag, _ = diagonalize(h4.generic_form())
+    diag, _ = diagonalize(h4.form)
     sc = split_components(diag)
     # the component is split: alpha = r^2 is a square, so the norm form
     # <1, -alpha, -beta, alpha beta> has the zero (r, 1, 0, 0)
@@ -365,7 +399,7 @@ def test_even_clifford_order_tables_frozen():
     k = o.field
     half = k.one() / k.from_int(2)
     # x^2 + xy with value O: the regular case with a nonzero diagonal
-    xy = IdealValuedForm((one, one), ((k.one(), half), (half, k.zero())), one)
+    xy = IdealValuedForm((one, one), QuadraticForm(((k.one(), half), (half, k.zero())), k), one)
     hyperbolic = {
         2: "516e8553c43441899a1773dbf753ad1b263b1d51e5e8229279be50a46c8e0ee2",
         4: "a74dacd3edcd2ff6a1aed57afce715c12f080122b933cb7afb016ad5afc0115d",
@@ -502,7 +536,7 @@ def _tables_frozen_forms():
     o = order5()
     one, p2, k = o.one_ideal(), p2_of(o), o.field
     half = k.one() / k.from_int(2)
-    xy = IdealValuedForm((one, one), ((k.one(), half), (half, k.zero())), one)
+    xy = IdealValuedForm((one, one), QuadraticForm(((k.one(), half), (half, k.zero())), k), one)
     out, q = [], xy
     for n in (2, 4, 6):
         if n > 2:
@@ -529,7 +563,7 @@ def _reference_closure(q):
     masks = _masks_by_parity(n, 0)
     index = {m: i for i, m in enumerate(masks)}
     table = [
-        [[(index[u], c) for u, c in dedekind._mul_masks_gram(s, t, q.gram, k).items()] for t in masks]
+        [[(index[u], c) for u, c in dedekind._mul_masks_gram(s, t, q.form.gram, k).items()] for t in masks]
         for s in masks
     ]
     ideals = []
@@ -561,7 +595,7 @@ def test_closure_matches_the_per_term_route():
     ]
     forms = arith_forms() + _tables_frozen_forms() + sums + list(_other_order_forms())
     assert len(forms) == 32 + 9 + 32 + 2 * len(OTHER_ORDERS)
-    assert any(x.b for q in forms[32:41] for row in q.gram for x in row)  # a sqrt(-5) part
+    assert any(x.b for q in forms[32:41] for row in q.form.gram for x in row)  # a sqrt(-5) part
     for q in forms:
         assert even_clifford_order(q).coeff_ideals == _reference_closure(q)
 

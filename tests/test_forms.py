@@ -9,7 +9,6 @@ from cliffinv import linalg
 from cliffinv.brauer import BrauerClass2
 from cliffinv.errors import DegenerateFormError, UnsupportedBase
 from cliffinv.forms import (
-    Alignment,
     DiagonalForm,
     QuadraticForm,
     _isotropic_locally,
@@ -106,16 +105,16 @@ def test_hyperbolic_shape():
 
 def test_twist():
     q = DiagonalForm(frac(1, -1), F)
-    t = twist(q, Alignment(Fraction(5)))
+    t = twist(q, Fraction(5))
     assert t.entries == frac(5, -5)
-    tt = twist(t, Alignment(Fraction(5)))
+    tt = twist(t, Fraction(5))
     assert [square_class(a).rep for a in tt.entries] == [1, -1]
     # even-rank signed discriminant is twist invariant
     rng = random.Random(3)
     for _ in range(20):
         q = random_regular_diagonal(rng, F, 2 * rng.randint(1, 3))
         n = F.random_nonzero(rng)
-        assert signed_discriminant(twist(q, Alignment(n))) == signed_discriminant(q)
+        assert signed_discriminant(twist(q, n)) == signed_discriminant(q)
 
 
 def test_is_isotropic_basics():
@@ -245,7 +244,7 @@ def test_twist_preserves_isotropy():
     for _ in range(40):
         q = random_regular_diagonal(rng, F, rng.randint(1, 5))
         n = F.random_nonzero(rng)
-        assert is_isotropic(q) == is_isotropic(twist(q, Alignment(n)))
+        assert is_isotropic(q) == is_isotropic(twist(q, n))
 
 
 def test_hasse_invariant_and_isometry():
@@ -524,7 +523,7 @@ def test_diagonalize_skipping_zeros_matches_the_dense_reference():
     ]
     p2 = arith_ideals(QuadOrder(-5))[1]
     for h in arith_forms():
-        forms += [h.generic_form(), twist_by_alignment(h, p2, h.order.element(1, 1)).generic_form()]
+        forms += [h.form, twist_by_alignment(h, p2, h.order.element(1, 1)).form]
     assert len(forms) == 3 * 6 * 4 + 64
     for q in forms:
         d, p = diagonalize(q)

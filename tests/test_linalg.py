@@ -54,3 +54,41 @@ def test_independent_reads_entries():
     assert linalg.independent([a, b], QQ)
     assert not linalg.independent([a, b, linalg.combine([one, -one], [a, b])], QQ)
     assert not linalg.independent([a, {}], QQ)
+
+
+def _greedy_column_space_basis(vectors, field):
+    """Reference: keep each vector that stays nonzero after reduction
+    against the rows kept so far."""
+    chosen, rows, pivots = [], [], {}
+    ncols = len(vectors[0]) if vectors else 0
+    for v in vectors:
+        row = list(v)
+        for c, r in pivots.items():
+            if row[c]:
+                f = row[c]
+                row = [x - f * y for x, y in zip(row, rows[r])]
+        pc = next((c for c in range(ncols) if row[c]), None)
+        if pc is None:
+            continue
+        inv = field.one() / row[pc]
+        pivots[pc] = len(rows)
+        rows.append([x * inv for x in row])
+        chosen.append(v)
+    return chosen
+
+
+def test_column_space_basis_matches_the_greedy_reference():
+    rng = random.Random(97)
+    for field in (QQ, GF(3), GF(11)):
+        for _ in range(80):
+            dim, span = rng.randint(1, 7), rng.randint(1, 5)
+            gens = [[field.from_int(rng.randint(-3, 3)) for _ in range(dim)] for _ in range(span)]
+            # each vector a seeded combination of the generators, so most sets are dependent
+            vectors = []
+            for _ in range(rng.randint(1, 9)):
+                coeffs = [field.from_int(rng.randint(-2, 2)) for _ in gens]
+                vectors.append([sum((c * g[i] for c, g in zip(coeffs, gens)), field.zero()) for i in range(dim)])
+            got = linalg.column_space_basis(vectors, field)
+            assert list(map(id, got)) == list(map(id, _greedy_column_space_basis(vectors, field)))
+            assert len(got) == linalg.rank(vectors, field) <= min(span, dim)
+    assert linalg.column_space_basis([], QQ) == []
