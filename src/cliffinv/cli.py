@@ -90,7 +90,7 @@ def _cmd_alg(args):
 
 def _cmd_cliff(args):
     from .algebras import center
-    from .clifford import CliffordBimodule, EvenClifford, split_components, sum_isomorphism
+    from .clifford import CliffordBimodule, even_clifford, split_components, sum_isomorphism
     from .forms import DiagonalForm
 
     if args.op == "sum-check":
@@ -102,7 +102,7 @@ def _cmd_cliff(args):
         _emit(args, {"isomorphism": ok}, f"sum map is{'' if ok else ' NOT'} an isomorphism")
         return 0 if ok else 1
     q = _load_form(args)
-    ec = EvenClifford(q)
+    ec = even_clifford(q)
     if args.op == "even":
         _emit(args, ec.algebra, jsonio.render_table(ec.algebra))
     elif args.op == "bimodule":

@@ -75,11 +75,10 @@ class DiagonalForm:
 
 @record(frozen=True)
 class QuadraticForm:
-    """Symmetric Gram matrix plus the label of the value line."""
+    """Symmetric Gram matrix over a field, with values in the field."""
 
     gram: tuple
     field: object
-    value_label: str = TRIVIAL_LABEL
 
     def __post_init__(self):
         n = len(self.gram)
@@ -96,7 +95,7 @@ class QuadraticForm:
         return len(self.gram)
 
     def det(self):
-        return linalg.det([list(r) for r in self.gram], self.field)
+        return linalg.det(self.gram, self.field)
 
 
 @record(frozen=True)
@@ -181,7 +180,7 @@ def diagonalize(q: QuadraticForm):
 
 
 def orthogonal_sum(q, q2):
-    """Block-diagonal sum; fields and value labels must match."""
+    """Block-diagonal sum; the fields must match."""
     if isinstance(q, DiagonalForm) and isinstance(q2, DiagonalForm):
         if q.field != q2.field:
             raise ValueError("orthogonal sum needs a common base field")
@@ -194,8 +193,6 @@ def orthogonal_sum(q, q2):
     qb = q2.to_quadratic() if isinstance(q2, DiagonalForm) else q2
     if qa.field != qb.field:
         raise ValueError("orthogonal sum needs a common base field")
-    if qa.value_label != qb.value_label:
-        raise ValueError("orthogonal sum needs a common value label")
     z = qa.field.zero()
     n, m = qa.rank, qb.rank
     gram = []
@@ -203,7 +200,7 @@ def orthogonal_sum(q, q2):
         gram.append(tuple(qa.gram[i]) + (z,) * m)
     for i in range(m):
         gram.append((z,) * n + tuple(qb.gram[i]))
-    return QuadraticForm(tuple(gram), qa.field, qa.value_label)
+    return QuadraticForm(tuple(gram), qa.field)
 
 
 def hyperbolic(r: int, field=QQ) -> QuadraticForm:
@@ -227,7 +224,7 @@ def twist(q, n) -> QuadraticForm | DiagonalForm:
     if isinstance(q, DiagonalForm):
         return DiagonalForm(tuple(n * a for a in q.entries), q.field)
     gram = tuple(tuple(n * x for x in row) for row in q.gram)
-    return QuadraticForm(gram, q.field, q.value_label)
+    return QuadraticForm(gram, q.field)
 
 
 def signed_discriminant(q) -> SquareClass:

@@ -12,7 +12,7 @@ import json
 
 from .algebras import MAX_DIM, StructureAlgebra, sparse_row
 from .brauer import BrauerClass2
-from .forms import DiagonalForm, QuadraticForm
+from .forms import TRIVIAL_LABEL, DiagonalForm, QuadraticForm
 from .scalars import field_from_json
 
 
@@ -27,21 +27,12 @@ def canonical_dumps(obj) -> str:
 
 
 def form_to_json(q) -> dict:
-    if isinstance(q, DiagonalForm):
-        f = q.field
-        return {
-            "kind": "form",
-            "base": f.to_json(),
-            "entries": [f.elt_to_str(a) for a in q.entries],
-            "value_label": "trivial",
-        }
     f = q.field
-    return {
-        "kind": "form",
-        "base": f.to_json(),
-        "gram": [[f.elt_to_str(x) for x in row] for row in q.gram],
-        "value_label": q.value_label,
-    }
+    if isinstance(q, DiagonalForm):
+        body = {"entries": [f.elt_to_str(a) for a in q.entries]}
+    else:
+        body = {"gram": [[f.elt_to_str(x) for x in row] for row in q.gram]}
+    return {"kind": "form", "base": f.to_json(), **body, "value_label": TRIVIAL_LABEL}
 
 
 def form_from_json(d):
@@ -49,6 +40,9 @@ def form_from_json(d):
         field = field_from_json(d["base"])
     except (KeyError, ValueError) as e:
         raise ParseError("base", str(e))
+    label = d.get("value_label", TRIVIAL_LABEL)
+    if label != TRIVIAL_LABEL:
+        raise ParseError("value_label", f"expected {TRIVIAL_LABEL!r}, got {label!r}")
     if "entries" in d:
         try:
             entries = tuple(field.elt_from_str(s) for s in d["entries"])
@@ -67,7 +61,7 @@ def form_from_json(d):
             rows.append(tuple(field.elt_from_str(s) for s in row))
         except ValueError as e:
             raise ParseError(f"gram[{i}]", str(e))
-    return QuadraticForm(tuple(rows), field, d.get("value_label", "trivial"))
+    return QuadraticForm(tuple(rows), field)
 
 
 def algebra_to_json(a: StructureAlgebra) -> dict:

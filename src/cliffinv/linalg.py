@@ -3,11 +3,14 @@
 Elements only need +, -, *, /, unary -, and truthiness for a zero test,
 so the same routines serve Fractions, prime fields, quadratic fields and
 rational function fields.  Matrices are lists of lists, row major.
-A linear map, an operator on a monomial basis or an algebra morphism,
-is a column map {col: {row: coeff}}, with zero coefficients and empty
-columns dropped, so that equal maps are equal dicts; `combine` and
-`compose` act on these, and `kernel` solves one through
-`nullspace_sparse`, so a signed permutation needs no elimination.
+There is one elimination, `_echelon`, a row reduction on sparse rows
+{col: coeff} without zeros; `rank`, `det`, `solve`, the kernels and
+`column_space_basis` read their answers off its pivot rows, and dense
+rows become sparse rows on entry.  A linear map, an operator on a
+monomial basis or an algebra morphism, is a column map
+{col: {row: coeff}}, with zero coefficients and empty columns dropped,
+so that equal maps are equal dicts; `combine` and `compose` act on
+these, and `kernel` reduces the rows of one.
 """
 
 from __future__ import annotations
@@ -30,150 +33,100 @@ def matvec(a, v, field):
     return out
 
 
-def _eliminate(rows, ncols, field):
-    """In-place Gaussian elimination over the field.
-
-    Returns (pivots, rank) where pivots maps pivot column -> row index.
-    Rows are reduced (pivot entries one, cleared above and below).
-    """
-    one = field.one()
-    pivots = {}
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
+def _clear(row, c, prow):
+    """Subtract from the sparse row the multiple of prow, the pivot row of
+    column c, that clears column c.  The entry at c is dropped, not
+    computed, so a singleton pivot row costs no field operation."""
+    v = row.pop(c)
+    if len(prow) == 1:
+        return
+    f = v / prow[c]
+    for k, w in prow.items():
+        if k == c:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        if piv != one:
-            inv = one / piv
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
-        if r == len(rows):
-            break
-    return pivots, r
+        x = row[k] - f * w if k in row else -(f * w)
+        if x:
+            row[k] = x
+        else:
+            del row[k]
+
+
+def _echelon(rows):
+    """The one row reduction: {pivot column: pivot row}, in the order the
+    rows produced them.
+
+    Rows are {col: coeff} dicts without zeros.  Each is cleared at the
+    pivot columns found so far; a nonzero rest becomes the pivot row of
+    its least column and is cleared from the earlier pivot rows.  Pivot
+    rows are unscaled and zero at every other pivot column, and the pivot
+    columns are the least columns of an echelon basis of the row space.
+    """
+    piv = {}
+    for r in rows:
+        row = dict(r)
+        for c in row.keys() & piv.keys():
+            _clear(row, c, piv[c])
+        if row:
+            c = min(row)
+            for p in piv.values():
+                if c in p:
+                    _clear(p, c, row)
+            piv[c] = row
+    return piv
+
+
+def _sparse(a):
+    """Dense rows as {col: coeff} rows without zeros."""
+    return ({c: x for c, x in enumerate(r) if x} for r in a)
 
 
 def rank(a, field):
-    if not a:
-        return 0
-    rows = [list(r) for r in a]
-    _, rk = _eliminate(rows, len(a[0]), field)
-    return rk
+    return len(_echelon(_sparse(a)))
 
 
 def det(a, field):
-    n = len(a)
-    if n == 0:
-        return field.one()
-    m = [list(r) for r in a]
-    sign = field.one()
+    """Product of the pivots, signed by the inversions of their columns."""
+    piv = _echelon(_sparse(a))
+    if len(piv) < len(a):
+        return field.zero()
+    cols = list(piv)
     acc = field.one()
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            return field.zero()
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        piv = m[c][c]
-        acc = acc * piv
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / piv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return acc * sign
+    for c in cols:
+        acc = acc * piv[c][c]
+    inversions = sum(d < c for i, c in enumerate(cols) for d in cols[i + 1 :])
+    return -acc if inversions % 2 else acc
 
 
 def solve(a, b, field):
     """One solution x of a x = b, or None if inconsistent."""
-    n = len(a)
     m = len(a[0]) if a else 0
-    rows = [list(r) + [bv] for r, bv in zip(a, b)]
-    pivots, _ = _eliminate(rows, m, field)
-    for row in rows:
-        if row[-1] and not any(row[:-1]):
-            return None
+    piv = _echelon(_sparse(list(r) + [bv] for r, bv in zip(a, b)))
+    if m in piv:
+        return None
     x = [field.zero()] * m
-    for c, r in pivots.items():
-        x[c] = rows[r][-1]
+    for c, row in piv.items():
+        if m in row:
+            x[c] = row[m] / row[c]
     return x
 
 
 def nullspace(a, ncols, field):
     """Basis of the right kernel of a (list of length-ncols vectors)."""
-    rows = [list(r) for r in a]
-    pivots, _ = _eliminate(rows, ncols, field)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    one = field.one()
-    zero = field.zero()
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for c, r in pivots.items():
-            v[c] = -rows[r][fc]
-        basis.append(v)
-    return basis
+    return nullspace_sparse(_sparse(a), ncols, field)
 
 
 def nullspace_sparse(rows, ncols, field):
-    """Right kernel from rows given as {col: coeff} dicts.
-
-    Propagates singleton rows first, which makes the near-diagonal
-    commutator systems from structure algebras cheap, then falls back to
-    ordinary elimination on whatever is left.
-    """
-    forced_zero = set()
-    work = [dict(r) for r in rows if r]
-    changed = True
-    while changed:
-        changed = False
-        rest = []
-        for r in work:
-            live = {c: v for c, v in r.items() if c not in forced_zero and v}
-            if not live:
-                continue
-            if len(live) == 1:
-                forced_zero.add(next(iter(live)))
-                changed = True
-            else:
-                rest.append(live)
-        work = rest
-    keep = [c for c in range(ncols) if c not in forced_zero]
-    if not keep:
-        return []
-    pos = {c: j for j, c in enumerate(keep)}
-    dense = []
+    """Right kernel from rows given as {col: coeff} dicts without zeros:
+    one vector per free column, one there and zero at the other free
+    columns."""
+    piv = _echelon(rows)
     zero = field.zero()
-    for r in work:
-        row = [zero] * len(keep)
-        for c, v in r.items():
-            row[pos[c]] = v
-        dense.append(row)
-    small = nullspace(dense, len(keep), field) if dense else [
-        [field.one() if j == i else zero for j in range(len(keep))] for i in range(len(keep))
-    ]
-    out = []
-    for v in small:
-        full = [zero] * ncols
-        for j, c in enumerate(keep):
-            full[c] = v[j]
-        out.append(full)
-    return out
+    kern = {f: {f: field.one()} for f in range(ncols) if f not in piv}
+    for c, row in piv.items():
+        for f, x in row.items():
+            if f != c:
+                kern[f][c] = -(x / row[c])
+    return [[v.get(j, zero) for j in range(ncols)] for v in kern.values()]
 
 
 def kernel(op, ncols, field):
@@ -234,5 +187,4 @@ def compose(a, b):
 def column_space_basis(vectors, field):
     """The vectors outside the span of those before them, a basis of the
     span: the pivot columns of the matrix whose columns are the vectors."""
-    pivots, _ = _eliminate([list(row) for row in zip(*vectors)], len(vectors), field)
-    return [vectors[c] for c in pivots]
+    return [vectors[c] for c in sorted(_echelon(_sparse(zip(*vectors))))]

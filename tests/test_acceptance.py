@@ -60,6 +60,16 @@ FROZEN_REPORTS = {
     "dedekind-layer": "ca51b6b5051f017b0056dbd783b19afc7e190d598bcef364f875371fa63befca",
     # recorded before column_space_basis read the pivot columns of one elimination
     "pfaffian-roundtrip": "5755cdf4ac02f6d4084ca22ec4d746dafdafd0d5f32eb7fd2aa3657767b37e29",
+    # the eight below recorded before linalg's dense Gauss-Jordan, the
+    # determinant loop and the singleton pass became one sparse row reduction
+    "clifford-dims": "c6f38e3be572bd3112f119986e5155701c0e25ea451bae655730ed61148243fc",
+    "components-equal": "3b81eac299262861139c7e51b57bd8f9546cffe3749af0d000fdf6b08739f48e",
+    "disc-additivity": "937ffe247a0a1fd8cd957eac7b27e30537cea8ab618c849f6b3ef38c3dba3d84",
+    "e2-additivity": "d4c4fd8d372956cee2e7e5ea6673307c0bb1b3f3a6b652b689656816c116d986",
+    "hilbert-product": "1a0be71d440c5dcdc6d4119c62fae10415bb80e0e854bee8891ed6b85aa019fa",
+    "milnor-residues": "e1ba3d4ecacf40415b00e65659c8cc0b120fc478eebe175028c9d16a5f12eb0d",
+    "norm-roundtrip": "17d220667b2a555e6bf961f1bb3d6ec17932e159f818d4d838e693ee3de084fc",
+    "surjectivity": "3828a64b5fafb0a58f40add132f0b6cec07c7c3d29c7ddec3ba087e68dd05835",
 }
 
 

@@ -176,6 +176,26 @@ def test_convert_malformed(tmp_path):
     assert main(["convert", str(bad), "-"]) == 2
 
 
+@pytest.mark.parametrize("op", ["even", "bimodule", "center", "split"])
+def test_cli_cliff_reads_gram_form_files(tmp_path, capsys, op):
+    # the Gram matrix diagonalises to <1, -1>
+    src = tmp_path / "form.json"
+    src.write_text('{"kind":"form","base":{"field":"Q"},"gram":[["1","1/2"],["1/2","-3/4"]]}')
+    assert main(["cliff", op, "--base", "Q", "--entries", "1,-1", "--json"]) == 0
+    want = capsys.readouterr().out
+    assert main(["cliff", op, "--file", str(src), "--json"]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_form_files_take_only_the_trivial_value_label(tmp_path, capsys):
+    src = tmp_path / "form.json"
+    src.write_text('{"kind":"form","base":{"field":"Q"},"gram":[["1"]],"value_label":"L"}')
+    assert main(["qf", "diag", "--file", str(src)]) == 2
+    assert "value_label" in capsys.readouterr().err
+    with pytest.raises(jsonio.ParseError):
+        jsonio.form_from_json({"base": {"field": "Q"}, "entries": ["1"], "value_label": "L"})
+
+
 def test_convert_inconsistent_algebra(tmp_path, capsys):
     # dim, labels and unit disagree; nothing may be built from the table
     bad = tmp_path / "bad.json"
