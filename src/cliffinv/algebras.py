@@ -248,13 +248,13 @@ def twisted_center(a: StructureAlgebra):
     return [a.basis_vec(i) for i, (row, col) in enumerate(zip(a.table, cols)) if row == col]
 
 
-def central_idempotents(a: StructureAlgebra, generators=None):
+def central_idempotents(a: StructureAlgebra):
     """All solutions of z^2 = z in the centre (centre dimension <= 2).
 
     Split quadratic centre gives four idempotents, nonsplit gives just
     0 and 1.  Output order is deterministic.
     """
-    c = center(a, generators)
+    c = center(a)
     zero = a.zero_vec()
     unit = list(a.unit)
     if len(c) == 1:

@@ -52,7 +52,7 @@ def _cmd_qf(args):
 
     q = _load_form(args)
     if args.op == "diag":
-        d, _ = diagonalize(q.to_quadratic() if hasattr(q, "entries") else q)
+        d, _ = diagonalize(q)
         _emit(args, d, jsonio.render_table(d))
     elif args.op == "witt":
         w = witt_decompose(q)
@@ -191,8 +191,8 @@ def _cmd_exc(args):
         ok = (norm_roundtrip_check if len(vals) == 2 else pfaffian_roundtrip_check)(*vals)
         _emit(args, {"roundtrip": ok}, f"round trip {'holds' if ok else 'FAILS'}")
         return 0 if ok else 1
-    data = (reduced_norm_form if args.op == "norm" else albert_form)(*vals)
-    _emit(args, data.form, jsonio.render_table(data.form))
+    form = (reduced_norm_form if args.op == "norm" else albert_form)(*vals)
+    _emit(args, form, jsonio.render_table(form))
     return 0
 
 
@@ -243,15 +243,13 @@ def _cmd_ded(args):
         }
         _emit(args, out, f"hyperbolic form of rank {h.rank} valued in {h.value.label()}")
         return 0
-    if args.op == "clifford-order":
-        co = even_clifford_order(h)
-        out = {
-            "dim": co.algebra.dim,
-            "coefficient_ideals": [c.label() for c in co.coeff_ideals],
-        }
-        _emit(args, out, f"even Clifford order of dimension {co.algebra.dim}, closure verified")
-        return 0
-    return 2
+    co = even_clifford_order(h)
+    out = {
+        "dim": co.algebra.dim,
+        "coefficient_ideals": [c.label() for c in co.coeff_ideals],
+    }
+    _emit(args, out, f"even Clifford order of dimension {co.algebra.dim}, closure verified")
+    return 0
 
 
 def _cmd_suite(args):

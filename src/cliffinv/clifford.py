@@ -218,7 +218,6 @@ def clifford_bimodule(form) -> CliffordBimodule:
 class DiscriminantAlgebra:
     """The centre of the even Clifford algebra of an even-rank form."""
 
-    field: object
     delta: object
     split: bool
 
@@ -246,7 +245,7 @@ def discriminant_algebra(form_or_ec) -> DiscriminantAlgebra:
     cen = twisted_center(ec.algebra)  # the table of an EvenClifford is twisted
     if len(cen) != 2:
         raise CliffinvError("centre of an even-rank even Clifford algebra must have dim 2")
-    return DiscriminantAlgebra(form.field, delta, bool(form.field.is_square(delta)))
+    return DiscriminantAlgebra(delta, bool(form.field.is_square(delta)))
 
 
 @record
@@ -327,7 +326,6 @@ def base_change(form: DiagonalForm, ring_map) -> DiagonalForm:
 
 @record(frozen=True)
 class RingMap:
-    source: object
     target: object
     fn: object
 
@@ -372,11 +370,8 @@ def exterior_operators(r: int, field):
 
 @record
 class HyperbolicModel:
-    rank: int
     field: object
-    form: QuadraticForm
     even: EvenClifford
-    bimodule: CliffordBimodule
     ops: list  # ops[S], the operator of e_S on the exterior algebra
 
     def phi0(self, x):
@@ -442,7 +437,7 @@ def hyperbolic_model(r: int) -> HyperbolicModel:
                 raise CliffinvError(
                     f"operators fail the product law at {_mask_label(s)}, {_mask_label(t)}"
                 )
-    return HyperbolicModel(r, field, h, ec, bim, ops)
+    return HyperbolicModel(field, ec, ops)
 
 
 def _operator_products(gens, r, field):
@@ -462,9 +457,6 @@ def _operator_products(gens, r, field):
 @record
 class SumIsomorphism:
     morphism: AlgebraMorphism
-    target: StructureAlgebra
-    left: EvenClifford
-    right: EvenClifford
 
 
 def sum_isomorphism(q1: DiagonalForm, q2: DiagonalForm) -> SumIsomorphism:
@@ -524,4 +516,4 @@ def sum_isomorphism(q1: DiagonalForm, q2: DiagonalForm) -> SumIsomorphism:
             img = target.mul_rows(img.items(), ((pos[g & low, g >> n1], one),))
         cols[col] = img
     morphism = AlgebraMorphism(ec.algebra, target, cols)
-    return SumIsomorphism(morphism, target, e1, e2)
+    return SumIsomorphism(morphism)

@@ -218,9 +218,9 @@ class FracIdeal:
     def contains(self, x: QuadElement) -> bool:
         return not x or self._contains(*self.order.coords(x))
 
-    def contains_ideal(self, other: "FracIdeal", x: QuadElement | None = None) -> bool:
-        """Is other, times x if given, inside?  Tested on x times its Z-basis."""
-        u, v, e = (1, 0, 1) if x is None else self.order.coords(x)
+    def contains_ideal(self, other: "FracIdeal", x: QuadElement) -> bool:
+        """Is other times x inside?  Tested on x times the Z-basis of other."""
+        u, v, e = self.order.coords(x)
         mul = self.order._mul
         return all(self._contains(*mul(g, (u, v)), other.den * e) for g in other._basis())
 
@@ -279,10 +279,10 @@ def _is_reduced(form, root: int) -> bool:
     return b <= root and 2 * abs(a) - b <= root < b + 2 * abs(a)
 
 
-def _rho(form, disc: int, root: int, basis=None):
+def _rho(form, disc: int, root: int, basis):
     """One step (a, b, c) -> (c, r, (r^2 - D)/4c), r = -b mod 2c (Cohen 5.6.4), D > 0.
 
-    The basis, when given, goes to (beta, s beta - alpha), s = (r + b)/2c.
+    The basis goes to (beta, s beta - alpha), s = (r + b)/2c.
     """
     a, b, c = form
     m = 2 * abs(c)
@@ -291,23 +291,22 @@ def _rho(form, disc: int, root: int, basis=None):
         r -= m if r > abs(c) else 0
     else:
         r = root - (root + b) % m
-    if basis is not None:
-        (alpha, beta), s = basis, (r + b) // (2 * c)
-        basis = (beta, (s * beta[0] - alpha[0], s * beta[1] - alpha[1]))
+    (alpha, beta), s = basis, (r + b) // (2 * c)
+    basis = (beta, (s * beta[0] - alpha[0], s * beta[1] - alpha[1]))
     return (c, r, (r * r - disc) // (4 * c)), basis
 
 
-def _reduce(order: QuadOrder, form, basis=None):
+def _reduce(order: QuadOrder, form, basis):
     """A reduced form equivalent to form; for D > 0, some form of its cycle."""
     if order.disc < 0:
-        return _reduce_definite(form, basis or ((1, 0), (0, 1)))
+        return _reduce_definite(form, basis)
     root = math.isqrt(order.disc)
     while not _is_reduced(form, root):
         form, basis = _rho(form, order.disc, root, basis)
     return form, basis
 
 
-def _cycle(order: QuadOrder, form, basis=None):
+def _cycle(order: QuadOrder, form, basis):
     """The cycle of a reduced form of disc D > 0, with the basis along it."""
     root = math.isqrt(order.disc)
     start = form
@@ -549,7 +548,6 @@ def total_witt_element(order: QuadOrder, forms) -> TotalWittElement:
 class EvenCliffordOrder:
     algebra: StructureAlgebra  # generic fibre in the pseudo-basis
     coeff_ideals: list  # one ideal per even-subset basis element
-    masks: tuple
 
 
 def even_clifford_order(q: IdealValuedForm) -> EvenCliffordOrder:
@@ -598,7 +596,7 @@ def even_clifford_order(q: IdealValuedForm) -> EvenCliffordOrder:
                     raise ClosureViolation(
                         f"product {labels[i]} * {labels[j]} escapes at {labels[u]}"
                     )
-    return EvenCliffordOrder(alg, ideals, masks)
+    return EvenCliffordOrder(alg, ideals)
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +621,7 @@ def split_reduction(order: QuadOrder, p: int) -> RingMap:
         v = a.numerator * pow(a.denominator, -1, p) + b.numerator * pow(b.denominator, -1, p) * root
         return target.from_int(v)
 
-    return RingMap(order.field, target, fn)
+    return RingMap(target, fn)
 
 
 def reduction_commutes(q: IdealValuedForm, p: int) -> bool:

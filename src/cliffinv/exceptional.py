@@ -1,45 +1,26 @@
 """Rank-4 and rank-6 constructions tied to quaternion and biquaternion
 algebras: reduced norm forms, Albert (pfaffian) forms, and the round
 trips between forms and algebra classes.
+
+Each construction works over the field of its parameters (`field_of`)
+and returns a form, or the alternating basis, over that field.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from . import linalg
 from .algebras import StructureAlgebra, is_split_quaternion, quaternion, reduced_trace, tensor
-from .brauer import BrauerClass2, class_of_algebra, class_of_quaternion
+from .brauer import class_of_algebra, class_of_quaternion
 from .clifford import split_components
 from .errors import CliffinvError, UnsupportedBase
 from .forms import DiagonalForm, signed_discriminant
 from .invariants import clifford_invariant_class, construct_preimage, e2_of_form
-from .records import record
-from .scalars import QQ, PrimeField, RationalField
+from .scalars import PrimeField, RationalField, field_of
 
 NORM_SAMPLES = 20
 NORM_SEED = 0
-
-
-@record
-class NormFormData:
-    a: object
-    b: object
-    form: DiagonalForm
-
-
-@record
-class AlbertFormData:
-    params: tuple
-    form: DiagonalForm
-
-
-@record
-class PfaffianSpaceData:
-    ambient: StructureAlgebra  # the degree-4 algebra acting on itself
-    psi: dict  # involutory endomorphism of the underlying 16-space, a column map
-    alternating_basis: list  # basis of im(id - psi)
 
 
 def _norm_value(q: StructureAlgebra, x):
@@ -51,10 +32,10 @@ def _norm_value(q: StructureAlgebra, x):
     return val
 
 
-def reduced_norm_form(a, b, field=None) -> NormFormData:
+def reduced_norm_form(a, b) -> DiagonalForm:
     """<1, -a, -b, ab>, checked against the algebra norm on NORM_SAMPLES
     seeded samples."""
-    field = field or QQ
+    field = field_of(a)
     if not a or not b:
         raise ValueError("nonzero parameters required")
     q = quaternion(a, b, field)
@@ -73,14 +54,13 @@ def reduced_norm_form(a, b, field=None) -> NormFormData:
             raise CliffinvError("norm form disagrees with the algebra norm")
     if not signed_discriminant(form).is_trivial:
         raise CliffinvError("norm form must have trivial signed discriminant")
-    return NormFormData(a, b, form)
+    return form
 
 
-def norm_roundtrip_check(a, b, field=None) -> bool:
+def norm_roundtrip_check(a, b) -> bool:
     """Both components of C0 of the norm form carry the algebra's class."""
-    field = field or QQ
-    data = reduced_norm_form(a, b, field)
-    sc = split_components(data.form)
+    field = field_of(a)
+    sc = split_components(reduced_norm_form(a, b))
     if isinstance(field, PrimeField):
         return is_split_quaternion(sc.plus) and is_split_quaternion(sc.minus)
     if not isinstance(field, RationalField):
@@ -89,16 +69,15 @@ def norm_roundtrip_check(a, b, field=None) -> bool:
     return class_of_algebra(sc.plus) == target and class_of_algebra(sc.minus) == target
 
 
-def albert_form(a, b, c, d, field=None) -> AlbertFormData:
+def albert_form(a, b, c, d) -> DiagonalForm:
     """<a, b, -ab, -c, -d, cd> for the biquaternion pair (a,b), (c,d)."""
-    field = field or QQ
     for x in (a, b, c, d):
         if not x:
             raise ValueError("nonzero parameters required")
-    form = DiagonalForm((a, b, -(a * b), -c, -d, c * d), field)
+    form = DiagonalForm((a, b, -(a * b), -c, -d, c * d), field_of(a))
     if not signed_discriminant(form).is_trivial:
         raise CliffinvError("Albert form must have trivial signed discriminant")
-    return AlbertFormData((a, b, c, d), form)
+    return form
 
 
 def _goldman_terms(q: StructureAlgebra):
@@ -119,15 +98,16 @@ def _goldman_terms(q: StructureAlgebra):
     return coefs
 
 
-def pfaffian_space(a, b, c, d, field=None) -> PfaffianSpaceData:
-    """The 6-dimensional alternating space of the biquaternion algebra.
+def pfaffian_space(a, b, c, d) -> list:
+    """A basis of the 6-dimensional alternating space of the biquaternion
+    algebra, as vectors in the 16-dimensional product basis.
 
     Builds A = (a,b) (x) (c,d), realises A (x) A on End(A) by
     u (x) v: x -> u x sigma(v) with sigma the product involution, sends
     the trace element across, and checks the image endomorphism psi is
-    an involution with rank(id - psi) = 6.
+    an involution with rank(id - psi) = 6; the basis spans im(id - psi).
     """
-    field = field or QQ
+    field = field_of(a)
     qb = quaternion(a, b, field)
     qc = quaternion(c, d, field)
     amb = tensor(qb, qc)
@@ -160,31 +140,29 @@ def pfaffian_space(a, b, c, d, field=None) -> PfaffianSpaceData:
     alt = linalg.column_space_basis(cols, field)
     if len(alt) != 6:
         raise CliffinvError(f"alternating space has dimension {len(alt)}, not 6")
-    return PfaffianSpaceData(amb, psi, alt)
+    return alt
 
 
-def pfaffian_roundtrip_check(a, b, c, d, field=None) -> bool:
+def pfaffian_roundtrip_check(a, b, c, d) -> bool:
     """e2 of the Albert form equals the sum of the two quaternion classes.
 
     The class of the rank-6 form is extracted through Witt reduction and
     component splitting; a rank-4 norm-form witness of the expected
     class is produced independently and the two classes compared.  The
-    dim-16 components of the rank-6 even Clifford algebra are built and
-    dimension-checked along the way.
+    alternating space is certified (`pfaffian_space` raises unless it has
+    dimension 6), and the dim-16 components of the rank-6 even Clifford
+    algebra are built and dimension-checked along the way.
     """
-    field = field or QQ
-    if not isinstance(field, RationalField):
+    if not isinstance(field_of(a), RationalField):
         raise UnsupportedBase("pfaffian round trip over Q")
-    data = albert_form(a, b, c, d, field)
-    space = pfaffian_space(a, b, c, d, field)
-    if len(space.alternating_basis) != 6:
-        return False
-    sc = split_components(data.form)
+    form = albert_form(a, b, c, d)
+    pfaffian_space(a, b, c, d)
+    sc = split_components(form)
     if sc.plus.dim != 16 or sc.minus.dim != 16:
         return False
     expected = class_of_quaternion(a, b) + class_of_quaternion(c, d)
-    got = e2_of_form(data.form)
+    got = e2_of_form(form)
     if got != expected:
         return False
     witness = construct_preimage(expected)
-    return e2_of_form(witness) == got and clifford_invariant_class(data.form.entries) == got
+    return e2_of_form(witness) == got and clifford_invariant_class(form.entries) == got

@@ -235,7 +235,7 @@ def signed_discriminant(q) -> SquareClass:
     """
     field = q.field
     if not (isinstance(q, DiagonalForm) and isinstance(field, RationalField)):
-        return square_class(signed_det(q), field)
+        return square_class(signed_det(q))
     sign = -1 if (q.rank * (q.rank - 1) // 2) % 2 else 1
     return SquareClass(field, class_mul(*q.entries.squarefree[0], sign=sign)[0])
 
@@ -275,7 +275,7 @@ class Entries(tuple):
     """Diagonal entries; over Q, squarefree is _squarefree_entries of the
     tuple, computed once.  Entries(e) is e when e is already an Entries."""
 
-    def __new__(cls, entries=()):
+    def __new__(cls, entries):
         return entries if type(entries) is cls else super().__new__(cls, entries)
 
     squarefree = cached_property(_squarefree_entries)

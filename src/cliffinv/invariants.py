@@ -95,7 +95,7 @@ def e1(w) -> SquareClass:
             raise ValueError("e1 needs even rank on every component")
         if c.field != field:
             raise ValueError("components live over different fields")
-    out = square_class(field.one(), field)
+    out = square_class(field.one())
     for c in comps:
         if not c.kernel:
             continue
@@ -103,7 +103,7 @@ def e1(w) -> SquareClass:
         if len(c.kernel) <= 6:
             # independent route through the centre of the even Clifford algebra
             da = discriminant_algebra(DiagonalForm(c.kernel, field))
-            if square_class(da.delta, field) != d:
+            if square_class(da.delta) != d:
                 raise CliffinvError("centre discriminant disagrees with the determinant")
         out = out * d
     return out

@@ -149,20 +149,14 @@ def specialize(q: DiagonalForm, c) -> DiagonalForm:
 
 
 def _good_points(q: DiagonalForm, count: int):
-    ff = _function_field_of(q)
-    base = ff.base
+    """The first count points where q specialises, among 0, 1, -1, ...,
+    +-(2 count + 4) over Q and 0, ..., min(p, 4 count + 8) - 1 over F_p."""
+    base = _function_field_of(q).base
+    if isinstance(base, PrimeField):
+        candidates = range(min(base.p, 4 * count + 8))
+    else:
+        candidates = [0] + [s * k for k in range(1, 2 * count + 5) for s in (1, -1)]
     found = []
-    c = 0
-    candidates = []
-    limit = base.p if isinstance(base, PrimeField) else 10**6
-    k = 0
-    while len(candidates) < limit and k < limit:
-        candidates.append(k)
-        if k > 0 and not isinstance(base, PrimeField):
-            candidates.append(-k)
-        k += 1
-        if len(candidates) >= 4 * count + 8:
-            break
     for cand in candidates:
         x = base.from_int(cand)
         try:
@@ -265,21 +259,12 @@ def _quad_quotient_is_square(quot: QuotientField, w: Poly) -> bool:
 
     c1 = quot.modulus.coeffs[1]
     c0 = quot.modulus.coeffs[0]
-    disc = c1 * c1 - 4 * c0
-    if disc == 0:
-        raise ValueError("modulus is not separable")
+    disc = c1 * c1 - 4 * c0  # nonzero and not a square: the modulus is irreducible
     d = squarefree_part(disc.numerator * disc.denominator)
     s = rational_sqrt(disc / d)
     # t_bar maps to (-c1 + s sqrt(d)) / 2
     w0 = w.coeffs[0] if len(w.coeffs) > 0 else Fraction(0)
     w1 = w.coeffs[1] if len(w.coeffs) > 1 else Fraction(0)
-    if d == 1:
-        # split quotient: evaluate at both roots of the modulus
-        r1 = (-c1 + s) / 2
-        r2 = (-c1 - s) / 2
-        v1 = w0 + w1 * r1
-        v2 = w0 + w1 * r2
-        return rational_sqrt(v1) is not None and rational_sqrt(v2) is not None
     k = QuadraticNumberField(d)
     img = QuadElement(w0 - w1 * c1 / 2, w1 * s / 2, d)
     return k.is_square(img)

@@ -548,7 +548,7 @@ class PrimeField:
     def from_sympy(self, c) -> FpElement:
         return FpElement(int(c), self.p)
 
-    def random_nonzero(self, rng, lo=None, hi=None):
+    def random_nonzero(self, rng):
         return FpElement(rng.randint(1, self.p - 1), self.p)
 
     def elt_to_str(self, x: FpElement) -> str:
@@ -1103,17 +1103,19 @@ class SquareClass:
         return f"SquareClass({self.rep})"
 
 
-def square_class(a, field=None) -> SquareClass:
-    """Canonical square class of a nonzero scalar, from its field.
+def square_class(a) -> SquareClass:
+    """Canonical square class of a nonzero scalar, from the field of a.
 
-    The field is inferred from the element type when not given.
     Quadratic number fields have no canonical representative here; use
     the field's is_square for square-class comparisons instead.
     """
-    return (field or _infer_field(a)).square_class(a)
+    return field_of(a).square_class(a)
 
 
-def _infer_field(a):
+def field_of(a):
+    """The field a scalar belongs to, read off its type: Q for int and
+    Fraction, F_p, Q(sqrt d) or F(t) from the modulus, d or base that
+    the element carries."""
     if isinstance(a, (int, Fraction)):
         return QQ
     if isinstance(a, FpElement):

@@ -164,7 +164,7 @@ def _run_center(payload):
     if len(cen) != 2:
         return f"even rank centre dim {len(cen)} on {ints}"
     da = discriminant_algebra(ec)
-    if square_class(da.delta, field) != signed_discriminant(form):
+    if square_class(da.delta) != signed_discriminant(form):
         return f"centre delta mismatch on {ints}"
     return None
 

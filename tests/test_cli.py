@@ -244,3 +244,53 @@ def test_json_round_trips_forms_and_algebras():
             assert hashlib.sha256(dumped).hexdigest() == digests[name]
         a2 = jsonio.algebra_from_json(json.loads(json.dumps(d2)))
         assert a2.table == alg.table and a2.unit == alg.unit
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (
+            ["qf", "diag", "--entries", "1,2,3"],
+            0,
+            "quadratic form over QQ\n  diagonal: <1, 2, 3>\n  value label: trivial\n",
+            "",
+        ),
+        (["br", "realize", "--ramified", "2,3"], 0, "quaternion (3, 2)\n", ""),
+        (
+            ["inv", "preimage", "--ramified", "3,inf", "--json"],
+            0,
+            '{"base":{"field":"Q"},"entries":["1","3","1","3"],"kind":"form","value_label":"trivial"}\n',
+            "",
+        ),
+        (["inv", "e0", "--entries", "1,2,3"], 0, "e0 = 1\n", ""),
+        (["inv", "e1", "--entries=-1,2,3,-6"], 0, "e1 = SquareClass(1)\n", ""),
+        (
+            ["ded", "hyp", "--coeff-ideals", "P3,P3b", "--value", "P2", "--json"],
+            0,
+            '{"coefficient_ideals":["(6,1+1w)/3","(6,5+1w)/3","(3,2+1w)","(3,1+1w)"],'
+            '"rank":4,"value":"(2,1+1w)"}\n',
+            "",
+        ),
+        (
+            ["ded", "clifford-order", "--coeff-ideals", "O,P2^-1", "--value", "P2"],
+            0,
+            "even Clifford order of dimension 8, closure verified\n",
+            "",
+        ),
+        (["ded", "hyp", "--coeff-ideals", "P11"], 2, "", "error: at ideal: 11 is inert in this order\n"),
+    ],
+)
+def test_cli_subcommand_outputs(capsys, argv, code, out, err):
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_cli_algebra_file_commands(tmp_path, capsys):
+    assert main(["alg", "quaternion", "-1", "-1", "--json"]) == 0
+    src = tmp_path / "q.json"
+    src.write_text(capsys.readouterr().out)
+    assert main(["alg", "center", "--file", str(src), "--json"]) == 0
+    assert capsys.readouterr().out == '{"basis":[["1","0","0","0"]],"dimension":1}\n'
+    # a central simple algebra has only the idempotents 0 and 1
+    assert main(["alg", "idempotents", "--file", str(src)]) == 0
+    assert capsys.readouterr().out == "2 central idempotents\n"

@@ -184,13 +184,13 @@ def _reference_class_group_mod_squares(order):
         if order.disc < 0:
             members = {f, (a, -b, c)} if b == 0 or abs(b) == a or a == c else {f}
         else:
-            members = {g for h in (f, (-a, b, -c)) for g, _ in dedekind._cycle(order, h)}
+            members = {g for h in (f, (-a, b, -c)) for g, _ in dedekind._cycle(order, h, ((1, 0), (0, 1)))}
         for g in members:
             class_of[g] = len(reps)
         reps.append(min((FracIdeal(order, 1, abs(g[0]), (g[1] - t) // 2, 1) for g in members), key=key))
 
     def class_index(ideal):
-        return class_of[dedekind._reduce(order, dedekind._primitive_form(ideal)[0])[0]]
+        return class_of[dedekind._reduce(order, *dedekind._primitive_form(ideal))[0]]
 
     squares = {class_index(r * r) for r in reps}
     chosen, covered = [], set()
@@ -579,7 +579,7 @@ def _reference_closure(q):
         for j in range(alg.dim):
             for u, cuv in alg.table[i][j]:
                 lhs = (ideals[i] * ideals[j]).scale(cuv)
-                if not ideals[u].contains_ideal(lhs):
+                if not ideals[u].contains_ideal(lhs, k.one()):
                     raise ClosureViolation(f"product {labels[i]} * {labels[j]} escapes at {labels[u]}")
     return ideals
 

@@ -25,8 +25,8 @@ def fr(x):
 
 
 def test_reduced_norm_form_examples():
-    assert reduced_norm_form(fr(1), fr(1)).form.entries == (fr(1), fr(-1), fr(-1), fr(1))
-    assert reduced_norm_form(fr(-1), fr(-1)).form.entries == (fr(1), fr(1), fr(1), fr(1))
+    assert reduced_norm_form(fr(1), fr(1)).entries == (fr(1), fr(-1), fr(-1), fr(1))
+    assert reduced_norm_form(fr(-1), fr(-1)).entries == (fr(1), fr(1), fr(1), fr(1))
     with pytest.raises(ValueError):
         reduced_norm_form(fr(0), fr(1))
 
@@ -36,7 +36,7 @@ def test_norm_form_discriminant_trivial():
     for _ in range(20):
         a = fr(rng.choice([x for x in range(-30, 31) if x]))
         b = fr(rng.choice([x for x in range(-30, 31) if x]))
-        assert signed_discriminant(reduced_norm_form(a, b).form).is_trivial
+        assert signed_discriminant(reduced_norm_form(a, b)).is_trivial
 
 
 def test_norm_multiplicativity_sampled():
@@ -57,7 +57,7 @@ def test_norm_roundtrip():
     assert norm_roundtrip_check(fr(-1), fr(-1))
     assert norm_roundtrip_check(fr(1), fr(7))
     f5 = GF(5)
-    assert norm_roundtrip_check(f5.from_int(2), f5.from_int(3), f5)
+    assert norm_roundtrip_check(f5.from_int(2), f5.from_int(3))
     rng = random.Random(51)
     for _ in range(10):
         a = fr(rng.choice([x for x in range(-50, 51) if x]))
@@ -67,9 +67,9 @@ def test_norm_roundtrip():
 
 def test_albert_form():
     af = albert_form(fr(1), fr(1), fr(1), fr(1))
-    assert af.form.entries == (fr(1), fr(1), fr(-1), fr(-1), fr(-1), fr(1))
-    assert is_isotropic(af.form)
-    assert signed_discriminant(af.form).is_trivial
+    assert af.entries == (fr(1), fr(1), fr(-1), fr(-1), fr(-1), fr(1))
+    assert is_isotropic(af)
+    assert signed_discriminant(af).is_trivial
     with pytest.raises(ValueError):
         albert_form(fr(1), fr(0), fr(1), fr(1))
 
@@ -82,8 +82,8 @@ def test_albert_isotropy_matches_index():
         vals = [fr(rng.choice([x for x in range(-9, 10) if x])) for _ in range(4)]
         af = albert_form(*vals)
         c = class_of_quaternion(vals[0], vals[1]) + class_of_quaternion(vals[2], vals[3])
-        assert is_isotropic(af.form)
-        w = witt_decompose(af.form)
+        assert is_isotropic(af)
+        w = witt_decompose(af)
         if index(c) == 1:
             assert w.index == 3 and not w.kernel
         else:
@@ -92,14 +92,14 @@ def test_albert_isotropy_matches_index():
 
 def test_pfaffian_space_dimension():
     ps = pfaffian_space(fr(1), fr(1), fr(1), fr(1))
-    assert len(ps.alternating_basis) == 6
-    assert ps.ambient.dim == 16
+    assert len(ps) == 6
+    assert all(len(v) == 16 for v in ps)  # vectors of the degree-4 algebra
     ps2 = pfaffian_space(fr(-1), fr(-1), fr(-1), fr(3))
-    assert len(ps2.alternating_basis) == 6
+    assert len(ps2) == 6
     rng = random.Random(55)
     for _ in range(3):
         vals = [fr(rng.choice([x for x in range(-7, 8) if x])) for _ in range(4)]
-        assert len(pfaffian_space(*vals).alternating_basis) == 6
+        assert len(pfaffian_space(*vals)) == 6
 
 
 def test_pfaffian_roundtrip_examples():
@@ -122,5 +122,5 @@ def test_albert_twist_stability():
         vals = [fr(rng.choice([x for x in range(-9, 10) if x])) for _ in range(4)]
         af = albert_form(*vals)
         n = F.random_nonzero(rng)
-        assert e2_of_form(twist(af.form, n)) == e2_of_form(af.form)
+        assert e2_of_form(twist(af, n)) == e2_of_form(af)
 

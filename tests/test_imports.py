@@ -131,3 +131,55 @@ def test_scalars_routes_by_field_methods_not_field_types():
     hits = _field_type_tests(ast.parse(path.read_text()))
     assert [h for h in hits if h[:2] not in FIELD_TYPE_TESTS_ALLOWED] == []
     assert {h[:2] for h in hits} == FIELD_TYPE_TESTS_ALLOWED  # the walk sees the allowed ones
+
+
+# Every parameter with a default, as module.qualname.parameter.  A default
+# stays only where callers outside the tests pass two values, or where a
+# test needs a small bound to reach an error cheaply; a parameter that the
+# other inputs decide, or that no caller sets, has none.
+DEFAULTED_PARAMETERS = {
+    "algebras.StructureAlgebra.__init__.involution": "None for plain tables, signs from quaternion and tensor",
+    "algebras.center.generators": "all basis vectors, or EvenClifford.generators() for Clifford tables",
+    "brauer.quaternion_from_class.cap": "test-only bound that reaches SearchExhausted cheaply",
+    "cli.main.argv": "None reads sys.argv for the console script; tests pass lists",
+    "forms.hyperbolic.field": "QQ for hyperbolic_model, the order's field for hyperbolic_ideal_form",
+    "records.record.cls": "None when used as @record(frozen=True), the class when bare",
+    "records.record.frozen": "True for hashable value records, False for the rest",
+    "scalars.class_mul.sign": "1 for products, -1 where forms negates the product",
+    "scalars.factor_integer.bound": "test-only bound that reaches FactorBoundExceeded cheaply",
+    "scalars.RationalField.random_nonzero.lo": "test helper; tests widen the range",
+    "scalars.RationalField.random_nonzero.hi": "test helper; tests widen the range",
+    "scalars.QuadraticNumberField.random_nonzero.lo": "test helper, range of the rational part",
+    "scalars.QuadraticNumberField.random_nonzero.hi": "test helper, range of the rational part",
+    "scalars.RationalFunctionField.random_nonzero.lo": "test helper, range of the coefficients",
+    "scalars.RationalFunctionField.random_nonzero.hi": "test helper, range of the coefficients",
+    "scalars.RationalFunctionField.random_nonzero.max_degree": "test helper, degree of the parts",
+    "suites.run_suite.seed": "0 for the frozen reports, --seed from the command line",
+}
+
+
+def _defaulted_parameters(tree, module):
+    """module.qualname.parameter of each parameter with a default."""
+    out = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + [child.name])
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a, name = child.args, ".".join([module, *prefix, child.name])
+                positional = a.posonlyargs + a.args
+                out.update(f"{name}.{p.arg}" for p in positional[len(positional) - len(a.defaults):])
+                out.update(f"{name}.{p.arg}" for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                visit(child, prefix + [child.name])
+
+    visit(tree, [])
+    return out
+
+
+def test_every_default_is_allowlisted():
+    pkg = Path(cliffinv.__file__).resolve().parent
+    found = set()
+    for path in sorted(pkg.glob("*.py")):
+        found |= _defaulted_parameters(ast.parse(path.read_text()), path.stem)
+    assert found == set(DEFAULTED_PARAMETERS)

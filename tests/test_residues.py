@@ -128,6 +128,25 @@ def test_extension_certificates():
     assert not certify_extended_from_base(q4)
 
 
+@pytest.mark.parametrize(
+    "p, irreducible_extended, linear_extended",
+    [(5, False, False), (7, True, False), (11, True, True)],
+)
+def test_extension_certificates_over_prime_function_fields(p, irreducible_extended, linear_extended):
+    # <u, 2u> has vanishing residue at u exactly when -2 is a square in the
+    # residue field.  For u = t^2 + 1 over F_7 and F_11 that field is F_p^2,
+    # where every element of F_p is a square (Euler's criterion in the
+    # quotient decides it); over F_5, t^2 + 1 splits and -2 = 3 is not a
+    # square, so <4, 3> is anisotropic.  For u = t the field is F_p, and -2
+    # is a square mod 11 only.
+    ff = RationalFunctionField(GF(p))
+    t, two = ff.t(), ff.from_int(2)
+    for u, extended in ((t * t + ff.one(), irreducible_extended), (t, linear_extended)):
+        q = DiagonalForm((u, two * u), ff)
+        assert certify_extended_from_base(q) is extended
+        assert milnor_reciprocity_check(q)
+
+
 def test_witt_trivial_entries():
     assert is_witt_trivial_entries([Fraction(1), Fraction(-1)], QQ)
     assert is_witt_trivial_entries([Fraction(2), Fraction(-2), Fraction(3), Fraction(-3)], QQ)
