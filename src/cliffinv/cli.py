@@ -110,7 +110,7 @@ def _cmd_cliff(args):
         out = {"dim": bim.dim, "labels": [f"o{m}" for m in bim.masks]}
         _emit(args, out, f"bimodule of dimension {bim.dim}")
     elif args.op == "center":
-        c = center(ec.algebra, ec.generators())
+        c = center(ec.algebra)
         _emit(args, {"dimension": len(c)}, f"centre dimension {len(c)}")
     elif args.op == "split":
         sc = split_components(ec)
@@ -148,7 +148,7 @@ def _cmd_inv(args):
         from .forms import DiagonalForm
         from .polys import Poly
         from .residues import milnor_reciprocity_check
-        from .scalars import RatFunc, RationalFunctionField
+        from .scalars import RationalFunctionField
 
         base = _parse_base(args.base)
         ff = RationalFunctionField(base)
@@ -197,7 +197,7 @@ def _cmd_exc(args):
 
 
 def _parse_ideal(order, tok: str):
-    from .dedekind import FracIdeal, prime_ideals_above
+    from .dedekind import prime_ideals_above
 
     tok = tok.strip()
     inverse = tok.endswith("^-1")

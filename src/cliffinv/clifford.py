@@ -27,7 +27,7 @@ import functools
 from functools import cached_property
 
 from . import linalg
-from .algebras import AlgebraMorphism, StructureAlgebra, twisted_center
+from .algebras import AlgebraMorphism, StructureAlgebra, center
 from .errors import CliffinvError, DegenerateFormError
 from .forms import DiagonalForm, QuadraticForm, diagonalize, hyperbolic, signed_det
 from .records import record
@@ -164,7 +164,7 @@ class EvenClifford:
         return {(1 << i) | (1 << j): one if i < j else -one}
 
     def generators(self):
-        """Coordinate vectors of the e_i e_j with i < j, which `center` takes."""
+        """Coordinate vectors of the e_i e_j with i < j, which generate C0."""
         zero, one, out = self.field.zero(), self.field.one(), []
         for i in range(self.n):
             for j in range(i + 1, self.n):
@@ -230,22 +230,17 @@ def discriminant_algebra(form_or_ec) -> DiscriminantAlgebra:
 
     Takes a form, or an EvenClifford whose algebra table is then reused.
     """
-    ec = form_or_ec if isinstance(form_or_ec, EvenClifford) else None
-    form = form_or_ec if ec is None else ec.form
-    if isinstance(form, QuadraticForm):
-        form, _ = diagonalize(form)
-    if form.rank % 2:
+    ec = form_or_ec if isinstance(form_or_ec, EvenClifford) else even_clifford(form_or_ec)
+    if ec.n % 2:
         raise ValueError("discriminant algebra needs even rank (odd rank has scalar centre)")
-    ec = ec or EvenClifford(form)
-    delta = signed_det(form)
+    delta = signed_det(ec.form)
     # the top monomial squares to exactly the signed determinant
     c, m = ec.mul_masks(ec.top_mask(), ec.top_mask())
     if m != 0 or c != delta:
         raise CliffinvError("centre generator square disagrees with the discriminant")
-    cen = twisted_center(ec.algebra)  # the table of an EvenClifford is twisted
-    if len(cen) != 2:
+    if len(center(ec.algebra)) != 2:
         raise CliffinvError("centre of an even-rank even Clifford algebra must have dim 2")
-    return DiscriminantAlgebra(delta, bool(form.field.is_square(delta)))
+    return DiscriminantAlgebra(delta, bool(ec.field.is_square(delta)))
 
 
 @record

@@ -9,6 +9,8 @@ done here; callers that need it go through sympy (see scalars).
 
 from __future__ import annotations
 
+from . import linalg
+
 
 class Poly:
     __slots__ = ("coeffs", "field")
@@ -187,7 +189,7 @@ class QuotientField:
     """The residue field F[t]/(pi) for an irreducible pi over F.
 
     Elements are Poly representatives of degree < deg(pi).  Supports just
-    enough field structure for residue forms and trace transfers.
+    enough field structure for residue forms, trace transfers and norms.
     """
 
     def __init__(self, base, modulus: Poly):
@@ -217,12 +219,6 @@ class QuotientField:
     def one(self) -> Poly:
         return Poly.const(self.base.one(), self.base)
 
-    def from_int(self, n) -> Poly:
-        return Poly.const(self.base.from_int(n), self.base)
-
-    def add(self, a, b):
-        return a + b
-
     def mul(self, a, b):
         return (a * b) % self.modulus
 
@@ -244,6 +240,9 @@ class QuotientField:
             p = (p * t) % self.modulus
         # cols[j][i] = coefficient of t^i in a*t^j
         return [[cols[j][i] for j in range(d)] for i in range(d)]
+
+    def norm(self, a: Poly):
+        return linalg.det(self.mult_matrix(a), self.base)
 
     def trace(self, a: Poly):
         m = self.mult_matrix(a)

@@ -30,19 +30,15 @@ def _function_field_of(q: DiagonalForm) -> RationalFunctionField:
     return f
 
 
-def _finite_residue_entries(q: DiagonalForm, pi: Poly, twist_derivative: bool):
+def _residue_entries(q: DiagonalForm, pi: Poly):
+    """F[t]/pi and the residues of the entries of odd valuation at pi."""
     quot = QuotientField(pi.field, pi)
     out = []
-    dpi = pi.derivative() % pi if twist_derivative else None
     for a in q.entries:
         e_num, u_num = valuation_unit(a.num, pi)
         e_den, u_den = valuation_unit(a.den, pi)
-        if (e_num - e_den) % 2 == 0:
-            continue
-        res = quot.mul(quot.reduce(u_num), quot.inv(quot.reduce(u_den)))
-        if twist_derivative:
-            res = quot.mul(res, dpi)
-        out.append(res)
+        if (e_num - e_den) % 2:
+            out.append(quot.mul(quot.reduce(u_num), quot.inv(quot.reduce(u_den))))
     return quot, out
 
 
@@ -54,7 +50,7 @@ def second_residue(q: DiagonalForm, pi) -> DiagonalForm:
     possibly of rank zero.
     """
     ff = _function_field_of(q)
-    if pi == INFINITE_PLACE or pi is None:
+    if pi == INFINITE_PLACE:
         out = [
             a.num.leading() / a.den.leading()
             for a in q.entries
@@ -66,7 +62,7 @@ def second_residue(q: DiagonalForm, pi) -> DiagonalForm:
     pi = pi.monic()
     if not poly_is_irreducible(pi):
         raise ValueError("residues need an irreducible uniformiser")
-    quot, entries = _finite_residue_entries(q, pi, twist_derivative=False)
+    quot, entries = _residue_entries(q, pi)
     return DiagonalForm(tuple(entries), quot)
 
 
@@ -90,16 +86,15 @@ def _trace_transfer_entries(quot: QuotientField, w: Poly):
 
 def residue_places(q: DiagonalForm):
     """Monic irreducibles where some entry has nonzero valuation."""
-    ff = _function_field_of(q)
+    _function_field_of(q)
     seen = {}
     for a in q.entries:
-        for poly in (a.num, a.den):
-            if poly.degree < 1:
-                continue
-            _, factors = factor_poly(poly)
-            for f, _e in factors:
-                if f.degree >= 1:
-                    seen.setdefault(f.coeffs, f)
+        poly = a.num * a.den  # coprime, so its factors are the places of both
+        if poly.degree < 1:
+            continue
+        _, factors = factor_poly(poly)
+        for f, _e in factors:
+            seen.setdefault(f.coeffs, f)
     return sorted(seen.values(), key=lambda f: (f.degree, [str(c) for c in f.coeffs]))
 
 
@@ -107,9 +102,10 @@ def reciprocity_total(q: DiagonalForm):
     """Entries over F of the sum of all transferred residues."""
     total = []
     for pi in residue_places(q):
-        quot, entries = _finite_residue_entries(q, pi, twist_derivative=True)
+        quot, entries = _residue_entries(q, pi)
+        dpi = quot.reduce(pi.derivative())
         for w in entries:
-            total.extend(_trace_transfer_entries(quot, w))
+            total.extend(_trace_transfer_entries(quot, quot.mul(w, dpi)))
     # the degree place carries the extra factor -1
     total.extend(-x for x in second_residue(q, INFINITE_PLACE).entries)
     return total
@@ -178,8 +174,8 @@ def certify_extended_from_base(q: DiagonalForm) -> bool:
     """
     ff = _function_field_of(q)
     for pi in residue_places(q):
-        _, entries = _finite_residue_entries(q, pi, twist_derivative=False)
-        if entries and not _residue_vanishes(entries, pi):
+        quot, entries = _residue_entries(q, pi)
+        if not _residue_vanishes(quot, entries):
             return False
     inf_entries = second_residue(q, INFINITE_PLACE).entries
     if inf_entries and not is_witt_trivial_entries(inf_entries, ff.base):
@@ -191,19 +187,16 @@ def certify_extended_from_base(q: DiagonalForm) -> bool:
     return is_witt_trivial_entries(diff, ff.base)
 
 
-def _residue_vanishes(entries, pi: Poly) -> bool:
-    """Witt triviality of the residue form at pi, by greedy pairing.
+def _residue_vanishes(quot: QuotientField, entries) -> bool:
+    """Witt triviality of a residue form over quot, by greedy pairing.
 
     Entries are matched into pairs <x>, <y> with -x/y a square in the
     residue field.  This certificate is sufficient but not complete; a
     failure to pair is reported as nonvanishing, which is the
     conservative answer for the curated extension suites.
     """
-    if not entries:
-        return True
     if len(entries) % 2:
         return False
-    quot = QuotientField(pi.field, pi)
     remaining = list(entries)
     while remaining:
         x = remaining.pop()
@@ -219,33 +212,19 @@ def _residue_vanishes(entries, pi: Poly) -> bool:
     return True
 
 
-def _quot_pow(quot: QuotientField, w: Poly, e: int) -> Poly:
-    acc = quot.one()
-    base = w
-    while e:
-        if e & 1:
-            acc = quot.mul(acc, base)
-        base = quot.mul(base, base)
-        e >>= 1
-    return acc
-
-
 def _is_square_in_quotient(quot: QuotientField, w: Poly) -> bool:
-    """Squareness in F[t]/pi for degree 1 and 2 quotients.
+    """Is w a square in the residue field F[t]/pi?
 
-    Finite residue fields use the multiplicative criterion; quadratic
-    number-field quotients embed into Q(sqrt(d)) where an exact root
-    solver exists.
+    Over F_p in every degree, and over Q in degree 1, exactly when its
+    norm is a square in the base: in F_q with q = p^k, x^((q-1)/2) =
+    N(x)^((p-1)/2), and in degree 1 the norm is w itself.  Degree 2 over Q
+    embeds into Q(sqrt(d)), where an exact root solver exists.
     """
     base = quot.base
     if w.is_zero():
         return True
-    if isinstance(base, PrimeField):
-        p = base.p
-        order = p**quot.degree - 1
-        return _quot_pow(quot, w, order // 2) == quot.one()
-    if quot.degree == 1:
-        return base.is_square(w.coeffs[0])
+    if isinstance(base, PrimeField) or quot.degree == 1:
+        return base.is_square(quot.norm(w))
     if quot.degree == 2:
         return _quad_quotient_is_square(quot, w)
     raise UnsupportedBase("square testing in number-field quotients of degree > 2")

@@ -395,12 +395,6 @@ class RationalField:
 
         return sympy.Poly([sympy.Rational(c) for c in coeffs], sympy.Symbol("x"), domain="QQ")
 
-    def random_nonzero(self, rng, lo=-9, hi=9):
-        while True:
-            n = rng.randint(lo, hi)
-            if n:
-                return Fraction(n)
-
     def elt_to_str(self, x) -> str:
         # interned, as for PrimeField: str(0) is a fresh string on each call
         x = Fraction(x)
@@ -547,9 +541,6 @@ class PrimeField:
 
     def from_sympy(self, c) -> FpElement:
         return FpElement(int(c), self.p)
-
-    def random_nonzero(self, rng):
-        return FpElement(rng.randint(1, self.p - 1), self.p)
 
     def elt_to_str(self, x: FpElement) -> str:
         # interned: answers that keep many residue strings share one per value
@@ -751,12 +742,6 @@ class QuadraticNumberField:
             "no canonical square-class form over quadratic fields; compare with is_square"
         )
 
-    def random_nonzero(self, rng, lo=-9, hi=9):
-        while True:
-            x = QuadElement(rng.randint(lo, hi), rng.randint(-2, 2), self.d)
-            if x:
-                return x
-
     def elt_to_str(self, x: QuadElement) -> str:
         return f"{QQ.elt_to_str(x.a)}+{QQ.elt_to_str(x.b)}*sqrt({self.d})"
 
@@ -941,14 +926,6 @@ class RationalFunctionField:
         if gn is None or gd is None:
             return None
         return RatFunc(gn, gd)
-
-    def random_nonzero(self, rng, lo=-5, hi=5, max_degree=2):
-        while True:
-            deg = rng.randint(0, max_degree)
-            coeffs = [self.base.from_int(rng.randint(lo, hi)) for _ in range(deg + 1)]
-            p = Poly(coeffs, self.base)
-            if not p.is_zero():
-                return self.from_poly(p)
 
     def elt_to_str(self, x: RatFunc) -> str:
         return f"{_poly_to_str(x.num, self.base)} / {_poly_to_str(x.den, self.base)}"

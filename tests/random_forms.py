@@ -1,13 +1,39 @@
-"""Seeded random regular forms, the ideal-valued forms of arith, and dense
-matrix references, for the tests."""
+"""Seeded random field elements and regular forms, the ideal-valued forms
+of arith, and dense matrix references, for the tests."""
+
+from fractions import Fraction
 
 from cliffinv import linalg
 from cliffinv.dedekind import FracIdeal, QuadOrder, hyperbolic_ideal_form
 from cliffinv.forms import DiagonalForm, QuadraticForm
+from cliffinv.polys import Poly
+from cliffinv.scalars import PrimeField, QuadElement, QuadraticNumberField, RationalFunctionField
+
+
+def random_nonzero(field, rng, lo=-9, hi=9):
+    """A nonzero element: an integer in lo..hi over Q, that plus b sqrt(d)
+    with b in -2..2 over Q(sqrt(d)), a residue over F_p, and over F(t) a
+    polynomial of degree <= 2 with coefficients in -5..5."""
+    if isinstance(field, PrimeField):
+        return field.from_int(rng.randint(1, field.p - 1))
+    while True:
+        if isinstance(field, RationalFunctionField):
+            deg = rng.randint(0, 2)
+            p = Poly([field.base.from_int(rng.randint(-5, 5)) for _ in range(deg + 1)], field.base)
+            if not p.is_zero():
+                return field.from_poly(p)
+        elif isinstance(field, QuadraticNumberField):
+            x = QuadElement(rng.randint(lo, hi), rng.randint(-2, 2), field.d)
+            if x:
+                return x
+        else:
+            n = rng.randint(lo, hi)
+            if n:
+                return Fraction(n)
 
 
 def random_regular_diagonal(rng, field, rank: int) -> DiagonalForm:
-    return DiagonalForm(tuple(field.random_nonzero(rng) for _ in range(rank)), field)
+    return DiagonalForm(tuple(random_nonzero(field, rng) for _ in range(rank)), field)
 
 
 def random_regular_gram(rng, field, rank: int) -> QuadraticForm:

@@ -41,7 +41,7 @@ def test_tracer_hooks_resolve_and_record():
         g = ec.generators()[0]
         assert ec.algebra.mul(ec.unit_coords(), g) == g
         # through the modules: the tracer rebinds module attributes
-        algebras.center(ec.algebra, ec.generators())
+        algebras.center(ec.algebra)
         clifford.split_components(ec)
         left = DiagonalForm((Fraction(1), Fraction(2)), QQ)
         right = DiagonalForm((Fraction(3),), QQ)

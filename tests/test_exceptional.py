@@ -17,6 +17,8 @@ from cliffinv.forms import is_isotropic, signed_discriminant, twist, witt_decomp
 from cliffinv.invariants import e2_of_form
 from cliffinv.scalars import GF, QQ
 
+from random_forms import random_nonzero
+
 F = QQ
 
 
@@ -121,6 +123,6 @@ def test_albert_twist_stability():
     for _ in range(5):
         vals = [fr(rng.choice([x for x in range(-9, 10) if x])) for _ in range(4)]
         af = albert_form(*vals)
-        n = F.random_nonzero(rng)
+        n = random_nonzero(F, rng)
         assert e2_of_form(twist(af, n)) == e2_of_form(af)
 

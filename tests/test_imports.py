@@ -133,13 +133,51 @@ def test_scalars_routes_by_field_methods_not_field_types():
     assert {h[:2] for h in hits} == FIELD_TYPE_TESTS_ALLOWED  # the walk sees the allowed ones
 
 
+# Every name a module imports is read in the scope that imports it: a
+# module-level import somewhere in the module, a local import in its
+# function.  `__future__` imports and the re-exports named in `__all__` are
+# exempt.
+def _unread_imports(tree):
+    """(name, line) of each imported name that its scope never reads."""
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    hits = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            read = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read and name not in exported:
+                    hits.append((name, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, tree)
+    return hits
+
+
+def test_every_import_is_read():
+    pkg = Path(cliffinv.__file__).resolve().parent
+    hits = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(pkg.glob("*.py"))
+        for name, line in _unread_imports(ast.parse(path.read_text()))
+    ]
+    assert hits == []
+
+
 # Every parameter with a default, as module.qualname.parameter.  A default
 # stays only where callers outside the tests pass two values, or where a
 # test needs a small bound to reach an error cheaply; a parameter that the
 # other inputs decide, or that no caller sets, has none.
 DEFAULTED_PARAMETERS = {
     "algebras.StructureAlgebra.__init__.involution": "None for plain tables, signs from quaternion and tensor",
-    "algebras.center.generators": "all basis vectors, or EvenClifford.generators() for Clifford tables",
+    "algebras.center.generators": "unused; perfbench's clifford workload passes EvenClifford.generators() (ROADMAP item 6)",
     "brauer.quaternion_from_class.cap": "test-only bound that reaches SearchExhausted cheaply",
     "cli.main.argv": "None reads sys.argv for the console script; tests pass lists",
     "forms.hyperbolic.field": "QQ for hyperbolic_model, the order's field for hyperbolic_ideal_form",
@@ -147,13 +185,6 @@ DEFAULTED_PARAMETERS = {
     "records.record.frozen": "True for hashable value records, False for the rest",
     "scalars.class_mul.sign": "1 for products, -1 where forms negates the product",
     "scalars.factor_integer.bound": "test-only bound that reaches FactorBoundExceeded cheaply",
-    "scalars.RationalField.random_nonzero.lo": "test helper; tests widen the range",
-    "scalars.RationalField.random_nonzero.hi": "test helper; tests widen the range",
-    "scalars.QuadraticNumberField.random_nonzero.lo": "test helper, range of the rational part",
-    "scalars.QuadraticNumberField.random_nonzero.hi": "test helper, range of the rational part",
-    "scalars.RationalFunctionField.random_nonzero.lo": "test helper, range of the coefficients",
-    "scalars.RationalFunctionField.random_nonzero.hi": "test helper, range of the coefficients",
-    "scalars.RationalFunctionField.random_nonzero.max_degree": "test helper, degree of the parts",
     "suites.run_suite.seed": "0 for the frozen reports, --seed from the command line",
 }
 

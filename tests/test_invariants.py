@@ -26,6 +26,8 @@ from cliffinv.invariants import (
 )
 from cliffinv.scalars import GF, QQ, square_class
 
+from random_forms import random_nonzero
+
 F = QQ
 
 
@@ -64,8 +66,8 @@ def test_e1_examples():
 def test_e1_additive_random():
     rng = random.Random(33)
     for _ in range(100):
-        q1 = DiagonalForm(tuple(F.random_nonzero(rng) for _ in range(2 * rng.randint(1, 2))), F)
-        q2 = DiagonalForm(tuple(F.random_nonzero(rng) for _ in range(2 * rng.randint(1, 2))), F)
+        q1 = DiagonalForm(tuple(random_nonzero(F, rng) for _ in range(2 * rng.randint(1, 2))), F)
+        q2 = DiagonalForm(tuple(random_nonzero(F, rng) for _ in range(2 * rng.randint(1, 2))), F)
         w1 = TotalWittElement.from_form(q1)
         w2 = TotalWittElement.from_form(q2)
         ws = TotalWittElement.from_form(orthogonal_sum(q1, q2))
@@ -144,7 +146,7 @@ def test_e2_twist_invariance():
     rng = random.Random(37)
     for _ in range(15):
         q = rand_i2_rank4(rng)
-        n = F.random_nonzero(rng)
+        n = random_nonzero(F, rng)
         assert e2_of_form(twist(q, n)) == e2_of_form(q)
 
 

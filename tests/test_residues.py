@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,6 +8,7 @@ from cliffinv.forms import DiagonalForm
 from cliffinv.polys import Poly, QuotientField
 from cliffinv.residues import (
     INFINITE_PLACE,
+    _is_square_in_quotient,
     certify_extended_from_base,
     is_witt_trivial_entries,
     milnor_reciprocity_check,
@@ -15,7 +17,7 @@ from cliffinv.residues import (
     second_residue,
     specialize,
 )
-from cliffinv.scalars import GF, QQ, RationalFunctionField
+from cliffinv.scalars import GF, QQ, RationalFunctionField, poly_is_irreducible
 
 Qt = RationalFunctionField(QQ)
 T = Qt.t()
@@ -35,6 +37,9 @@ def test_second_residue_at_t():
     # <a t> -> <a>
     r3 = second_residue(DiagonalForm((Qt.from_int(7) * T,), Qt), pi)
     assert r3.entries[0].coeffs == (Fraction(7),)
+    # the residue field supplies the off-diagonal zeros of a Gram matrix
+    g = second_residue(DiagonalForm((T, Qt.from_int(5) * T), Qt), pi).to_quadratic()
+    assert [[x.coeffs for x in row] for row in g.gram] == [[(Fraction(1),), ()], [(), (Fraction(5),)]]
 
 
 def test_second_residue_rejects_reducible():
@@ -163,3 +168,19 @@ def test_quotient_field_traces():
     assert quot.trace(quot.one()) == 2
     assert quot.trace(Poly.from_int_coeffs([0, 1], QQ)) == 0
     assert quot.mul(Poly.from_int_coeffs([0, 1], QQ), Poly.from_int_coeffs([0, 1], QQ)).coeffs == (Fraction(-1),)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_residue_field_squares_exhaustive(p, k):
+    # pi is the first monic irreducible of degree k, its lower coefficients
+    # in lexicographic order; every residue is tested against the squares
+    f = GF(p)
+    monic = (Poly.from_int_coeffs(list(cs) + [1], f) for cs in product(range(p), repeat=k))
+    pi = next(m for m in monic if poly_is_irreducible(m))
+    quot = QuotientField(f, pi)
+    residues = [Poly.from_int_coeffs(cs, f) for cs in product(range(p), repeat=k)]
+    squares = {quot.mul(x, x).coeffs for x in residues}
+    assert len(squares) == (p**k + 1) // 2
+    for w in residues:
+        assert _is_square_in_quotient(quot, w) == (w.coeffs in squares)
