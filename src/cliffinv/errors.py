@@ -10,13 +10,18 @@ class DegenerateFormError(CliffinvError):
 
 
 class FactorBoundExceeded(CliffinvError):
-    """Trial division hit the configured bound without finishing.
+    """An integer has no factor by trial division up to the bound, and
+    Brent's rho did not split it within its step budget.
 
-    Carries the offending integer and the bound so callers can report it.
+    Carries the unsplit integer and the trial-division bound so callers
+    can report them.
     """
 
     def __init__(self, n, bound):
-        super().__init__(f"cannot factor {n} by trial division up to {bound}")
+        super().__init__(
+            f"cannot factor {n}: no factor by trial division up to {bound},"
+            " none by Brent's rho within its step budget"
+        )
         self.n = n
         self.bound = bound
 

@@ -37,6 +37,7 @@ from .scalars import (
     local_class_mul,
     places_of,
     rational_class,
+    rational_classes,
     rational_sqrt,
     sqrt_mod_p,
     square_class,
@@ -265,15 +266,17 @@ def signed_det(q):
 
 def _squarefree_entries(entries):
     """Write each rational entry a as s * r^2: returns the carried classes
-    (s, P) of scalars.rational_class, one factorisation of each numerator
-    (and of each denominator other than 1), and the positive rationals r."""
-    out = [rational_class(a) for a in entries]
+    (s, P) of scalars.rational_classes, read off one coprime base of all
+    numerators and denominators, and the positive rationals r."""
+    out = rational_classes(entries)
     return out, [rational_sqrt(Fraction(a) / s) for a, (s, _) in zip(entries, out)]
 
 
 class Entries(tuple):
     """Diagonal entries; over Q, squarefree is _squarefree_entries of the
-    tuple, computed once.  Entries(e) is e when e is already an Entries."""
+    tuple, computed once: a prime above scalars._SMALL_BOUND that one entry
+    shows splits the others by a gcd, not by trial division.  Entries(e) is
+    e when e is already an Entries."""
 
     def __new__(cls, entries):
         return entries if type(entries) is cls else super().__new__(cls, entries)

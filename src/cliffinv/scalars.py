@@ -9,14 +9,20 @@ normal forms, and serialisation.
 Integer factorisation is trial division up to a bound (default 10**6)
 that stops as soon as deterministic Miller-Rabin certifies the cofactor
 prime.  A cofactor with no factor up to the bound is kept when it is a
-certified prime or the square of one.  Any other raises
-FactorBoundExceeded rather than stalling, and so does every such
-cofactor of _MR_EXACT_BELOW (about 3.3 * 10**24) or more, where
-Miller-Rabin certifies nothing and sympy is never asked.  A square class
-over Q is carried as (s, P), s signed squarefree and P its primes, as
-Q*/Q*^2 = {+-1} x (+)_p Z/2.  The last 128 factorisations are memoised
-by (|n|, bound): the same integers recur across forms, in the quaternion
-parameters class_of_quaternion factors, and in the d of each order.
+certified prime or the square of one.  Any other is split by Brent's rho
+(Brent 1980) within _RHO_STEPS steps, each piece certified prime or split
+again; FactorBoundExceeded is raised only when those steps run out.  A
+piece of _MR_EXACT_BELOW (about 3.3 * 10**24) or more is never certified,
+since Miller-Rabin decides nothing there and sympy is never asked, so it
+is split further or raises.  A square class over Q is carried as (s, P),
+s signed squarefree and P its primes, as Q*/Q*^2 = {+-1} x (+)_p Z/2.
+rational_classes takes the classes of many rationals at once from one
+coprime base of their numerators and denominators (factor refinement,
+Bach, Driscoll and Shallit 1993), so a large prime that one of them
+shows splits the others by a gcd, not by trial division.  The last 128
+trial divisions are memoised by (|n|, bound): the same integers recur
+across forms, in the quaternion parameters class_of_quaternion factors,
+and in the d of each order.
 """
 
 from __future__ import annotations
@@ -30,21 +36,36 @@ from .errors import FactorBoundExceeded, UnsupportedBase
 from .polys import Poly
 
 DEFAULT_FACTOR_BOUND = 10**6
+# Trial division runs to _SMALL_BOUND first.  A value it finishes there
+# is read off that pass; rational_classes refines the others over a
+# coprime base before any of them is divided further.
+_SMALL_BOUND = 10**3
+# Brent's rho steps (one x -> x^2 + c each) spent on one cofactor, and the
+# steps whose differences share one gcd.
+_RHO_STEPS = 2**19
+_RHO_BATCH = 128
 
 
 def factor_integer(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
     """Prime factorisation of |n|, as {prime: exponent}.
 
-    Trial division up to bound, stopping early once is_prime certifies
-    the cofactor.  A cofactor with no factor up to bound is kept when it
-    is a certified prime or the square of one; any other raises
-    FactorBoundExceeded.  Certification is deterministic
-    Miller-Rabin, so a cofactor of _MR_EXACT_BELOW or more is never
-    certified and raises unless trial division brings it below.
+    bound limits trial division, which stops early once is_prime
+    certifies the cofactor.  A cofactor with no factor up to bound is kept
+    when it is a certified prime or the square of one; any other is split
+    by Brent's rho within _RHO_STEPS steps, and FactorBoundExceeded is
+    raised, naming the piece it could not split, only when they run out.
+    Certification is deterministic Miller-Rabin, so a piece of
+    _MR_EXACT_BELOW or more is never certified: rho splits it further,
+    or the steps run out.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    return dict(_trial_division(abs(n), bound))
+    out, rest = _trial_division(abs(n), bound)
+    out = dict(out)
+    if rest > 1:
+        for p in _rho_primes(rest, bound):
+            out[p] = out.get(p, 0) + 1
+    return out
 
 
 # Trial division asks is_prime about its cofactor only from q =
@@ -59,20 +80,29 @@ def _certified_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=128)
-def _trial_division(n: int, bound: int) -> dict[int, int]:
-    """Factorisation of n > 0; the cached dict is copied, never handed out."""
-    out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    q = 5
-    untested = True  # is_prime has not seen this cofactor
+def _trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """(factors, rest) of n > 0 by trial division up to bound: rest is 1
+    when it finishes, else the cofactor, with no prime factor up to bound
+    and neither a certified prime nor its square.  A bound above
+    _SMALL_BOUND goes on from the memoised pass up to _SMALL_BOUND, which
+    has tested its cofactor.  The cached dict is never handed out."""
+    if bound > _SMALL_BOUND:
+        out, n = _trial_division(n, _SMALL_BOUND)
+        if n == 1:
+            return out, 1
+        # that pass stopped at the first q = 5 mod 6 above _SMALL_BOUND
+        out, q, untested = dict(out), _SMALL_BOUND + 1 + (4 - _SMALL_BOUND) % 6, False
+    else:
+        out, q, untested = {}, 5, True  # untested: is_prime has not seen the cofactor
+        for p in (2, 3):
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
     while q * q <= n and q <= bound:
         if untested and q >= _CERTIFY_FROM:
             if _certified_prime(n):
                 out[n] = 1
-                return out
+                return out, 1
             untested = False
         for p in (q, q + 2):
             while n % p == 0:
@@ -87,9 +117,63 @@ def _trial_division(n: int, bound: int) -> dict[int, int]:
         else:
             r = math.isqrt(n)
             if r * r != n or not _certified_prime(r):
-                raise FactorBoundExceeded(n, bound)
+                return out, n
             out[r] = 2
-    return out
+    return out, 1
+
+
+def _rho_primes(n: int, bound: int) -> list[int]:
+    """The prime factors of n, with multiplicity and ascending, that trial
+    division up to bound left: Brent's rho splits n and each uncertified
+    piece in turn, within _RHO_STEPS steps in all."""
+    primes, pieces, steps = [], [n], _RHO_STEPS
+    while pieces:
+        m = pieces.pop()
+        if _certified_prime(m):
+            primes.append(m)
+            continue
+        d, steps = _brent_split(m, steps)
+        if d is None:
+            raise FactorBoundExceeded(m, bound)
+        pieces += (d, m // d)
+    return sorted(primes)
+
+
+def _brent_split(n: int, steps: int) -> tuple[int | None, int]:
+    """(d, steps left): a proper divisor d of n, odd and not a certified
+    prime, by Brent's rho on x -> x^2 + c, c = 1, 2, ...; d is None when
+    the next stretch of the cycle search would overrun steps.
+
+    The differences x - y of a cycle search are multiplied _RHO_BATCH at a
+    time before one gcd; a batch that overshoots to n is stepped again
+    one difference at a time.
+    """
+    c = 1
+    while True:
+        y, r, g = 2, 1, 1
+        while g == 1:
+            if 2 * r > steps:
+                return None, 0
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k, prod = 0, 1
+            while k < r and g == 1:
+                ys, batch = y, min(_RHO_BATCH, r - k)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g, k = math.gcd(prod, n), k + batch
+            steps -= r + k
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g, steps = math.gcd(x - ys, n), steps - 1
+        if g < n:
+            return g, steps
+        c += 1
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -141,6 +225,71 @@ def rational_class(x) -> tuple[int, frozenset]:
     if x.denominator != 1:
         primes ^= {p for p, e in factor_integer(x.denominator).items() if e % 2}
     return (-1 if x < 0 else 1) * math.prod(primes), frozenset(primes)
+
+
+def rational_classes(values) -> list[tuple[int, frozenset]]:
+    """rational_class of each nonzero rational (int or Fraction) of the
+    sequence values.
+
+    A numerator or denominator that trial division finishes below
+    _SMALL_BOUND is read off that pass, as rational_class would read it.
+    The cofactors that the others leave there, with the primes above
+    _SMALL_BOUND that any value showed, are refined into a coprime base;
+    factor_integer factors each element of the base once, and each value
+    reads the primes of its cofactor off the base.
+    """
+    out, pending = [], []
+    for x in values:
+        n, d = x.numerator, x.denominator
+        if not n:
+            raise ValueError("0 has no square class")
+        f, rest = _trial_division(abs(n), _SMALL_BOUND)
+        primes = {p for p, e in f.items() if e % 2}
+        if d != 1:
+            f, rest_d = _trial_division(d, _SMALL_BOUND)
+            primes ^= {p for p, e in f.items() if e % 2}
+            rest *= rest_d  # n / d and n * d share a square class
+        sign = -1 if n < 0 else 1
+        if rest > 1:
+            pending.append((len(out), sign, primes, rest))
+        out.append((sign * math.prod(primes), frozenset(primes)))
+    if pending:
+        seen = {
+            p
+            for x in values
+            for m in (abs(x.numerator), x.denominator)
+            for p in _trial_division(m, _SMALL_BOUND)[0]
+            if p > _SMALL_BOUND
+        }
+        base = coprime_base([*seen, *(rest for *_, rest in pending)])
+        factors = {b: {b: 1} if b in seen else factor_integer(b) for b in base}
+        for i, sign, primes, rest in pending:
+            for b in base:
+                e = 0
+                while rest % b == 0:
+                    rest, e = rest // b, e + 1
+                primes ^= {p for p, k in factors[b].items() if e * k % 2}
+            out[i] = sign * math.prod(primes), frozenset(primes)
+    return out
+
+
+def coprime_base(ns) -> list[int]:
+    """Pairwise coprime integers > 1, ascending, of which each positive
+    integer in ns is a product of powers: factor refinement by gcds (Bach,
+    Driscoll and Shallit 1993).  Two members m, b with g = gcd(m, b) > 1
+    are replaced by g, m / g and b / g until no two share a factor."""
+    base, todo = [], [n for n in ns if n > 1]
+    while todo:
+        m = todo.pop()
+        for i, b in enumerate(base):
+            g = math.gcd(m, b)
+            if g > 1:
+                del base[i]
+                todo += [x for x in (g, b // g, m // g) if x > 1]
+                break
+        else:
+            base.append(m)
+    return sorted(base)
 
 
 def class_mul(*classes, sign: int = 1) -> tuple[int, frozenset]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -69,8 +70,18 @@ def test_cli_suite_exit_codes(capsys):
 
 
 def test_cli_factor_bound_exit(capsys):
-    # 1000036000099 = 1000003 * 1000033: two primes above the default bound
-    assert main(["br", "class", "-a", "1000036000099", "-b", "7"]) == 3
+    # (10^12 + 39)(10^13 + 37): no factor up to the default bound, and
+    # beyond what Brent's rho reaches within its step budget
+    start = time.perf_counter()
+    assert main(["br", "class", "-a", str((10**12 + 39) * (10**13 + 37)), "-b", "7"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "cannot factor" in capsys.readouterr().err
+
+
+def test_cli_e2_with_two_primes_above_the_factor_bound(capsys):
+    # 1000036000099 = 1000003 * 1000033, both shown by the other entries
+    assert main(["inv", "e2", "--entries", "1,-1000003,-1000033,1000036000099"]) == 0
+    assert "{1000003, 1000033}" in capsys.readouterr().out
 
 
 def test_cli_bare_fp_entries(capsys):

@@ -48,14 +48,20 @@ def test_core_paths_do_not_import_sympy():
     assert out.stdout.strip() == "False"
 
 
-# A cofactor of _MR_EXACT_BELOW or more is beyond deterministic Miller-Rabin:
-# trial division gives up on it without asking sympy's isprime.
+# A piece of _MR_EXACT_BELOW or more is beyond deterministic Miller-Rabin:
+# Brent's rho splits it further, or factor_integer gives up on it, without
+# asking sympy's isprime.
 FACTOR_SCRIPT = """
+import math
 import sys
 
 from cliffinv.errors import FactorBoundExceeded
 from cliffinv.scalars import _MR_EXACT_BELOW, factor_integer
 
+assert factor_integer((10**9 + 7) * (10**10 + 19)) == {10**9 + 7: 1, 10**10 + 19: 1}
+ps = [3162283, 3162317, 3162319, 3162331]  # four 7-digit primes, 27 digits
+assert math.prod(ps) > _MR_EXACT_BELOW
+assert factor_integer(math.prod(ps)) == dict.fromkeys(ps, 1)
 n = (10**12 + 39) * (10**13 + 37)
 assert n > _MR_EXACT_BELOW
 try:
@@ -63,7 +69,7 @@ try:
 except FactorBoundExceeded as e:
     assert e.n == n
 else:
-    raise AssertionError("factored a cofactor beyond Miller-Rabin")
+    raise AssertionError("factored a cofactor beyond Miller-Rabin and rho")
 print("sympy" in sys.modules)
 """
 
@@ -177,14 +183,14 @@ def test_every_import_is_read():
 # other inputs decide, or that no caller sets, has none.
 DEFAULTED_PARAMETERS = {
     "algebras.StructureAlgebra.__init__.involution": "None for plain tables, signs from quaternion and tensor",
-    "algebras.center.generators": "unused; perfbench's clifford workload passes EvenClifford.generators() (ROADMAP item 6)",
+    "algebras.center.generators": "unused; perfbench's clifford workload passes EvenClifford.generators() (ROADMAP item 9)",
     "brauer.quaternion_from_class.cap": "test-only bound that reaches SearchExhausted cheaply",
     "cli.main.argv": "None reads sys.argv for the console script; tests pass lists",
     "forms.hyperbolic.field": "QQ for hyperbolic_model, the order's field for hyperbolic_ideal_form",
     "records.record.cls": "None when used as @record(frozen=True), the class when bare",
     "records.record.frozen": "True for hashable value records, False for the rest",
     "scalars.class_mul.sign": "1 for products, -1 where forms negates the product",
-    "scalars.factor_integer.bound": "test-only bound that reaches FactorBoundExceeded cheaply",
+    "scalars.factor_integer.bound": "test-only bound that leaves small cofactors to Brent's rho and FactorBoundExceeded",
     "suites.run_suite.seed": "0 for the frozen reports, --seed from the command line",
 }
 

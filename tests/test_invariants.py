@@ -10,6 +10,8 @@ from cliffinv.forms import (
     DiagonalForm,
     diagonalize,
     hyperbolic,
+    is_isotropic,
+    isometric_diagonal,
     orthogonal_sum,
     twist,
     witt_decompose,
@@ -24,9 +26,9 @@ from cliffinv.invariants import (
     e2_additivity_check,
     e2_of_form,
 )
-from cliffinv.scalars import GF, QQ, square_class
+from cliffinv.scalars import GF, QQ, is_prime, square_class
 
-from random_forms import random_nonzero
+from random_forms import random_nonzero, random_regular_gram
 
 F = QQ
 
@@ -92,12 +94,71 @@ def test_e2_with_a_squared_prime_above_the_factor_bound():
 
 
 def test_two_primes_above_the_factor_bound_still_raise():
-    # 1000003 * 1000033 = 1000036000099 has no factor up to 10^6 and is
-    # neither prime nor a square: that needs a factor-refining method
+    # p * q has no factor up to 10^6, and p = 10^12 + 39 is far beyond what
+    # Brent's rho reaches within its step budget; no other entry shows p
+    p, q = 10**12 + 39, 10**13 + 37
     with pytest.raises(FactorBoundExceeded):
-        quaternion_from_class(BrauerClass2.from_strs(["1000003", "1000033"]))
+        quaternion_from_class(BrauerClass2.from_strs([str(p), str(q)]))
     with pytest.raises(FactorBoundExceeded):
-        e2_of_form(diag(1, -1000003, -1000033, 1000036000099))
+        e2_of_form(diag(1, -1, -p * q, p * q))
+
+
+def test_two_primes_above_the_factor_bound_evaluate():
+    # 1000036000099 = 1000003 * 1000033: the other entries show both primes
+    q = diag(1, -1000003, -1000033, 1000036000099)
+    c = BrauerClass2.from_strs(["1000003", "1000033"])
+    assert e2_of_form(q) == clifford_invariant_class(q.entries) == c
+    # the class check factors a = 1000036000099 alone: Brent's rho splits it
+    a, b = quaternion_from_class(c)
+    assert a == 1000036000099 and class_of_quaternion(a, b) == c
+
+
+# Norm forms of arith at seed 901 whose entry ab has two primes above 10^6.
+NORM_FORM_PAIRS = [
+    (-3628322, -3826138),
+    (1343899, 2246977),
+    (-3434069, 2356883),
+    (-3305963, 1139849),
+    (3405494, 1569983),
+    (-1964987, 1667213),
+    (2493229, -3441129),
+    (-3712474, 3503811),
+]
+
+
+@pytest.mark.parametrize("a, b", NORM_FORM_PAIRS)
+def test_norm_forms_with_two_large_primes_in_ab(a, b):
+    q = diag(1, -a, -b, a * b)
+    assert e2_of_form(q) == class_of_quaternion(a, b) == clifford_invariant_class(q.entries)
+
+
+def test_rank7_gram_forms_witt_reduce():
+    # one of these 19 has the leading minor 231998191715503 = 13156993 * 17633071
+    rng = random.Random(5)
+    for _ in range(19):
+        g = random_regular_gram(rng, F, 7)
+        entries = diagonalize(g)[0].entries
+        w = witt_decompose(g)
+        assert w.rank == 7 and not is_isotropic(DiagonalForm(w.kernel, F))
+        assert isometric_diagonal(entries, tuple(w.kernel) + frac(1, -1) * w.index, F)
+
+
+def _seeded_class(rng, lo, hi, k):
+    primes = set()
+    while len(primes) < k:
+        m = rng.randrange(lo, hi)
+        if is_prime(m):
+            primes.add(m)
+    return BrauerClass2.from_strs([str(p) for p in primes])
+
+
+@pytest.mark.parametrize("lo, hi, k", [(10**6, 10**7, 4), (10**9, 10**10, 2)])
+def test_preimages_of_classes_with_large_primes(lo, hi, k):
+    rng = random.Random(k)
+    for _ in range(3):
+        c = _seeded_class(rng, lo, hi, k)
+        q = construct_preimage(c)
+        assert e2_of_form(q) == clifford_invariant_class(q.entries) == c
 
 
 def test_e2_requires_i2():

@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from cliffinv.scalars import (
     QuadElement,
     QuadraticNumberField,
     RationalFunctionField,
+    coprime_base,
     factor_integer,
     factor_poly,
     hilbert_symbol,
@@ -26,6 +28,8 @@ from cliffinv.scalars import (
     legendre,
     poly_sqrt,
     product_formula_check,
+    rational_class,
+    rational_classes,
     rational_sqrt,
     sqrt_mod_p,
     square_class,
@@ -225,9 +229,17 @@ def test_square_class_quadratic_field_unsupported():
         square_class(QuadElement(1, 1, -5))
 
 
+# No factor up to any bound used here, and its least prime, 10^12 + 39, is
+# far beyond what Brent's rho reaches within its step budget.
+BEYOND_RHO = (10**12 + 39) * (10**13 + 37)
+
+
 def test_factor_bound():
-    with pytest.raises(FactorBoundExceeded):
-        factor_integer(1009 * 1013, bound=10**3)
+    # no factor up to 10^3 and not prime: Brent's rho splits it
+    assert factor_integer(1009 * 1013, bound=10**3) == {1009: 1, 1013: 1}
+    with pytest.raises(FactorBoundExceeded) as e:
+        factor_integer(BEYOND_RHO, bound=10**3)
+    assert (e.value.n, e.value.bound) == (BEYOND_RHO, 10**3)
     assert factor_integer(10**13 + 37, bound=10**3) == {10**13 + 37: 1}
     f = factor_integer(360)
     assert f == {2: 3, 3: 2, 5: 1}
@@ -238,9 +250,15 @@ def test_factor_bound():
 
 def test_factor_bound_applies_after_a_memoised_factorisation():
     assert factor_integer(100160063) == {10007: 1, 10009: 1}
-    with pytest.raises(FactorBoundExceeded):
-        factor_integer(100160063, bound=10)
+    # trial division up to 10 leaves 10007 * 10009, and rho splits it alike
+    assert factor_integer(100160063, bound=10) == {10007: 1, 10009: 1}
     assert factor_integer(100160063) == {10007: 1, 10009: 1}
+    # trial division up to 10^5 finds 10007, and rho finds it up to 10;
+    # either way the rest is beyond rho and the error names the bound asked
+    for bound in (10**5, 10):
+        with pytest.raises(FactorBoundExceeded) as e:
+            factor_integer(10007 * BEYOND_RHO, bound=bound)
+        assert (e.value.n, e.value.bound) == (BEYOND_RHO, bound)
 
 
 def _reference_trial_division(n, bound):
@@ -283,6 +301,8 @@ def test_certified_cofactors_match_the_reference():
         samples = [rng.randint(2**35, 2**40) for _ in range(30)]  # product-formula size
         samples += [rng.randint(1, 1300) for _ in range(30)]  # witt-q entries and discriminants
         samples += [p1 * p2, p2 * p3, 6 * p1 * p3, p1 * p1, 35 * p2 * p2, p1**3, (p1 * p2) ** 2]
+        if bound == 10**3:
+            samples.append(BEYOND_RHO)
         for n in samples:
             try:
                 want = _reference_trial_division(n, bound)
@@ -292,9 +312,10 @@ def test_certified_cofactors_match_the_reference():
                 except FactorBoundExceeded as mine:
                     assert (mine.n, mine.bound) == (e.n, e.bound)
                     outcomes["still raises"] += 1
-                else:
+                else:  # certified, or split by Brent's rho; ascending, as trial division gives
                     assert all(is_prime(p) for p in got), (n, bound, got)
                     assert math.prod(p**k for p, k in got.items()) == n
+                    assert list(got) == sorted(got)
                     outcomes["now factored"] += 1
             else:
                 assert list(factor_integer(n, bound).items()) == list(want.items())
@@ -305,6 +326,63 @@ def test_certified_cofactors_match_the_reference():
 def test_product_formula_on_primes_above_bound_squared():
     # both 40-bit primes, above bound**2 = 10**12
     assert product_formula_check(1016501061517, 1099315886569)
+
+
+def test_product_formula_on_two_primes_just_above_the_bound():
+    # a 40-bit pair of arith's product cases (seed 706): one of the two has
+    # two primes just above 10^6, which Brent's rho splits
+    a, b = -1081519358461, -1036333953549
+    assert product_formula_check(a, b)
+    for n in (a, b):
+        f = factor_integer(n)
+        assert math.prod(p**k for p, k in f.items()) == -n and all(map(is_prime, f))
+
+
+def test_rho_splits_what_trial_division_leaves():
+    assert factor_integer((10**9 + 7) * (10**10 + 19)) == {10**9 + 7: 1, 10**10 + 19: 1}
+    assert factor_integer(1000003**2 * 1000033 * 35) == {5: 1, 7: 1, 1000003: 2, 1000033: 1}
+    # four 7-digit primes: 27 digits, beyond Miller-Rabin until rho splits it
+    ps = [3162283, 3162317, 3162319, 3162331]
+    assert factor_integer(math.prod(ps)) == dict.fromkeys(ps, 1)
+
+
+def _entry_tuples():
+    """Seeded entry tuples: four entries whose numerators share primes just
+    above 10^6, over small denominators; and eight entries of witt-q size."""
+    rng = random.Random(23)
+    big = _primes_above(10**6, 5)
+    small = [x for x in range(-9, 10) if x]
+
+    def shared_entry(shared):
+        num = rng.choice(small) * rng.randint(1, 40) * math.prod(rng.sample(shared, rng.randint(1, 2)))
+        return Fraction(num, rng.randint(1, 12))
+
+    out = []
+    for _ in range(6):
+        shared = rng.sample(big, 3)
+        out.append(tuple(shared_entry(shared) for _ in range(4)))
+    for _ in range(6):
+        out.append(tuple(Fraction(rng.choice(small) * rng.choice(small) * rng.choice(small)) for _ in range(8)))
+    return out
+
+
+def test_coprime_base_reads_every_entry():
+    for entries in _entry_tuples():
+        ints = [m for a in entries for m in (abs(a.numerator), a.denominator)]
+        base = coprime_base(ints)
+        assert all(math.gcd(b, c) == 1 for b, c in combinations(base, 2)), base
+        for m in ints:  # m = prod b^(v_b(m)) over the base
+            for b in base:
+                while m % b == 0:
+                    m //= b
+            assert m == 1
+        classes = rational_classes(entries)
+        for a, c in zip(entries, classes):
+            try:
+                want = rational_class(a)
+            except FactorBoundExceeded:
+                continue
+            assert c == want, (entries, a)
 
 
 def test_is_prime():
