@@ -11,13 +11,13 @@ from __future__ import annotations
 import random
 
 from . import linalg
-from .algebras import StructureAlgebra, is_split_quaternion, quaternion, reduced_trace, tensor
-from .brauer import class_of_algebra, class_of_quaternion
+from .algebras import StructureAlgebra, find_quaternion_basis, quaternion, reduced_trace, tensor
+from .brauer import class_of_quaternion
 from .clifford import split_components
 from .errors import CliffinvError, UnsupportedBase
-from .forms import DiagonalForm, signed_discriminant
+from .forms import DiagonalForm, isometric_diagonal, signed_discriminant
 from .invariants import clifford_invariant_class, construct_preimage, e2_of_form
-from .scalars import PrimeField, RationalField, field_of
+from .scalars import RationalField, field_of
 
 NORM_SAMPLES = 20
 NORM_SEED = 0
@@ -58,15 +58,14 @@ def reduced_norm_form(a, b) -> DiagonalForm:
 
 
 def norm_roundtrip_check(a, b) -> bool:
-    """Both components of C0 of the norm form carry the algebra's class."""
-    field = field_of(a)
-    sc = split_components(reduced_norm_form(a, b))
-    if isinstance(field, PrimeField):
-        return is_split_quaternion(sc.plus) and is_split_quaternion(sc.minus)
-    if not isinstance(field, RationalField):
-        raise UnsupportedBase("round trip over Q or F_p")
-    target = class_of_quaternion(a, b)
-    return class_of_algebra(sc.plus) == target and class_of_algebra(sc.minus) == target
+    """Both components of C0 of the norm form carry the algebra's class:
+    each has a quaternion basis whose norm form the field finds isometric
+    to that of (a, b), as quaternion algebras are isomorphic exactly when
+    their norm forms are isometric (Lam, Ch. III)."""
+    form = reduced_norm_form(a, b)
+    field, sc = form.field, split_components(form)
+    bases = (find_quaternion_basis(comp) for comp in (sc.plus, sc.minus))
+    return all(isometric_diagonal((field.one(), -x, -y, x * y), form.entries, field) for x, y, _ in bases)
 
 
 def albert_form(a, b, c, d) -> DiagonalForm:

@@ -7,13 +7,14 @@ Clifford algebra.
 
 e2 is computed structurally: Witt-reduce, split the even Clifford
 algebra of the anisotropic kernel, extract a quaternion basis, read its
-ramification.  A second, independent route evaluates the classical
-local symbol dictionary (Hasse invariant with the mod-8 correction
-terms) on the local square-class keys of the entries, without forming
-a Clifford algebra.  Every e2 over Q passes through _e2_checked, which
-compares the two on the entries the caller passed: the input form for
-e2_of_form, the orthogonal sum for e2_additivity_check, each kernel
-for e2.
+ramification.  A second, independent route, the symbol dictionary, asks
+the entries' field for the places where the Clifford class is -1: over Q
+the Hasse invariant with the mod-8 correction terms on the local
+square-class keys of the entries, without forming a Clifford algebra;
+over F_p none, as Br(F_p) = 0.  Neither route tests the field's type.
+Every e2 passes through _e2_checked, which compares the two on the
+entries the caller passed: the input form for e2_of_form, the orthogonal
+sum for e2_additivity_check, each kernel for e2.
 """
 
 from __future__ import annotations
@@ -29,23 +30,13 @@ from .forms import (
     Entries,
     WittClass,
     _as_diagonal,
-    local_profile,
     orthogonal_sum,
     signed_discriminant,
     witt_decompose,
+    witt_theory,
 )
 from .records import record
-from .scalars import (
-    QQ,
-    PrimeField,
-    RationalField,
-    SquareClass,
-    hilbert_pairing,
-    local_class,
-    local_class_mul,
-    square_class,
-    places_of,
-)
+from .scalars import QQ, SquareClass, field_of, square_class
 
 @record
 class TotalWittElement:
@@ -89,6 +80,8 @@ def e0(w) -> int:
 def e1(w) -> SquareClass:
     """Product of the signed discriminants; needs e0 = 0 componentwise."""
     comps = _witt_classes(w)
+    if not comps:
+        raise ValueError("e1 of the zero element: it has no component to name a field")
     field = comps[0].field
     for c in comps:
         if len(c.kernel) % 2:
@@ -113,12 +106,8 @@ def _e2_checked(c: WittClass, entries) -> BrauerClass2:
     """e2 of a Witt class, checked against the symbol dictionary on
     entries, a form in the class; both read carried classes (forms.Entries)."""
     field, kernel = c.field, c.kernel
-    if not isinstance(field, (RationalField, PrimeField)):
-        raise UnsupportedBase("e2 is computed over Q (and trivially over F_p)")
     if len(kernel) % 2 or not signed_discriminant(DiagonalForm(kernel, field)).is_trivial:
         raise ValueError("form is not an I2 element")
-    if isinstance(field, PrimeField):
-        return BrauerClass2.trivial()  # the 2-torsion Brauer group of F_p is trivial
     cls = _e2_structural(kernel, field)
     if clifford_invariant_class(entries) != cls:
         raise CliffinvError("structural class disagrees with the symbol dictionary")
@@ -150,41 +139,24 @@ def _e2_structural(kernel, field) -> BrauerClass2:
     return _e2_structural((a1, a2, a3, p), field) + _e2_structural(rest, field)
 
 
-def clifford_invariant_local(entries, v) -> int:
-    """Local Clifford class via the Hasse invariant and mod-8 corrections.
-
-    For rank n and signed discriminant d the correction multiplies the
-    Hasse symbol by (-1,-d) when n is 3 or 4 mod 8, by (-1,-1) when n is
-    5 or 6 mod 8, and by (-1,d) when n is 7 or 0 mod 8.
-    """
-    n = len(entries)
-    d, s = local_profile(entries, v)
-    minus_one = local_class(-1, v)
-    if (n * (n - 1) // 2) % 2:
-        d = local_class_mul(minus_one, d, v)
-    if n % 8 in (3, 4):
-        s *= hilbert_pairing(minus_one, local_class_mul(minus_one, d, v), v)
-    elif n % 8 in (5, 6):
-        s *= hilbert_pairing(minus_one, minus_one, v)
-    elif n % 8 in (7, 0):
-        s *= hilbert_pairing(minus_one, d, v)
-    return s
-
-
 def clifford_invariant_class(entries) -> BrauerClass2:
-    """The symbol-dictionary route to the Clifford Brauer class over Q."""
+    """The symbol-dictionary route to the Clifford Brauer class: the places
+    the entries' field names (clifford_places: over Q the local Clifford
+    classes of scalars.clifford_invariant_local, over F_p none)."""
+    if not entries:
+        return BrauerClass2.trivial()
     es = Entries(entries)
-    ram = [v for v in places_of(es.squarefree[0]) if clifford_invariant_local(es, v) == -1]
-    return BrauerClass2(ram)
+    return BrauerClass2(witt_theory(field_of(es[0])).clifford_places(es))
 
 
 def e2(w) -> BrauerClass2:
     """Brauer class of the even Clifford components, summed over labels.
 
     Components must have even rank and trivial signed discriminant.
-    Over F_p every class is trivial, so the result is the empty set.
-    Over Q each component's anisotropic kernel is evaluated
-    structurally.
+    Each component's anisotropic kernel is evaluated structurally and
+    checked against its field's clifford_places.  Over F_p the kernel of
+    an I2 class is empty (witt_reduce leaves fewer than three entries, and
+    a binary I2 form is a plane), so the class is trivial.
     """
     total = BrauerClass2.trivial()
     for c in _witt_classes(w):
@@ -193,7 +165,7 @@ def e2(w) -> BrauerClass2:
 
 
 def e2_of_form(q) -> BrauerClass2:
-    """e2 of a single even-rank trivial-discriminant form over Q.
+    """e2 of a single even-rank trivial-discriminant form.
 
     The form is Witt-reduced and its anisotropic kernel evaluated
     structurally; a hyperbolic form never reaches the Clifford algebra.

@@ -210,6 +210,9 @@ class QuotientField:
     def __hash__(self):
         return hash(("quot", self.base, self.modulus))
 
+    def __repr__(self):
+        return f"QuotientField({self.base!r}, {self.modulus!r})"
+
     def reduce(self, p: Poly) -> Poly:
         return p % self.modulus
 

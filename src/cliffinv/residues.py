@@ -13,12 +13,7 @@ from __future__ import annotations
 from .errors import CliffinvError, UnsupportedBase
 from .forms import DiagonalForm, QuadraticForm, diagonalize, isometric_diagonal
 from .polys import Poly, QuotientField, valuation_unit
-from .scalars import (
-    PrimeField,
-    RationalFunctionField,
-    factor_poly,
-    poly_is_irreducible,
-)
+from .scalars import RationalFunctionField, factor_poly, poly_is_irreducible
 
 INFINITE_PLACE = "inf"
 
@@ -148,8 +143,8 @@ def _good_points(q: DiagonalForm, count: int):
     """The first count points where q specialises, among 0, 1, -1, ...,
     +-(2 count + 4) over Q and 0, ..., min(p, 4 count + 8) - 1 over F_p."""
     base = _function_field_of(q).base
-    if isinstance(base, PrimeField):
-        candidates = range(min(base.p, 4 * count + 8))
+    if base.char:  # F_p, whose residues run out
+        candidates = range(min(base.char, 4 * count + 8))
     else:
         candidates = [0] + [s * k for k in range(1, 2 * count + 5) for s in (1, -1)]
     found = []
@@ -223,7 +218,7 @@ def _is_square_in_quotient(quot: QuotientField, w: Poly) -> bool:
     base = quot.base
     if w.is_zero():
         return True
-    if isinstance(base, PrimeField) or quot.degree == 1:
+    if base.char or quot.degree == 1:
         return base.is_square(quot.norm(w))
     if quot.degree == 2:
         return _quad_quotient_is_square(quot, w)

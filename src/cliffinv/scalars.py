@@ -4,7 +4,8 @@ Every value is exact (arbitrary precision integers underneath); there is
 no floating point anywhere in the package.  Field objects bundle the
 element constructors with the decision procedures the rest of the
 package needs: squareness tests, canonical square roots, square-class
-normal forms, and serialisation.
+normal forms, serialisation and, over Q and F_p, the Witt theory of
+diagonal entries that forms and invariants ask for.
 
 Integer factorisation is trial division up to a bound (default 10**6)
 that stops as soon as deterministic Miller-Rabin certifies the cofactor
@@ -31,8 +32,9 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
-from .errors import FactorBoundExceeded, UnsupportedBase
+from .errors import CliffinvError, FactorBoundExceeded, SearchExhausted, UnsupportedBase
 from .polys import Poly
 
 DEFAULT_FACTOR_BOUND = 10**6
@@ -504,6 +506,234 @@ def product_formula_check(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Local theory of diagonal forms over Q: the tests multiply and pair the
+# local_class keys of the entries, never the entries themselves, at the
+# places of their carried classes (s, P).
+
+
+def local_profile(entries, v: Place):
+    """(key of a_1...a_n, Hasse invariant) of <a_1, ..., a_n> at v.
+
+    The Hasse invariant is the product of the Hilbert symbols
+    (a_i, a_j)_v over i < j, by bilinearity the n - 1 symbols
+    (a_1...a_{j-1}, a_j)_v, all on local_class keys.
+    """
+    prefix, hasse = local_class(1, v), 1
+    for a in entries:
+        k = local_class(a, v)
+        hasse *= hilbert_pairing(prefix, k, v)
+        prefix = local_class_mul(prefix, k, v)
+    return prefix, hasse
+
+
+def hasse_invariant(entries, v: Place) -> int:
+    """Product of Hilbert symbols (a_i, a_j)_v over i < j."""
+    return local_profile(entries, v)[1]
+
+
+def clifford_invariant_local(entries, v) -> int:
+    """Local Clifford class via the Hasse invariant and mod-8 corrections.
+
+    For rank n and signed discriminant d the correction multiplies the
+    Hasse symbol by (-1,-d) when n is 3 or 4 mod 8, by (-1,-1) when n is
+    5 or 6 mod 8, and by (-1,d) when n is 7 or 0 mod 8.
+    """
+    n = len(entries)
+    d, s = local_profile(entries, v)
+    minus_one = local_class(-1, v)
+    if (n * (n - 1) // 2) % 2:
+        d = local_class_mul(minus_one, d, v)
+    if n % 8 in (3, 4):
+        s *= hilbert_pairing(minus_one, local_class_mul(minus_one, d, v), v)
+    elif n % 8 in (5, 6):
+        s *= hilbert_pairing(minus_one, minus_one, v)
+    elif n % 8 in (7, 0):
+        s *= hilbert_pairing(minus_one, d, v)
+    return s
+
+
+def _isotropic_locally(entries, v: Place) -> bool:
+    n = len(entries)
+    if n <= 1:
+        return False
+    if v.is_infinite:
+        return any(a > 0 for a in entries) and any(a < 0 for a in entries)
+    d, eps = local_profile(entries, v)
+    one, minus_one = local_class(1, v), local_class(-1, v)
+    minus_d = local_class_mul(minus_one, d, v)
+    if n == 2:
+        return minus_d == one
+    if n == 3:
+        return hilbert_pairing(minus_one, minus_d, v) == eps
+    if n == 4:
+        return d != one or eps == hilbert_pairing(minus_one, minus_one, v)
+    return True  # rank >= 5 at a finite place
+
+
+def _isotropic_sf(sf) -> bool:
+    """Hasse-Minkowski for <sf>, the entries carried classes (s, P)."""
+    n = len(sf)
+    if n <= 1:
+        return False
+    if n == 2:
+        return sf[0][0] == -sf[1][0]
+    if n >= 5:
+        return any(s > 0 for s, _ in sf) and any(s < 0 for s, _ in sf)
+    return all(_isotropic_locally([s for s, _ in sf], v) for v in places_of(sf))
+
+
+def _check_zero(entries, vec, field):
+    val = field.zero()
+    for a, x in zip(entries, vec):
+        val = val + a * x * x
+    if val or not any(vec):
+        raise CliffinvError(f"{vec} is not a nonzero zero of <{entries}>")
+
+
+# Bound on |t| / d in the search for the auxiliary value of _split_plane.
+AUX_BOUND = 10**6
+
+
+def _split_plane(sf):
+    """(v, rest) for an isotropic form <sf> on carried classes (s, P).
+
+    v is a nonzero integer zero of <s>, and <sf> is isometric to
+    <1, -1> + <rest>, rest again carried classes, so no product is factored.
+    """
+    n = len(sf)
+    for i, j in combinations(range(n), 2):
+        if sf[i][0] == -sf[j][0]:  # the hyperbolic plane itself
+            return _embed(n, (i, j), (1, 1)), _drop(sf, (i, j))
+    for idx in combinations(range(n), 3):
+        sub = [sf[k] for k in idx]
+        if _isotropic_sf(sub):  # then <a, b, c> = <1, -1, -abc>
+            zero = _ternary_zero(*(s for s, _ in sub))
+            return _embed(n, idx, zero), _drop(sf, idx) + [class_mul(*sub, sign=-1)]
+    # n >= 4: a1 (x/z)^2 + a2 (y/z)^2 = t, so <a1, a2> = <t, a1 a2 t>, and a
+    # zero (w, u) of <t, a3, ..., an> gives the zero (w x, w y, z u) of <sf>.
+    a1, a2, rest = sf[0], sf[1], sf[2:]
+    t = _auxiliary_value(a1, a2, rest)
+    x, y, z = _ternary_zero(a1[0], a2[0], -t[0])
+    (w, *u), rest_t = _split_plane([t] + rest)
+    return _primitive([w * x, w * y] + [z * c for c in u]), [class_mul(a1, a2, t)] + rest_t
+
+
+def _auxiliary_value(a1, a2, rest):
+    """(t, P) for the least squarefree |t| with <a1, a2, -t>, <t, rest> isotropic.
+
+    At a place v both tests depend only on the class of t in Q_v*/Q_v*^2,
+    so each class is tested once per place of 2 a1 a2 rest; a candidate
+    that passes every such place is confirmed by the exact test.  A prime
+    p of those places at which no unit class passes divides every such t,
+    so only multiples of d, the product of these primes, are tried.
+    """
+    places = places_of([a1, a2, *rest])
+    verdicts = [{} for _ in places]
+    b1, b2, ints = a1[0], a2[0], [s for s, _ in rest]
+
+    def local(t, v, seen):
+        key = local_class(t, v)
+        if key not in seen:
+            seen[key] = _isotropic_locally([b1, b2, -t], v) and _isotropic_locally([t] + ints, v)
+        return seen[key]
+
+    d = 1
+    for v, seen in zip(places, verdicts):
+        if v.is_infinite:
+            continue
+        units = (1, 3, 5, 7) if v.p == 2 else (1, GF(v.p).nonresidue().v)
+        if not any(local(u, v, seen) for u in units):
+            d *= v.p
+    for m in range(1, AUX_BOUND + 1):
+        for t in (d * m, -d * m):
+            if all(local(t, v, seen) for v, seen in zip(places, verdicts)):
+                s, ps = rational_class(t)
+                if s == t and _isotropic_sf([a1, a2, (-t, ps)]) and _isotropic_sf([(t, ps)] + rest):
+                    return t, ps
+    raise SearchExhausted("auxiliary value of a rational isotropic vector", AUX_BOUND)
+
+
+def _ternary_zero(a, b, c):
+    """Nonzero integer zero of the isotropic <a, b, c>, signed squarefree entries.
+
+    While two coefficients share g = gcd > 1, say a and b, pass to
+    <a/g, b/g, c g/h^2> with h = gcd(g, c): its zero (X, Y, Z) gives the
+    zero (h X, h Y, g Z).  Once they are pairwise coprime, with |c| least,
+    a zero (w, x, y) of w^2 = -ac x^2 - bc y^2 gives (c x, c y, w).
+    """
+    coef, mult = [a, b, c], [1, 1, 1]
+    reduced = False
+    while not reduced:
+        reduced = True
+        for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+            g = math.gcd(coef[i], coef[j])
+            if g > 1:
+                h = math.gcd(g, coef[k])
+                coef[i], coef[j], coef[k] = coef[i] // g, coef[j] // g, coef[k] * g // (h * h)
+                mult[i], mult[j], mult[k] = mult[i] * h, mult[j] * h, mult[k] * g
+                reduced = False
+    i, j, k = sorted(range(3), key=lambda m: -abs(coef[m]))
+    w, x, y = _legendre_descent(-coef[i] * coef[k], -coef[j] * coef[k])
+    sol = [0, 0, 0]
+    sol[i], sol[j], sol[k] = coef[k] * x, coef[k] * y, w
+    return tuple(_primitive([m * s for m, s in zip(mult, sol)]))
+
+
+def _legendre_descent(a, b):
+    """Nonzero integer (w, x, y) with w^2 = a x^2 + b y^2 (Legendre descent).
+
+    a and b are squarefree and the equation has a nonzero solution.  With
+    r^2 = a mod b, |r| <= |b|/2 and r^2 - a = b q0 d^2, q0 squarefree, a
+    solution (w, x, y) for (a, q0) gives (r w + a x, w + r x, q0 d y) for
+    (a, b), as the norm from Q(sqrt a) is multiplicative.  |q0| < |b|
+    whenever |a| <= |b| > 1, so the descent ends.
+    """
+    if abs(a) > abs(b):
+        w, y, x = _legendre_descent(b, a)
+        return w, x, y
+    if a == 1:
+        return 1, 1, 0
+    if b == 1:
+        return 1, 0, 1
+    r = None if b == -1 else _sqrt_mod(a, abs(b))
+    if r is None:
+        raise CliffinvError(f"w^2 = {a} x^2 + {b} y^2 has no nonzero solution")
+    q = (r * r - a) // b
+    q0 = squarefree_part(q)
+    d = math.isqrt(q // q0)
+    w, x, y = _legendre_descent(a, q0)
+    return tuple(_primitive([r * w + a * x, w + r * x, q0 * d * y]))
+
+
+def _sqrt_mod(a, m):
+    """r with r^2 = a mod the squarefree m > 0 and |r| <= m/2, or None."""
+    r, done = 0, 1
+    for p in factor_integer(m):
+        s = a % 2 if p == 2 else sqrt_mod_p(a, p)
+        if s is None:
+            return None
+        r += done * ((s - r) * pow(done, -1, p) % p)
+        done *= p
+    return r - m if 2 * r > m else r
+
+
+def _embed(n, idx, vals):
+    v = [0] * n
+    for k, c in zip(idx, vals):
+        v[k] = c
+    return v
+
+
+def _drop(sf, idx):
+    return [a for k, a in enumerate(sf) if k not in idx]
+
+
+def _primitive(v):
+    g = math.gcd(*v)
+    return [c // g for c in v]
+
+
+# ---------------------------------------------------------------------------
 # Field tower
 
 
@@ -538,6 +768,55 @@ class RationalField:
     rep_mul = staticmethod(squarefree_mul)
     rep_value = from_int
     from_sympy = from_int  # Fraction reads sympy's Rational as a numbers.Rational
+
+    # The Witt theory of diagonal entries (a forms.Entries): local-global,
+    # on the carried classes (s, P) and scales r, a = s r^2, that
+    # entries.squarefree computes once, so no product of entries is factored.
+
+    def isotropic(self, entries) -> bool:
+        return _isotropic_sf(entries.squarefree[0])
+
+    def isotropic_zero(self, entries) -> list:
+        """A zero of the signed squarefree integer diagonal, scaled back: see
+        _split_plane (a pair <a, -a>, a ternary subform by Legendre descent,
+        or an auxiliary value t)."""
+        sf, scales = entries.squarefree
+        x, _ = _split_plane(sf)
+        return [Fraction(c) / r for c, r in zip(x, scales)]
+
+    def witt_reduce(self, entries) -> tuple:
+        """(kernel, index): each split checks its zero exactly and replaces the
+        classes by those of the complement of the plane, so the kernel entries
+        are signed squarefree integers, and the kernel, of the entries' own
+        type, carries their classes."""
+        sf, index = entries.squarefree[0], 0
+        while _isotropic_sf(sf):
+            v, rest = _split_plane(sf)
+            _check_zero([s for s, _ in sf], v, self)
+            sf, index = rest, index + 1
+        kernel = type(entries)(Fraction(s) for s, _ in sf)
+        kernel.squarefree = sf, [_ONE] * len(sf)
+        return kernel, index
+
+    def discriminant(self, entries) -> "SquareClass":
+        """The signed discriminant class, a product of the carried classes."""
+        n = len(entries)
+        sign = -1 if n * (n - 1) // 2 % 2 else 1
+        return SquareClass(self, class_mul(*entries.squarefree[0], sign=sign)[0])
+
+    def isometric(self, e1, e2) -> bool:
+        """Hasse-Minkowski for entries of equal length: discriminant, signature
+        (the count of positive entries) and the Hasse invariant at each place
+        of their classes."""
+        positives = [sum(a > 0 for a in e) for e in (e1, e2)]
+        if self.discriminant(e1) != self.discriminant(e2) or positives[0] != positives[1]:
+            return False
+        places = places_of([*e1.squarefree[0], *e2.squarefree[0]])
+        return all(hasse_invariant(e1, v) == hasse_invariant(e2, v) for v in places)
+
+    def clifford_places(self, entries) -> list:
+        """The places of the entries' classes where the local Clifford class is -1."""
+        return [v for v in places_of(entries.squarefree[0]) if clifford_invariant_local(entries, v) == -1]
 
     def sympy_poly(self, coeffs):
         import sympy
@@ -682,6 +961,59 @@ class PrimeField:
         return 1 if r == s else self.nonresidue().v
 
     rep_value = from_int
+
+    # The Witt theory of diagonal entries: a form is classified by its rank
+    # and discriminant, every ternary form is isotropic, and Br(F_p) = 0.
+
+    def isotropic(self, entries) -> bool:
+        n = len(entries)
+        return n >= 3 or (n == 2 and self.is_square(-entries[0] * entries[1]))
+
+    def isotropic_zero(self, entries) -> list:
+        n = len(entries)
+        zero, one = self.zero(), self.one()
+        for i in range(n):
+            for j in range(i + 1, n):
+                r = self.sqrt(-entries[i] / entries[j])
+                if r is not None:
+                    v = [zero] * n
+                    v[i], v[j] = one, r
+                    return v
+        # rank >= 3: solve a x^2 + b y^2 + c = 0 with the third slot at 1.  The
+        # sets {a x^2} and {-c - b y^2} each hold (p + 1) / 2 residues, so they
+        # meet, and about every other y gives a square -(b y^2 + c) / a.
+        a, b, c = entries[0], entries[1], entries[2]
+        for y in range(self.p):
+            fy = self.from_int(y)
+            x = self.sqrt(-(b * fy * fy + c) / a)
+            if x is not None:
+                v = [zero] * n
+                v[0], v[1], v[2] = x, fy, one
+                return v
+        raise SearchExhausted("isotropic vector mod p", self.p)
+
+    def witt_reduce(self, entries) -> tuple:
+        """(kernel, index): an isotropic <a, b, c> is isometric to
+        <1, -1, -abc>, so planes come off three entries at a time; a last
+        binary <a, b> is a plane exactly when -ab is a square."""
+        index = 0
+        while len(entries) >= 3:
+            a, b, c, *rest = entries
+            entries, index = (-a * b * c, *rest), index + 1
+        if len(entries) == 2 and self.is_square(-entries[0] * entries[1]):
+            entries, index = (), index + 1
+        return tuple(entries), index
+
+    def discriminant(self, entries) -> "SquareClass":
+        d, n = math.prod(entries, start=self.one()), len(entries)
+        return self.square_class(-d if n * (n - 1) // 2 % 2 else d)
+
+    def isometric(self, e1, e2) -> bool:
+        """For entries of equal length: equal discriminants."""
+        return self.discriminant(e1) == self.discriminant(e2)
+
+    def clifford_places(self, entries) -> list:
+        return []
 
     def sympy_poly(self, coeffs):
         import sympy

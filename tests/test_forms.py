@@ -11,10 +11,8 @@ from cliffinv.errors import DegenerateFormError, UnsupportedBase
 from cliffinv.forms import (
     DiagonalForm,
     QuadraticForm,
-    _isotropic_locally,
     _squarefree_entries,
     diagonalize,
-    hasse_invariant,
     hyperbolic,
     is_isotropic,
     isometric_diagonal,
@@ -24,13 +22,18 @@ from cliffinv.forms import (
     twist,
     witt_decompose,
 )
-from cliffinv.invariants import clifford_invariant_class, clifford_invariant_local, e2_of_form
+from cliffinv.invariants import clifford_invariant_class, e2_of_form
+from cliffinv.residues import second_residue
 from cliffinv.scalars import (
     GF,
     QQ,
     QuadElement,
     QuadraticNumberField,
+    RationalFunctionField,
+    _isotropic_locally,
+    clifford_invariant_local,
     factor_integer,
+    hasse_invariant,
     hilbert_symbol,
     square_class,
     squarefree_mul,
@@ -132,6 +135,40 @@ def test_is_isotropic_basics():
     k = QuadraticNumberField(-5)
     with pytest.raises(UnsupportedBase):
         is_isotropic(DiagonalForm((k.one(), k.one()), k))
+
+
+def _residue_field_f3():
+    ff = RationalFunctionField(GF(3))
+    pi = ff.t() * ff.t() + ff.one()
+    return second_residue(DiagonalForm((pi, 2 * pi), ff), pi.num).field
+
+
+UNSUPPORTED_BASES = {
+    "Q(sqrt(-5))": lambda: QuadraticNumberField(-5),
+    "F5(t)": lambda: RationalFunctionField(GF(5)),
+    "F3[t]/(t^2+1)": _residue_field_f3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSUPPORTED_BASES))
+def test_unsupported_bases_raise_one_message(name):
+    field = UNSUPPORTED_BASES[name]()
+    one = field.one()
+    q = DiagonalForm((one, one, -one, -one), field)
+    calls = (
+        lambda: is_isotropic(q),
+        lambda: isotropic_vector(q),
+        lambda: witt_decompose(q),
+        lambda: isometric_diagonal(q.entries, q.entries, field),
+        lambda: e2_of_form(q),
+    )
+    messages = set()
+    for call in calls:
+        with pytest.raises(UnsupportedBase) as err:
+            call()
+        messages.add(str(err.value))
+    assert messages == {f"no Witt theory of diagonal forms over {field!r}"}
+    assert "object at" not in repr(field)
 
 
 def test_isotropic_needs_all_coordinates():

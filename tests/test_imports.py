@@ -139,6 +139,36 @@ def test_scalars_routes_by_field_methods_not_field_types():
     assert {h[:2] for h in hits} == FIELD_TYPE_TESTS_ALLOWED  # the walk sees the allowed ones
 
 
+# The Witt layers ask the field (scalars.RationalField and PrimeField own the
+# Witt theory of diagonal entries), so forms and invariants test no field's
+# class.  A test left elsewhere checks an input that one base alone can take.
+WITT_LAYERS = ("forms", "invariants", "residues", "exceptional")
+WITT_LAYER_TYPE_TESTS_ALLOWED = {
+    ("residues", "_function_field_of"): "input check: residues need a rational function field",
+    ("exceptional", "pfaffian_roundtrip_check"): "input check: class_of_quaternion reads Q only",
+}
+
+
+def test_witt_layers_ask_the_field_not_its_type():
+    pkg = Path(cliffinv.__file__).resolve().parent
+    seen = {
+        (module, fn)
+        for module in WITT_LAYERS
+        for _, fn, _ in _field_type_tests(ast.parse((pkg / f"{module}.py").read_text()))
+    }
+    assert seen == set(WITT_LAYER_TYPE_TESTS_ALLOWED)  # no others, and the walk sees each of these
+
+
+def test_forms_raises_unsupported_base_once():
+    # witt_theory is the one place a base without a Witt theory is refused
+    tree = ast.parse((Path(cliffinv.__file__).resolve().parent / "forms.py").read_text())
+    raises = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call) and getattr(n.exc.func, "id", None) == "UnsupportedBase"
+    ]
+    assert len(raises) == 1
+
+
 # Every name a module imports is read in the scope that imports it: a
 # module-level import somewhere in the module, a local import in its
 # function.  `__future__` imports and the re-exports named in `__all__` are

@@ -76,6 +76,16 @@ def test_e1_additive_random():
         assert e1(ws) == e1(w1) * e1(w2)
 
 
+def test_e1_of_the_zero_element_names_no_field():
+    from cliffinv.dedekind import QuadOrder, total_witt_element
+
+    zero = TotalWittElement({})
+    assert e0(zero) == 0 and e2(zero).is_trivial()
+    for w in (zero, total_witt_element(QuadOrder(-5), [])):
+        with pytest.raises(ValueError, match="no component to name a field"):
+            e1(w)
+
+
 def test_e2_examples():
     assert e2_of_form(hyperbolic(2)).is_trivial()
     assert e2_of_form(diag(1, 1, 1, 1)).to_json()["ramified"] == ["2", "inf"]
@@ -172,6 +182,29 @@ def test_e2_trivial_over_prime_fields():
     f5 = GF(5)
     q = DiagonalForm((f5.from_int(1), f5.from_int(4)), f5)
     assert e2(TotalWittElement.from_form(q)).is_trivial()
+
+
+def test_e2_over_prime_fields_on_seeded_i2_forms():
+    # F_p's witt_reduce leaves no kernel on an I2 form, so e2 is trivial with
+    # no branch on the field; isometry agrees with equality of Witt classes
+    rng = random.Random(32)
+    outcomes = set()
+    for p in (3, 5, 7, 11, 13):
+        f = GF(p)
+        for rank in (2, 4, 6, 8):
+            for _ in range(6):
+                head = [random_nonzero(f, rng) for _ in range(rank - 1)]
+                last = f.from_int(-1 if rank * (rank - 1) // 2 % 2 else 1) * random_nonzero(f, rng) ** 2
+                for a in head:
+                    last = last / a
+                q = DiagonalForm((*head, last), f)
+                assert witt_decompose(q).kernel == ()
+                assert e2_of_form(q).is_trivial() and e2(TotalWittElement.from_form(q)).is_trivial()
+                other = DiagonalForm(tuple(random_nonzero(f, rng) for _ in range(rank)), f)
+                same = isometric_diagonal(q.entries, other.entries, f)
+                assert same == (witt_decompose(q) == witt_decompose(other))
+                outcomes.add(same)
+    assert outcomes == {True, False}
 
 
 def test_e2_definite_kernels_of_rank_8_and_12():

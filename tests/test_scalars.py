@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffinv.errors import FactorBoundExceeded, UnsupportedBase
-from cliffinv.forms import hasse_invariant
-from cliffinv.invariants import clifford_invariant_local
 from cliffinv.polys import Poly
 from cliffinv.scalars import (
     GF,
@@ -20,9 +18,11 @@ from cliffinv.scalars import (
     QuadElement,
     QuadraticNumberField,
     RationalFunctionField,
+    clifford_invariant_local,
     coprime_base,
     factor_integer,
     factor_poly,
+    hasse_invariant,
     hilbert_symbol,
     is_prime,
     legendre,
