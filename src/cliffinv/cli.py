@@ -25,6 +25,16 @@ def _parse_base(s: str):
     raise jsonio.ParseError("base", f"unknown base {s!r} (use Q or F<p>)")
 
 
+def _required(args, *names):
+    """The values of the options names, as typed ("-a", "--left"); a missing
+    one is a usage error that names it."""
+    vals = [getattr(args, n.lstrip("-").replace("-", "_")) for n in names]
+    missing = [n for n, v in zip(names, vals) if v is None]
+    if missing:
+        raise ValueError("missing " + ", ".join(missing))
+    return vals
+
+
 def _parse_entries(s: str, field):
     return tuple(field.elt_from_str(tok.strip()) for tok in s.split(","))
 
@@ -36,7 +46,7 @@ def _load_form(args):
         with open(args.file) as fh:
             return jsonio.form_from_json(json.load(fh))
     field = _parse_base(args.base)
-    return DiagonalForm(_parse_entries(args.entries, field), field)
+    return DiagonalForm(_parse_entries(*_required(args, "--entries"), field), field)
 
 
 def _emit(args, obj, text):
@@ -72,10 +82,10 @@ def _cmd_alg(args):
 
     if args.op == "quaternion":
         field = _parse_base(args.base)
-        a = quaternion(field.elt_from_str(args.a), field.elt_from_str(args.b), field)
+        a = quaternion(*(field.elt_from_str(x) for x in _required(args, "a", "b")), field)
         _emit(args, a, jsonio.render_table(a))
         return 0
-    with open(args.file) as fh:
+    with open(*_required(args, "--file")) as fh:
         alg = jsonio.algebra_from_json(json.load(fh))
     if args.op == "center":
         c = center(alg)
@@ -95,8 +105,9 @@ def _cmd_cliff(args):
 
     if args.op == "sum-check":
         field = _parse_base(args.base)
-        q1 = DiagonalForm(_parse_entries(args.left, field), field)
-        q2 = DiagonalForm(_parse_entries(args.right, field), field)
+        left, right = _required(args, "--left", "--right")
+        q1 = DiagonalForm(_parse_entries(left, field), field)
+        q2 = DiagonalForm(_parse_entries(right, field), field)
         si = sum_isomorphism(q1, q2)
         ok = si.morphism.is_isomorphism()
         _emit(args, {"isomorphism": ok}, f"sum map is{'' if ok else ' NOT'} an isomorphism")
@@ -126,7 +137,7 @@ def _cmd_br(args):
     from .brauer import BrauerClass2, class_of_quaternion, quaternion_from_class
 
     if args.op == "class":
-        c = class_of_quaternion(Fraction(args.a), Fraction(args.b))
+        c = class_of_quaternion(*map(Fraction, _required(args, "-a", "-b")))
         _emit(args, c, jsonio.render_table(c))
     elif args.op == "realize":
         c = BrauerClass2.from_strs(args.ramified.split(",")) if args.ramified else BrauerClass2.trivial()
@@ -153,7 +164,7 @@ def _cmd_inv(args):
         base = _parse_base(args.base)
         ff = RationalFunctionField(base)
         entries = []
-        for tok in args.entries.split(";"):
+        for tok in _required(args, "--entries")[0].split(";"):
             coeffs = [int(x) for x in tok.split(",")]
             entries.append(ff.from_poly(Poly.from_int_coeffs(coeffs, base)))
         ok = milnor_reciprocity_check(DiagonalForm(tuple(entries), ff))

@@ -10,20 +10,14 @@ class DegenerateFormError(CliffinvError):
 
 
 class FactorBoundExceeded(CliffinvError):
-    """An integer has no factor by trial division up to the bound, and
-    Brent's rho did not split it within its step budget.
+    """Brent's rho found no factor of an integer within its step budget.
 
-    Carries the unsplit integer and the trial-division bound so callers
-    can report them.
+    Carries the unsplit integer so callers can report it.
     """
 
-    def __init__(self, n, bound):
-        super().__init__(
-            f"cannot factor {n}: no factor by trial division up to {bound},"
-            " none by Brent's rho within its step budget"
-        )
+    def __init__(self, n):
+        super().__init__(f"cannot factor {n}: no factor by Brent's rho within its step budget")
         self.n = n
-        self.bound = bound
 
 
 class SearchExhausted(CliffinvError):

@@ -250,9 +250,9 @@ def _squarefree_entries(entries):
 
 class Entries(tuple):
     """Diagonal entries; over Q, squarefree is _squarefree_entries of the
-    tuple, computed once: a prime above scalars._SMALL_BOUND that one entry
-    shows splits the others by a gcd, not by trial division.  Entries(e) is
-    e when e is already an Entries."""
+    tuple, computed once over one coprime base: a prime that trial division
+    certifies in one entry splits the others by a gcd, not by Brent's rho.
+    Entries(e) is e when e is already an Entries."""
 
     def __new__(cls, entries):
         return entries if type(entries) is cls else super().__new__(cls, entries)

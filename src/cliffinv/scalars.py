@@ -7,23 +7,22 @@ package needs: squareness tests, canonical square roots, square-class
 normal forms, serialisation and, over Q and F_p, the Witt theory of
 diagonal entries that forms and invariants ask for.
 
-Integer factorisation is trial division up to a bound (default 10**6)
-that stops as soon as deterministic Miller-Rabin certifies the cofactor
-prime.  A cofactor with no factor up to the bound is kept when it is a
-certified prime or the square of one.  Any other is split by Brent's rho
-(Brent 1980) within _RHO_STEPS steps, each piece certified prime or split
-again; FactorBoundExceeded is raised only when those steps run out.  A
+Integer factorisation has one route.  Trial division runs to _SMALL_BOUND
+(10**3) and stops as soon as deterministic Miller-Rabin certifies the
+cofactor prime.  A cofactor it leaves is kept when it is a certified prime
+or the square of one; any other goes to Brent's rho (Brent 1980), which
+splits it within _RHO_STEPS steps, each piece certified prime or split
+again.  FactorBoundExceeded is raised only when those steps run out.  A
 piece of _MR_EXACT_BELOW (about 3.3 * 10**24) or more is never certified,
 since Miller-Rabin decides nothing there and sympy is never asked, so it
 is split further or raises.  A square class over Q is carried as (s, P),
 s signed squarefree and P its primes, as Q*/Q*^2 = {+-1} x (+)_p Z/2.
-rational_classes takes the classes of many rationals at once from one
-coprime base of their numerators and denominators (factor refinement,
-Bach, Driscoll and Shallit 1993), so a large prime that one of them
-shows splits the others by a gcd, not by trial division.  The last 128
-trial divisions are memoised by (|n|, bound): the same integers recur
-across forms, in the quaternion parameters class_of_quaternion factors,
-and in the d of each order.
+rational_classes is the one route to these classes: it reads them off one
+coprime base of the numerators and denominators of all the values it is
+given (factor refinement, Bach, Driscoll and Shallit 1993), so a large
+prime that one of them shows splits the others by a gcd, not by rho.  The
+last 128 trial divisions are memoised by n: the same integers recur
+across forms, in quaternion parameters and in the d of each order.
 """
 
 from __future__ import annotations
@@ -37,10 +36,7 @@ from itertools import combinations
 from .errors import CliffinvError, FactorBoundExceeded, SearchExhausted, UnsupportedBase
 from .polys import Poly
 
-DEFAULT_FACTOR_BOUND = 10**6
-# Trial division runs to _SMALL_BOUND first.  A value it finishes there
-# is read off that pass; rational_classes refines the others over a
-# coprime base before any of them is divided further.
+# Trial division runs to _SMALL_BOUND; Brent's rho splits what it leaves.
 _SMALL_BOUND = 10**3
 # Brent's rho steps (one x -> x^2 + c each) spent on one cofactor, and the
 # steps whose differences share one gcd.
@@ -48,24 +44,23 @@ _RHO_STEPS = 2**19
 _RHO_BATCH = 128
 
 
-def factor_integer(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
-    """Prime factorisation of |n|, as {prime: exponent}.
+def factor_integer(n: int) -> dict[int, int]:
+    """Prime factorisation of |n|, as {prime: exponent} in ascending order.
 
-    bound limits trial division, which stops early once is_prime
-    certifies the cofactor.  A cofactor with no factor up to bound is kept
-    when it is a certified prime or the square of one; any other is split
-    by Brent's rho within _RHO_STEPS steps, and FactorBoundExceeded is
-    raised, naming the piece it could not split, only when they run out.
-    Certification is deterministic Miller-Rabin, so a piece of
-    _MR_EXACT_BELOW or more is never certified: rho splits it further,
-    or the steps run out.
+    Trial division runs to _SMALL_BOUND and stops early once is_prime
+    certifies the cofactor.  A cofactor it leaves that is neither a
+    certified prime nor the square of one is split by Brent's rho within
+    _RHO_STEPS steps, and FactorBoundExceeded is raised, naming the piece it
+    could not split, only when they run out.  Certification is
+    deterministic Miller-Rabin, so a piece of _MR_EXACT_BELOW or more is
+    never certified: rho splits it further, or the steps run out.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    out, rest = _trial_division(abs(n), bound)
+    out, rest = _trial_division(abs(n))
     out = dict(out)
     if rest > 1:
-        for p in _rho_primes(rest, bound):
+        for p in _rho_primes(rest):
             out[p] = out.get(p, 0) + 1
     return out
 
@@ -82,25 +77,17 @@ def _certified_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=128)
-def _trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
-    """(factors, rest) of n > 0 by trial division up to bound: rest is 1
-    when it finishes, else the cofactor, with no prime factor up to bound
-    and neither a certified prime nor its square.  A bound above
-    _SMALL_BOUND goes on from the memoised pass up to _SMALL_BOUND, which
-    has tested its cofactor.  The cached dict is never handed out."""
-    if bound > _SMALL_BOUND:
-        out, n = _trial_division(n, _SMALL_BOUND)
-        if n == 1:
-            return out, 1
-        # that pass stopped at the first q = 5 mod 6 above _SMALL_BOUND
-        out, q, untested = dict(out), _SMALL_BOUND + 1 + (4 - _SMALL_BOUND) % 6, False
-    else:
-        out, q, untested = {}, 5, True  # untested: is_prime has not seen the cofactor
-        for p in (2, 3):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-    while q * q <= n and q <= bound:
+def _trial_division(n: int) -> tuple[dict[int, int], int]:
+    """(factors, rest) of n > 0 by trial division up to _SMALL_BOUND: rest
+    is 1 when it finishes, else the cofactor, with no prime factor up to
+    _SMALL_BOUND and neither a certified prime nor its square.  The cached
+    dict is never handed out."""
+    out, q, untested = {}, 5, True  # untested: is_prime has not seen the cofactor
+    for p in (2, 3):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    while q * q <= n and q <= _SMALL_BOUND:
         if untested and q >= _CERTIFY_FROM:
             if _certified_prime(n):
                 out[n] = 1
@@ -113,8 +100,8 @@ def _trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
                 untested = True
         q += 6
     if n > 1:
-        # n has no prime factor up to bound: at most bound**2, it is prime
-        if n <= bound * bound or (untested and _certified_prime(n)):
+        # n has no prime factor up to _SMALL_BOUND: at most its square, it is prime
+        if n <= _SMALL_BOUND**2 or (untested and _certified_prime(n)):
             out[n] = 1
         else:
             r = math.isqrt(n)
@@ -124,10 +111,10 @@ def _trial_division(n: int, bound: int) -> tuple[dict[int, int], int]:
     return out, 1
 
 
-def _rho_primes(n: int, bound: int) -> list[int]:
+def _rho_primes(n: int) -> list[int]:
     """The prime factors of n, with multiplicity and ascending, that trial
-    division up to bound left: Brent's rho splits n and each uncertified
-    piece in turn, within _RHO_STEPS steps in all."""
+    division left: Brent's rho splits n and each uncertified piece in turn,
+    within _RHO_STEPS steps in all."""
     primes, pieces, steps = [], [n], _RHO_STEPS
     while pieces:
         m = pieces.pop()
@@ -136,7 +123,7 @@ def _rho_primes(n: int, bound: int) -> list[int]:
             continue
         d, steps = _brent_split(m, steps)
         if d is None:
-            raise FactorBoundExceeded(m, bound)
+            raise FactorBoundExceeded(m)
         pieces += (d, m // d)
     return sorted(primes)
 
@@ -212,30 +199,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def squarefree_part(n: int) -> int:
-    """The signed squarefree integer representing n modulo nonzero squares."""
-    return rational_class(n)[0]
-
-
-def rational_class(x) -> tuple[int, frozenset]:
-    """(s, P) for the nonzero rational x: s the signed squarefree integer in
-    its square class, P its primes; a denominator of 1 is not factored."""
-    x = Fraction(x)
-    if not x:
-        raise ValueError("0 has no square class")
-    primes = {p for p, e in factor_integer(x.numerator).items() if e % 2}
-    if x.denominator != 1:
-        primes ^= {p for p, e in factor_integer(x.denominator).items() if e % 2}
-    return (-1 if x < 0 else 1) * math.prod(primes), frozenset(primes)
+def squarefree_part(x) -> int:
+    """The signed squarefree integer in the square class of the nonzero
+    rational x (int or Fraction)."""
+    return rational_classes([x])[0][0]
 
 
 def rational_classes(values) -> list[tuple[int, frozenset]]:
-    """rational_class of each nonzero rational (int or Fraction) of the
-    sequence values.
+    """(s, P) of each nonzero rational (int or Fraction) of the sequence
+    values: s the signed squarefree integer in its square class, P its
+    primes.
 
-    A numerator or denominator that trial division finishes below
-    _SMALL_BOUND is read off that pass, as rational_class would read it.
-    The cofactors that the others leave there, with the primes above
+    A numerator or denominator that trial division finishes is read off
+    that pass.  The cofactors that the others leave, with the primes above
     _SMALL_BOUND that any value showed, are refined into a coprime base;
     factor_integer factors each element of the base once, and each value
     reads the primes of its cofactor off the base.
@@ -245,10 +221,10 @@ def rational_classes(values) -> list[tuple[int, frozenset]]:
         n, d = x.numerator, x.denominator
         if not n:
             raise ValueError("0 has no square class")
-        f, rest = _trial_division(abs(n), _SMALL_BOUND)
+        f, rest = _trial_division(abs(n))
         primes = {p for p, e in f.items() if e % 2}
         if d != 1:
-            f, rest_d = _trial_division(d, _SMALL_BOUND)
+            f, rest_d = _trial_division(d)
             primes ^= {p for p, e in f.items() if e % 2}
             rest *= rest_d  # n / d and n * d share a square class
         sign = -1 if n < 0 else 1
@@ -260,7 +236,7 @@ def rational_classes(values) -> list[tuple[int, frozenset]]:
             p
             for x in values
             for m in (abs(x.numerator), x.denominator)
-            for p in _trial_division(m, _SMALL_BOUND)[0]
+            for p in _trial_division(m)[0]
             if p > _SMALL_BOUND
         }
         base = coprime_base([*seen, *(rest for *_, rest in pending)])
@@ -486,7 +462,7 @@ def hilbert_symbol(a, b, v: Place) -> int:
 def support_places(*values) -> list[Place]:
     """2, infinity and the primes dividing some nonzero rational value to an odd
     power: at any other p every Hilbert symbol and Hasse invariant of them is 1."""
-    return places_of(map(rational_class, values))
+    return places_of(rational_classes(values))
 
 
 def places_of(classes) -> list[Place]:
@@ -647,7 +623,7 @@ def _auxiliary_value(a1, a2, rest):
     for m in range(1, AUX_BOUND + 1):
         for t in (d * m, -d * m):
             if all(local(t, v, seen) for v, seen in zip(places, verdicts)):
-                s, ps = rational_class(t)
+                ((s, ps),) = rational_classes([t])
                 if s == t and _isotropic_sf([a1, a2, (-t, ps)]) and _isotropic_sf([(t, ps)] + rest):
                     return t, ps
     raise SearchExhausted("auxiliary value of a rational isotropic vector", AUX_BOUND)
@@ -763,7 +739,7 @@ class RationalField:
         return rational_sqrt(Fraction(x))
 
     def square_class(self, a) -> "SquareClass":
-        return SquareClass(self, rational_class(a)[0])
+        return SquareClass(self, squarefree_part(a))
 
     rep_mul = staticmethod(squarefree_mul)
     rep_value = from_int

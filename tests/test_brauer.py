@@ -18,7 +18,7 @@ from cliffinv.clifford import even_clifford, split_components
 from cliffinv.errors import SearchExhausted
 from cliffinv.forms import DiagonalForm
 from cliffinv.invariants import construct_preimage
-from cliffinv.scalars import QQ, Place, is_prime
+from cliffinv.scalars import QQ, Place, is_prime, product_formula_check
 
 nonzero = st.integers(min_value=-60, max_value=60).filter(lambda x: x != 0)
 
@@ -151,3 +151,13 @@ def test_roundtrip_class_level():
         c = class_of_quaternion(a, b)
         a2, b2 = quaternion_from_class(c)
         assert class_of_quaternion(a2, b2) == c
+
+
+def test_quaternion_parameters_share_one_coprime_base():
+    # p * q is beyond Brent's rho and never factored: b = p shows p, and the
+    # gcd leaves q, which Miller-Rabin certifies
+    p, q = 10**12 + 39, 10**13 + 37
+    c = class_of_quaternion(p * q, p)
+    assert c == class_of_quaternion(p, -1) + class_of_quaternion(q, p)
+    assert c.to_json()["ramified"] == ["2", str(p)]
+    assert product_formula_check(p * q, -p)

@@ -70,7 +70,7 @@ def test_cli_suite_exit_codes(capsys):
 
 
 def test_cli_factor_bound_exit(capsys):
-    # (10^12 + 39)(10^13 + 37): no factor up to the default bound, and
+    # (10^12 + 39)(10^13 + 37): beyond Miller-Rabin, and its least prime is
     # beyond what Brent's rho reaches within its step budget
     start = time.perf_counter()
     assert main(["br", "class", "-a", str((10**12 + 39) * (10**13 + 37)), "-b", "7"]) == 3
@@ -106,6 +106,25 @@ def test_cli_fp_witt(capsys):
 
 def test_cli_usage_error():
     assert main(["qf"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["br", "class"], "-a, -b"),
+        (["br", "class", "-a", "3"], "-b"),
+        (["qf", "diag"], "--entries"),
+        (["inv", "e2", "--base", "Q"], "--entries"),
+        (["alg", "quaternion"], "a, b"),
+        (["alg", "quaternion", "1"], "b"),
+        (["cliff", "sum-check", "--base", "Q", "--left", "1,1"], "--right"),
+        (["inv", "reciprocity", "--base", "F5"], "--entries"),
+        (["alg", "center"], "--file"),
+    ],
+)
+def test_cli_missing_operand_is_a_usage_error(capsys, argv, missing):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: missing {missing}\n")
 
 
 @pytest.mark.parametrize(

@@ -65,7 +65,7 @@ assert factor_integer(math.prod(ps)) == dict.fromkeys(ps, 1)
 n = (10**12 + 39) * (10**13 + 37)
 assert n > _MR_EXACT_BELOW
 try:
-    factor_integer(n, bound=10**3)
+    factor_integer(n)
 except FactorBoundExceeded as e:
     assert e.n == n
 else:
@@ -220,7 +220,6 @@ DEFAULTED_PARAMETERS = {
     "records.record.cls": "None when used as @record(frozen=True), the class when bare",
     "records.record.frozen": "True for hashable value records, False for the rest",
     "scalars.class_mul.sign": "1 for products, -1 where forms negates the product",
-    "scalars.factor_integer.bound": "test-only bound that leaves small cofactors to Brent's rho and FactorBoundExceeded",
     "suites.run_suite.seed": "0 for the frozen reports, --seed from the command line",
 }
 

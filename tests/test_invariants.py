@@ -90,7 +90,7 @@ def test_e2_examples():
     assert e2_of_form(hyperbolic(2)).is_trivial()
     assert e2_of_form(diag(1, 1, 1, 1)).to_json()["ramified"] == ["2", "inf"]
     assert e2_of_form(diag(1, 1, -3, -3)).to_json()["ramified"] == ["2", "3"]
-    # the product of the entries, 9 * 1000003^2, is beyond the factor bound
+    # the product of the entries, 9 * 1000003^2, squares a prime above 10^6
     assert e2_of_form(diag(1, -1000003, -3, 3000009)).to_json()["ramified"] == ["2", "1000003"]
 
 
@@ -104,7 +104,7 @@ def test_e2_with_a_squared_prime_above_the_factor_bound():
 
 
 def test_two_primes_above_the_factor_bound_still_raise():
-    # p * q has no factor up to 10^6, and p = 10^12 + 39 is far beyond what
+    # p * q is beyond Miller-Rabin, and p = 10^12 + 39 is far beyond what
     # Brent's rho reaches within its step budget; no other entry shows p
     p, q = 10**12 + 39, 10**13 + 37
     with pytest.raises(FactorBoundExceeded):

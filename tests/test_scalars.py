@@ -28,7 +28,6 @@ from cliffinv.scalars import (
     legendre,
     poly_sqrt,
     product_formula_check,
-    rational_class,
     rational_classes,
     rational_sqrt,
     sqrt_mod_p,
@@ -229,18 +228,20 @@ def test_square_class_quadratic_field_unsupported():
         square_class(QuadElement(1, 1, -5))
 
 
-# No factor up to any bound used here, and its least prime, 10^12 + 39, is
-# far beyond what Brent's rho reaches within its step budget.
+# Its least prime, 10^12 + 39, is far beyond what Brent's rho reaches within
+# its step budget, and the product is beyond Miller-Rabin.
 BEYOND_RHO = (10**12 + 39) * (10**13 + 37)
 
 
-def test_factor_bound():
+def test_factor_integer_routes():
     # no factor up to 10^3 and not prime: Brent's rho splits it
-    assert factor_integer(1009 * 1013, bound=10**3) == {1009: 1, 1013: 1}
+    assert factor_integer(1009 * 1013) == {1009: 1, 1013: 1}
     with pytest.raises(FactorBoundExceeded) as e:
-        factor_integer(BEYOND_RHO, bound=10**3)
-    assert (e.value.n, e.value.bound) == (BEYOND_RHO, 10**3)
-    assert factor_integer(10**13 + 37, bound=10**3) == {10**13 + 37: 1}
+        factor_integer(BEYOND_RHO)
+    assert e.value.n == BEYOND_RHO
+    assert factor_integer(10**13 + 37) == {10**13 + 37: 1}
+    assert factor_integer(999983) == {999983: 1}  # below 10^6 with no factor to 10^3
+    assert factor_integer(1000003**2) == {1000003: 2}  # the square of a certified prime
     f = factor_integer(360)
     assert f == {2: 3, 3: 2, 5: 1}
     f[2], f[7] = 99, 1  # the memoised factorisation is not handed out
@@ -248,17 +249,14 @@ def test_factor_bound():
     assert squarefree_part(-360) == -10
 
 
-def test_factor_bound_applies_after_a_memoised_factorisation():
+def test_factor_error_names_the_unsplit_piece():
     assert factor_integer(100160063) == {10007: 1, 10009: 1}
-    # trial division up to 10 leaves 10007 * 10009, and rho splits it alike
-    assert factor_integer(100160063, bound=10) == {10007: 1, 10009: 1}
-    assert factor_integer(100160063) == {10007: 1, 10009: 1}
-    # trial division up to 10^5 finds 10007, and rho finds it up to 10;
-    # either way the rest is beyond rho and the error names the bound asked
-    for bound in (10**5, 10):
+    assert factor_integer(100160063) == {10007: 1, 10009: 1}  # from the memo
+    # trial division finds 5 and rho finds 10007; the rest is beyond rho
+    for small in (5, 10007, 5 * 10007):
         with pytest.raises(FactorBoundExceeded) as e:
-            factor_integer(10007 * BEYOND_RHO, bound=bound)
-        assert (e.value.n, e.value.bound) == (BEYOND_RHO, bound)
+            factor_integer(small * BEYOND_RHO)
+        assert e.value.n == BEYOND_RHO
 
 
 def _reference_trial_division(n, bound):
@@ -280,7 +278,7 @@ def _reference_trial_division(n, bound):
         if n <= bound * bound:
             out[n] = out.get(n, 0) + 1
         else:
-            raise FactorBoundExceeded(n, bound)
+            raise FactorBoundExceeded(n)
     return out
 
 
@@ -294,6 +292,8 @@ def _primes_above(m, k):
 
 
 def test_certified_cofactors_match_the_reference():
+    # the reference gives up on every cofactor above bound**2; factor_integer
+    # has no bound, and raises only on a piece beyond Brent's rho
     rng = random.Random(19)
     outcomes = Counter()
     for bound in (10, 10**3, 10**6):
@@ -308,9 +308,9 @@ def test_certified_cofactors_match_the_reference():
                 want = _reference_trial_division(n, bound)
             except FactorBoundExceeded as e:
                 try:
-                    got = factor_integer(n, bound)
+                    got = factor_integer(n)
                 except FactorBoundExceeded as mine:
-                    assert (mine.n, mine.bound) == (e.n, e.bound)
+                    assert mine.n == e.n
                     outcomes["still raises"] += 1
                 else:  # certified, or split by Brent's rho; ascending, as trial division gives
                     assert all(is_prime(p) for p in got), (n, bound, got)
@@ -318,13 +318,45 @@ def test_certified_cofactors_match_the_reference():
                     assert list(got) == sorted(got)
                     outcomes["now factored"] += 1
             else:
-                assert list(factor_integer(n, bound).items()) == list(want.items())
+                assert list(factor_integer(n).items()) == list(want.items())
                 outcomes["same"] += 1
     assert set(outcomes) == {"same", "still raises", "now factored"}, outcomes
 
 
+def _sympy_samples(rng, count):
+    """count integers of at most 60 bits, products of primes in [2, 10^7];
+    about two in three have a prime in (10^3, 10^6] that trial division
+    to 10^3 leaves to Brent's rho."""
+    from sympy import nextprime
+
+    out = []
+    while len(out) < count:
+        n = math.prod(nextprime(rng.randint(1, 100)) for _ in range(rng.randint(0, 4)))
+        if rng.random() < 2 / 3:
+            n *= nextprime(rng.randint(10**3, 10**6 - 100))
+        while True:
+            p = nextprime(rng.randint(1, 10**7 - 100))
+            if (n * p).bit_length() > 60:
+                break
+            n *= p
+        out.append(n)
+    return out
+
+
+def test_factor_integer_matches_sympy():
+    from sympy import factorint
+
+    rng = random.Random(29)
+    medium = 0
+    for n in _sympy_samples(rng, 300):
+        got = factor_integer(n)
+        assert list(got.items()) == sorted(factorint(n).items()), n
+        medium += any(10**3 < p <= 10**6 for p in got)
+    assert medium >= 180, medium
+
+
 def test_product_formula_on_primes_above_bound_squared():
-    # both 40-bit primes, above bound**2 = 10**12
+    # both 40-bit primes above 10**12, which Miller-Rabin certifies
     assert product_formula_check(1016501061517, 1099315886569)
 
 
@@ -366,6 +398,15 @@ def _entry_tuples():
     return out
 
 
+def _rational_class(x):
+    """(s, P) of the nonzero rational x, its numerator and denominator
+    factored one at a time."""
+    primes = {p for p, e in factor_integer(x.numerator).items() if e % 2}
+    if x.denominator != 1:
+        primes ^= {p for p, e in factor_integer(x.denominator).items() if e % 2}
+    return (-1 if x < 0 else 1) * math.prod(primes), frozenset(primes)
+
+
 def test_coprime_base_reads_every_entry():
     for entries in _entry_tuples():
         ints = [m for a in entries for m in (abs(a.numerator), a.denominator)]
@@ -379,7 +420,7 @@ def test_coprime_base_reads_every_entry():
         classes = rational_classes(entries)
         for a, c in zip(entries, classes):
             try:
-                want = rational_class(a)
+                want = _rational_class(a)
             except FactorBoundExceeded:
                 continue
             assert c == want, (entries, a)
