@@ -20,8 +20,10 @@ certificates.
 
 A table is twisted when each entry is one pair (k(i, j), c_ij), k is
 symmetric with a permutation in each row, and e_0 is the unit, as in a
-Clifford algebra.  `center` and `find_quaternion_basis` read such a
-table directly; other tables take a linear solve and a search.
+Clifford algebra.  `twisted_center` reads the centre off such a table;
+`center` returns that read-off, and `find_quaternion_basis` takes it
+once, for its centre check and its basis.  Other tables take a linear
+solve and a search.
 `AlgebraMorphism.is_multiplicative` reads one entry per basis pair
 where columns and entries are one term.
 """
@@ -418,16 +420,18 @@ def _first_square(a: StructureAlgebra, vecs, what, nonscalar):
 def find_quaternion_basis(a: StructureAlgebra):
     """Quaternion parameters (x^2, y^2) and a standard basis for a.
 
-    On a twisted table (see `twisted_center`) where e_1, e_2 square to
-    scalars and e_1 anticommutes with e_2, e_3, x = -e_1 and y = -e_2 are
-    read off: the answer of `_ladder_pair`, which other tables take.
+    `twisted_center` reads the table once; `center` solves only another
+    table.  On a twisted table where e_1, e_2 square to scalars and e_1
+    anticommutes with e_2, e_3, x = -e_1 and y = -e_2 are read off: the
+    answer of `_ladder_pair`, which other tables take.
     """
     if a.dim != 4:
         raise UnsupportedBase("quaternion basis extraction needs dimension 4")
-    if len(center(a)) != 1:
+    cen = twisted_center(a)
+    if len(center(a) if cen is None else cen) != 1:
         raise CliffinvError("algebra is not central")
     t = a.table
-    twisted = twisted_center(a) is not None and t[1][1][0][0] == t[2][2][0][0] == 0 and all(
+    twisted = cen is not None and t[1][1][0][0] == t[2][2][0][0] == 0 and all(
         t[1][j][0][1] == -t[j][1][0][1] for j in (2, 3)
     )
     if twisted:
@@ -442,7 +446,7 @@ def find_quaternion_basis(a: StructureAlgebra):
     if twisted:  # signed monomials: rank 4 iff they are four distinct ones
         full = sorted(r[0][0] for r in map(sparse_row, basis) if len(r) == 1) == [0, 1, 2, 3]
     else:
-        full = linalg.rank(cols, a.field) == 4
+        full = linalg.rank(cols) == 4
     if not full:
         raise CliffinvError("extracted quaternion basis is degenerate")
     return alpha, beta, cols

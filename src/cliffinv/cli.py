@@ -10,7 +10,6 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .errors import CliffinvError, DegenerateFormError, FactorBoundExceeded, SearchExhausted
@@ -137,7 +136,7 @@ def _cmd_br(args):
     from .brauer import BrauerClass2, class_of_quaternion, quaternion_from_class
 
     if args.op == "class":
-        c = class_of_quaternion(*map(Fraction, _required(args, "-a", "-b")))
+        c = class_of_quaternion(*map(QQ.elt_from_str, _required(args, "-a", "-b")))
         _emit(args, c, jsonio.render_table(c))
     elif args.op == "realize":
         c = BrauerClass2.from_strs(args.ramified.split(",")) if args.ramified else BrauerClass2.trivial()
@@ -194,7 +193,7 @@ def _cmd_exc(args):
         reduced_norm_form,
     )
 
-    vals = [Fraction(x) for x in args.params]
+    vals = [QQ.elt_from_str(x) for x in args.params]
     arity = _EXC_ARITY[args.op]
     if len(vals) not in arity:
         raise jsonio.ParseError("params", f"{args.op} takes {' or '.join(map(str, arity))} parameters")

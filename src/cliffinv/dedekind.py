@@ -46,18 +46,17 @@ from .scalars import (
     hilbert_symbol,
     is_prime,
     sqrt_mod_p,
-    squarefree_part,
 )
 
 
 class QuadOrder:
-    """The maximal order of Q(sqrt(d)), generated by omega over Z."""
+    """The maximal order of Q(sqrt(d)), generated by omega over Z, with
+    its genus: `genus_places`, the places p | D = disc(O) ascending, and
+    `minus_label`, the label of -1 (0 for D < 0)."""
 
     def __init__(self, d: int):
-        if d in (0, 1) or squarefree_part(d) != d:
-            raise ValueError("d must be squarefree, not 0 or 1")
+        self.field = QuadraticNumberField(d)  # checks that d is squarefree, not 0 or 1
         self.d = d
-        self.field = QuadraticNumberField(d)
         if d % 4 == 1:
             self.omega = QuadElement(Fraction(1, 2), Fraction(1, 2), d)
             self.omega_trace = 1
@@ -68,6 +67,8 @@ class QuadOrder:
             self.omega_trace = 0
             self.omega_norm = -d
             self.disc = 4 * d
+        self.genus_places = [Place(p) for p in sorted(factor_integer(self.disc))]
+        self.minus_label = _characters(-1, self.disc, self.genus_places) if self.disc > 0 else 0
 
     def element(self, u, v) -> QuadElement:
         """u + v*omega with rational u, v."""
@@ -367,12 +368,6 @@ def prime_ideals_above(order: QuadOrder, p: int):
     return [FracIdeal(order, 1, p, -r, 1) for r in sorted(roots)]
 
 
-def _genus(order: QuadOrder):
-    """The places p | D = disc(O), ascending, and the label of -1 (0 for D < 0)."""
-    places = [Place(p) for p in sorted(factor_integer(order.disc))]
-    return places, _characters(-1, order.disc, places) if order.disc > 0 else 0
-
-
 def _characters(x, disc: int, places) -> int:
     """Bitmask of the places v at which the Hilbert symbol (x, disc)_v is -1."""
     return sum(1 << i for i, v in enumerate(places) if hilbert_symbol(x, disc, v) == -1)
@@ -380,10 +375,11 @@ def _characters(x, disc: int, places) -> int:
 
 def genus_label(ideal: FracIdeal) -> int:
     """The coset of the ideal in Cl(O)/Cl(O)^2: the bitmask of its genus
-    characters (N I, D)_p, p | D.  For D > 0 the class group is the wide
-    one, and (sqrt D) has the label of -1, so its lowest bit is cleared."""
-    places, minus = _genus(ideal.order)
-    label = _characters(ideal.norm(), ideal.order.disc, places)
+    characters (N I, D)_p at the order's `genus_places`.  For D > 0 the
+    class group is the wide one, and (sqrt D) has the order's
+    `minus_label`, the label of -1, whose lowest bit is cleared."""
+    order = ideal.order
+    label, minus = _characters(ideal.norm(), order.disc, order.genus_places), order.minus_label
     return label ^ minus if label & minus & -minus else label
 
 
@@ -395,8 +391,7 @@ def class_group_mod_squares(order: QuadOrder):
     a coset is the least (norm, label) primitive ideal Z a + Z (b + omega)
     with its genus label; every class holds one of norm below sqrt|D|.
     """
-    places, minus = _genus(order)
-    count = 1 << (len(places) - 1 - bool(minus))
+    count = 1 << (len(order.genus_places) - 1 - bool(order.minus_label))
     t, n = order.omega_trace, order.omega_norm
     reps = {}
     for a in range(1, math.isqrt(abs(order.disc)) + 1):
@@ -503,9 +498,8 @@ def ideal_sqrt_alignment(target: FracIdeal, current: FracIdeal):
     of -1, when j (sqrt d) has label 0; then N is a root of that class."""
     order = target.order
     j = target * current.inverse()
-    places, minus = _genus(order)
-    label = _characters(j.norm(), order.disc, places)
-    if label not in (0, minus):
+    label = _characters(j.norm(), order.disc, order.genus_places)
+    if label not in (0, order.minus_label):
         return None
     n_ideal = _class_sqrt(j.scale(QuadElement(0, 1, order.d)) if label else j)
     gen = principal_generator(j * (n_ideal * n_ideal).inverse())

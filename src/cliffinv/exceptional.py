@@ -136,7 +136,7 @@ def pfaffian_space(a, b, c, d) -> list:
     if linalg.compose(psi, psi) != {k: {k: one} for k in range(16)}:
         raise CliffinvError("trace image is not involutory")
     cols = [[(one if i == k else zero) - psi[k].get(i, zero) for i in range(16)] for k in range(16)]
-    alt = linalg.column_space_basis(cols, field)
+    alt = linalg.column_space_basis(cols)
     if len(alt) != 6:
         raise CliffinvError(f"alternating space has dimension {len(alt)}, not 6")
     return alt

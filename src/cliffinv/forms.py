@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
-from .errors import CliffinvError, DegenerateFormError, UnsupportedBase
+from .errors import DegenerateFormError, UnsupportedBase
 from .records import record
 from .scalars import QQ, SquareClass, _check_zero, rational_classes, rational_sqrt, square_class
 
@@ -278,14 +278,15 @@ def is_isotropic(q) -> bool:
 def isotropic_vector(q):
     """A nonzero vector with q(v) = 0, in the coordinates of q.
 
-    is_isotropic decides first and a ValueError reports an anisotropic
-    form.  The field finds a zero of the diagonal entries, which is checked
-    exactly before it is carried back to the coordinates of q.
+    The Gram matrix is diagonalised once; is_isotropic of that diagonal
+    form decides, and a ValueError reports an anisotropic form.  The field
+    finds a zero of the diagonal entries, which is checked exactly before
+    it is carried back to the coordinates of q.
     """
     field = q.field
-    if not is_isotropic(q):
+    diag, pmat = (q, None) if isinstance(q, DiagonalForm) else diagonalize(q)
+    if not is_isotropic(diag):
         raise ValueError("form is anisotropic")
-    diag, pmat = diagonalize(q) if not isinstance(q, DiagonalForm) else (q, None)
     vec = field.isotropic_zero(diag.entries)
     _check_zero(diag.entries, vec, field)
     if pmat is not None:
@@ -296,17 +297,14 @@ def isotropic_vector(q):
 def witt_decompose(q) -> WittClass:
     """Split off hyperbolic planes until the rest is anisotropic.
 
-    The form is diagonalised once and the field reduces the entries: over
-    Q by local-global splitting on carried classes, each split vector
-    checked exactly; over F_p three entries at a time (see scalars).  The
-    field must split a plane exactly when is_isotropic holds.
+    The form is diagonalised once and the field reduces the entries, which
+    decides isotropy on the way: over Q by local-global splitting on
+    carried classes, each split vector checked exactly; over F_p three
+    entries at a time (see scalars).  The index is positive exactly when
+    the form is isotropic.
     """
     field = witt_theory(q.field)
-    d = _as_diagonal(q)
-    isotropic = is_isotropic(d)
-    kernel, index = field.witt_reduce(d.entries)
-    if isotropic != (index > 0):
-        raise CliffinvError(f"Witt index {index} disagrees with the isotropy of <{d.entries}>")
+    kernel, index = field.witt_reduce(_as_diagonal(q).entries)
     return WittClass(kernel, index, field)
 
 

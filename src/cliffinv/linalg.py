@@ -80,7 +80,7 @@ def _sparse(a):
     return ({c: x for c, x in enumerate(r) if x} for r in a)
 
 
-def rank(a, field):
+def rank(a):
     return len(_echelon(_sparse(a)))
 
 
@@ -184,7 +184,7 @@ def compose(a, b):
     return _pruned(out)
 
 
-def column_space_basis(vectors, field):
+def column_space_basis(vectors):
     """The vectors outside the span of those before them, a basis of the
     span: the pivot columns of the matrix whose columns are the vectors."""
     return [vectors[c] for c in sorted(_echelon(_sparse(zip(*vectors))))]

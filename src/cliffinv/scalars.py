@@ -617,7 +617,7 @@ def _auxiliary_value(a1, a2, rest):
     for v, seen in zip(places, verdicts):
         if v.is_infinite:
             continue
-        units = (1, 3, 5, 7) if v.p == 2 else (1, GF(v.p).nonresidue().v)
+        units = (1, 3, 5, 7) if v.p == 2 else (1, GF(v.p).nonresidue)
         if not any(local(u, v, seen) for u in units):
             d *= v.p
     for m in range(1, AUX_BOUND + 1):
@@ -805,7 +805,10 @@ class RationalField:
         return sys.intern(str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}")
 
     def elt_from_str(self, s: str):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
 
     def to_json(self):
         return {"field": "Q"}
@@ -905,6 +908,7 @@ class PrimeField:
         self.p = p
         self.char = p
         self.name = f"F{p}"
+        self.nonresidue = next(n for n in range(2, p) if legendre(n, p) == -1)  # the least one
 
     def zero(self):
         return FpElement(0, self.p)
@@ -922,19 +926,13 @@ class PrimeField:
         r = sqrt_mod_p(x.v, self.p)
         return None if r is None else FpElement(r, self.p)
 
-    def nonresidue(self) -> FpElement:
-        n = 2
-        while legendre(n, self.p) != -1:
-            n += 1
-        return FpElement(n, self.p)
-
     def square_class(self, a: FpElement) -> "SquareClass":
         if not a:
             raise ValueError("0 has no square class")
-        return SquareClass(self, 1 if legendre(a.v, self.p) == 1 else self.nonresidue().v)
+        return SquareClass(self, 1 if legendre(a.v, self.p) == 1 else self.nonresidue)
 
     def rep_mul(self, r: int, s: int) -> int:
-        return 1 if r == s else self.nonresidue().v
+        return 1 if r == s else self.nonresidue
 
     rep_value = from_int
 
@@ -1205,12 +1203,12 @@ class QuadraticNumberField:
     def elt_from_str(self, s: str):
         body, _, rad = s.partition("*sqrt(")
         if not rad:
-            return QuadElement(Fraction(s), 0, self.d)
+            return QuadElement(QQ.elt_from_str(s), 0, self.d)
         d = int(rad.rstrip(")"))
         if d != self.d:
             raise ValueError("radicand mismatch")
         a, _, b = body.rpartition("+")
-        return QuadElement(Fraction(a), Fraction(b), self.d)
+        return QuadElement(QQ.elt_from_str(a), QQ.elt_from_str(b), self.d)
 
     def to_json(self):
         return {"field": "Qsqrt", "d": self.d}

@@ -205,7 +205,7 @@ def test_find_quaternion_basis_recovers_class():
         q = quaternion(a, b, F)
         alpha, beta, basis = find_quaternion_basis(q)
         assert ramification(alpha, beta) == ramification(a, b)
-        assert linalg.rank([list(r) for r in basis], F) == 4
+        assert linalg.rank([list(r) for r in basis]) == 4
 
 
 def _basis_change():

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from cliffinv import algebras, clifford, dedekind, invariants
+from cliffinv import algebras, clifford, dedekind, forms, invariants
 from cliffinv.algebras import StructureAlgebra
 from cliffinv.brauer import BrauerClass2
 from cliffinv.clifford import EvenClifford
@@ -90,13 +90,15 @@ def test_tracer_sees_preimage_construction():
 
 def test_tracer_sees_witt_reduction():
     # a rank-8 sum goes through Witt reduction, which the traced witt-q
-    # workload measures through these names
+    # workload measures through these names; Witt reduction decides isotropy
+    # itself, so the isotropy hook is driven by a direct call
     spans = _load_spans()
     tracer = spans.Tracer()
     left = DiagonalForm(tuple(Fraction(x) for x in (6, -2, 5, -60)), QQ)
     right = DiagonalForm(tuple(Fraction(x) for x in (-3, 7, -3, 63)), QQ)
     with tracer.installed():
         assert invariants.e2_additivity_check(left, right)
+        assert forms.is_isotropic(forms.orthogonal_sum(left, right))
     for name in ("forms.witt_decompose", "forms.is_isotropic", "scalars.rational_sqrt"):
         assert tracer.calls[name] > 0, name
     assert tracer.planes == 2

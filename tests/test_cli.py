@@ -183,6 +183,38 @@ def test_cli_degenerate_form_is_a_usage_error(capsys, argv):
     assert "diagonal entry is zero" in err and "verification failure" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qf", "diag", "--entries", "1/0,2"],
+        ["br", "class", "-a", "1/0", "-b", "2"],
+        ["exc", "norm", "1/0", "2"],
+        ["alg", "quaternion", "1/0", "2"],
+        ["inv", "e2", "--entries", "1,2,3,6/0"],
+    ],
+)
+def test_cli_zero_denominator_is_a_usage_error(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and "zero denominator" in err
+
+
+@pytest.mark.parametrize(
+    "base, entry",
+    [
+        ({"field": "Q"}, "1/0"),
+        ({"field": "Qsqrt", "d": -5}, "1/0"),
+        ({"field": "Qsqrt", "d": -5}, "1+3/0*sqrt(-5)"),
+    ],
+)
+def test_convert_zero_denominator_is_a_usage_error(tmp_path, capsys, base, entry):
+    src = tmp_path / "form.json"
+    src.write_text(json.dumps({"kind": "form", "base": base, "entries": [entry, "2"]}))
+    assert main(["convert", str(src), "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and "zero denominator" in err
+
+
 def test_convert_round_trip(tmp_path, capsys):
     q = QuadraticForm(
         ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))), QQ

@@ -429,7 +429,7 @@ def _reference_isotropic(sf):
 def _reference_auxiliary(a1, a2, rest):
     d = 1
     for v in support_places(a1, a2, *rest):
-        units = () if v.is_infinite else (1, 3, 5, 7) if v.p == 2 else (1, GF(v.p).nonresidue().v)
+        units = () if v.is_infinite else (1, 3, 5, 7) if v.p == 2 else (1, GF(v.p).nonresidue)
         if units and not any(
             _isotropic_locally([a1, a2, -u], v) and _isotropic_locally([u] + rest, v) for u in units
         ):

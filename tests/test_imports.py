@@ -249,3 +249,44 @@ def test_every_default_is_allowlisted():
     for path in sorted(pkg.glob("*.py")):
         found |= _defaulted_parameters(ast.parse(path.read_text()), path.stem)
     assert found == set(DEFAULTED_PARAMETERS)
+
+
+# Every parameter that a src function's body never reads, as
+# module.qualname.parameter, with the reason it stays.  `self` and `cls`
+# are exempt, and a read in a nested function counts.
+UNREAD_PARAMETERS = {
+    "algebras.center.generators": "perfbench's clifford workload passes it (ROADMAP item 9)",
+    "scalars.PrimeField.clifford_places.entries": "the field protocol's signature: F_p has no places",
+    "scalars.QuadraticNumberField.square_class.a": "the field protocol's signature: square classes over Q(sqrt d) are out of scope",
+    "records.record.wrap.__setattr__.value": "generated __setattr__ refuses every assignment",
+    "suites._gen_metabolic.seed": "suite generators share one signature; this suite is fixed",
+    "suites._gen_surj.seed": "suite generators share one signature; this suite is fixed",
+    "suites._gen_dedekind.seed": "suite generators share one signature; this suite is fixed",
+}
+
+
+def _unread_parameters(tree, module):
+    """module.qualname.parameter of each parameter its function never reads."""
+    out = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + [child.name])
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a, name = child.args, ".".join([module, *prefix, child.name])
+                params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+                read = {n.id for n in ast.walk(child) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                out.update(f"{name}.{p.arg}" for p in params if p.arg not in read | {"self", "cls"})
+                visit(child, prefix + [child.name])
+
+    visit(tree, [])
+    return out
+
+
+def test_every_parameter_is_read():
+    pkg = Path(cliffinv.__file__).resolve().parent
+    found = set()
+    for path in sorted(pkg.glob("*.py")):
+        found |= _unread_parameters(ast.parse(path.read_text()), path.stem)
+    assert found == set(UNREAD_PARAMETERS)
